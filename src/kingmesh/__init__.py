@@ -21,6 +21,7 @@ from .kings import (
 )
 from .mesh import (
     CatalogEntry,
+    CompiledPatterns,
     MeshPattern,
     PatternSyntaxError,
     avoids,
@@ -48,6 +49,7 @@ __version__ = "0.1.0"
 __all__ = [
     "CatalogEntry",
     "CheckReport",
+    "CompiledPatterns",
     "DistributionTable",
     "KingClass",
     "MeshPattern",

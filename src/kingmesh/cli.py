@@ -39,11 +39,19 @@ _METHOD_TOKENS = {
 }
 
 
-def _default_jobs() -> int:
+def _jobs(args) -> int:
+    """Worker count from ``--jobs``, else ``KINGMESH_JOBS``, else 1."""
+    if args.jobs is not None:
+        source, text = "--jobs", str(args.jobs)
+    else:
+        source, text = "KINGMESH_JOBS", os.environ.get("KINGMESH_JOBS", "1")
     try:
-        return max(1, int(os.environ.get("KINGMESH_JOBS", "1")))
+        jobs = int(text)
     except ValueError:
-        return 1
+        jobs = 0
+    if jobs < 1:
+        raise ValueError(f"{source} must be a positive integer, got {text!r}")
+    return jobs
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -166,7 +174,7 @@ def _cmd_dist(args) -> int:
         )
         return 2
     kc = KingClass(args.king_class)
-    jobs = args.jobs if args.jobs is not None else _default_jobs()
+    jobs = _jobs(args)
     if args.all:
         patterns = [e.pattern for e in catalog()]
         tables = distribution_tables(patterns, args.n_max, kc, jobs)
@@ -205,7 +213,7 @@ def _cmd_series(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    jobs = args.jobs if args.jobs is not None else _default_jobs()
+    jobs = _jobs(args)
     if args.theorem:
         reports = [verify_theorem(args.theorem, args.order, args.n_max, jobs)]
     elif args.equation:

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 from enum import Enum
-from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
 
 Perm = tuple[int, ...]
@@ -61,13 +60,6 @@ def is_permutation(values: Sequence[int]) -> bool:
             return False
         seen |= bit
     return True
-
-
-def as_permutation(values: Iterable[int]) -> Perm:
-    p = tuple(values)
-    if not is_permutation(p):
-        raise ValueError(f"not a permutation of 1..{len(p)}: {p}")
-    return p
 
 
 def is_king(p: Sequence[int]) -> bool:
@@ -205,17 +197,18 @@ def _subtree(n: int, first: int, forbid_last: int) -> Iterator[Perm]:
             idxs.append(0)
 
 
-@lru_cache(maxsize=None)
 def _count_by_recurrence(n: int) -> int:
-    # a(n) = (n+1)a(n-1) - (n-2)a(n-2) - (n-5)a(n-3) + (n-3)a(n-4) for n >= 4
-    if n < 4:
-        return (1, 1, 0, 0)[n]
-    return (
-        (n + 1) * _count_by_recurrence(n - 1)
-        - (n - 2) * _count_by_recurrence(n - 2)
-        - (n - 5) * _count_by_recurrence(n - 3)
-        + (n - 3) * _count_by_recurrence(n - 4)
-    )
+    # a(n) = (n+1)a(n-1) - (n-2)a(n-2) - (n-5)a(n-3) + (n-3)a(n-4) for n >= 4,
+    # run forward so that large n needs no recursion depth
+    a = [1, 1, 0, 0]
+    for m in range(4, n + 1):
+        a.append(
+            (m + 1) * a[m - 1]
+            - (m - 2) * a[m - 2]
+            - (m - 5) * a[m - 3]
+            + (m - 3) * a[m - 4]
+        )
+    return a[n]
 
 
 def _count_by_explicit(n: int) -> int:

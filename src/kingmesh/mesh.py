@@ -18,8 +18,10 @@ closed distribution results for ("solved") or only exhaustive data for
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
-from typing import Iterable, Sequence
+from functools import cached_property
+from itertools import accumulate, combinations
+from operator import or_
+from typing import Iterable, Iterator, Sequence
 
 from .kings import Perm, is_permutation
 
@@ -54,6 +56,12 @@ class MeshPattern:
     @property
     def length(self) -> int:
         return len(self.tau)
+
+    @cached_property
+    def box_mask(self) -> int:
+        """The shaded boxes as a bitmask: bit i*(k+1)+j stands for box (i, j)."""
+        k = self.length
+        return sum(1 << (i * (k + 1) + j) for i, j in self.shaded)
 
     def __str__(self) -> str:
         return render_pattern(self)
@@ -272,150 +280,167 @@ def _parse_boxes(s: _Scanner, k: int) -> list[Box]:
 
 # ---------------------------------------------------------------------------
 # Occurrence counting.
+#
+# A host of length n is held as n+1 prefix bitsets: pre[p] has bit v set for
+# each value v at one of the first p positions (both count from 1).  The
+# region strictly between positions lo < hi and strictly between values
+# a < b is nonempty exactly when its column band pre[hi-1] ^ pre[lo] meets its
+# value band, the bits a+1 .. b-1, which is (1 << b) - (2 << a).  A
+# candidate's region mask has bit i*(k+1)+j set when the region of box (i, j)
+# is nonempty, and a pattern is satisfied when that mask misses its shaded
+# mask.
 # ---------------------------------------------------------------------------
 
 
-def _prefix_matrix(perm: Sequence[int]) -> list[list[int]]:
-    """M[p][v] = number of entries at position <= p with value <= v (0-based
-    sentinels included), so any axis-aligned open region is counted in O(1)."""
-    n = len(perm)
-    rows = [[0] * (n + 1)]
-    prev = rows[0]
-    for x in perm:
-        row = prev[:]
-        for v in range(x, n + 1):
-            row[v] += 1
-        rows.append(row)
-        prev = row
-    return rows
+def _prefix_bits(perm: Sequence[int]) -> list[int]:
+    return list(accumulate([1 << v for v in perm], or_, initial=0))
 
 
-def _region_mask(m: list[list[int]], qs: Sequence[int], rs: Sequence[int], k: int, n: int) -> int:
-    """Bitmask of nonempty regions for an occurrence candidate; bit i*(k+1)+j
-    corresponds to box (i, j)."""
-    q = (0,) + tuple(qs) + (n + 1,)
-    r = (0,) + tuple(rs) + (n + 1,)
-    mask = 0
-    bit = 1
-    for i in range(k + 1):
-        top = m[q[i + 1] - 1]
-        bot = m[q[i]]
-        for j in range(k + 1):
-            if (top[r[j + 1] - 1] - bot[r[j + 1] - 1]) - (top[r[j]] - bot[r[j]]):
-                mask |= bit
-            bit <<= 1
-    return mask
+def _hit_table(members: Sequence[tuple[int, int]], k: int) -> list[list[int]]:
+    """table[mask] lists the pattern indices whose shaded mask misses mask."""
+    top = (1 << (k + 1) ** 2) - 1
+    table: list[list[int]] = [[] for _ in range(top + 1)]
+    for idx, shaded in members:
+        free = top ^ shaded
+        sub = free
+        while True:  # every submask of the unshaded boxes
+            table[sub].append(idx)
+            if not sub:
+                break
+            sub = (sub - 1) & free
+    return table
 
 
-def _box_mask(p: MeshPattern) -> int:
-    k = p.length
-    mask = 0
-    for i, j in p.shaded:
-        mask |= 1 << (i * (k + 1) + j)
-    return mask
+class CompiledPatterns:
+    """Patterns prepared once for any number of hosts.
+
+    The patterns are grouped by ``tau``.  Each group keeps its members as
+    (index, shaded mask) pairs and, for k <= 2, a hit table from each of the
+    2^((k+1)^2) region masks to the indices of the patterns it satisfies.
+    ``len()`` is the number of patterns.
+    """
+
+    def __init__(self, patterns: Iterable[MeshPattern]):
+        self.patterns = tuple(patterns)
+        groups: dict[Perm, list[tuple[int, int]]] = {}
+        for idx, p in enumerate(self.patterns):
+            groups.setdefault(p.tau, []).append((idx, p.box_mask))
+        self.groups = tuple(
+            (tau, members, _hit_table(members, len(tau)) if len(tau) <= 2 else None)
+            for tau, members in groups.items()
+        )
+
+    def __len__(self) -> int:
+        return len(self.patterns)
 
 
-def occurrence_counts(patterns: Sequence[MeshPattern], perm: Sequence[int]) -> list[int]:
+def occurrence_counts(
+    patterns: CompiledPatterns | Sequence[MeshPattern], perm: Sequence[int]
+) -> list[int]:
     """Occurrence counts of several patterns in one pass over the host.
 
-    Work per candidate subset is shared: the region-emptiness mask is computed
-    once and each pattern contributes a single AND against its shaded mask.
-    Candidate pairs get a hand-tightened loop because the whole catalog has
-    length <= 2.
+    Pass a :class:`CompiledPatterns` when counting on many hosts, so that the
+    patterns are grouped and tabulated once.  Candidates of length <= 2 are
+    counted by tight loops that look each region mask up in the hit table;
+    longer ones go through the generic candidate scan.
     """
-    n = len(perm)
-    counts = [0] * len(patterns)
-    groups: dict[Perm, list[tuple[int, int]]] = {}
-    for idx, p in enumerate(patterns):
-        groups.setdefault(p.tau, []).append((idx, _box_mask(p)))
-    m = _prefix_matrix(perm)
-    for tau, members in groups.items():
+    if not isinstance(patterns, CompiledPatterns):
+        patterns = CompiledPatterns(patterns)
+    counts = [0] * len(patterns.patterns)
+    pre = _prefix_bits(perm)
+    for tau, members, hits in patterns.groups:
         k = len(tau)
         if k == 0:
-            # single empty occurrence candidate
-            mask = _region_mask(m, (), (), 0, n)
-            for idx, pmask in members:
-                if not mask & pmask:
-                    counts[idx] += 1
+            # the single empty candidate; its one region is the whole plot
+            for idx in hits[1 if perm else 0]:
+                counts[idx] += 1
         elif k == 1:
-            _count_singles(m, perm, members, counts)
+            _count_singles(perm, pre, hits, counts)
         elif k == 2:
-            _count_pairs(m, perm, tau == (1, 2), members, counts)
+            _count_pairs(perm, pre, tau == (1, 2), hits, counts)
         else:
-            _count_generic(m, perm, tau, members, counts)
+            _count_generic(perm, pre, tau, members, counts)
     return counts
 
 
-def _count_singles(m, perm, members, counts) -> None:
-    n = len(perm)
-    mn = m[n]
-    for pos in range(1, n + 1):
-        a = perm[pos - 1]
-        top = m[pos - 1]
-        c00 = top[a - 1]
-        c01 = (pos - 1) - top[a]
-        c10 = mn[a - 1] - m[pos][a - 1]
-        c11 = (n - pos) - (mn[a] - m[pos][a])
-        mask = (1 if c00 else 0) | (2 if c01 else 0) | (4 if c10 else 0) | (8 if c11 else 0)
-        for idx, pmask in members:
-            if not mask & pmask:
-                counts[idx] += 1
+def _count_singles(perm, pre, hits, counts) -> None:
+    full = pre[-1]
+    for pos, a in enumerate(perm):
+        lo = (1 << a) - 1
+        hi = -(2 << a)
+        before = pre[pos]
+        after = full ^ pre[pos + 1]
+        mask = (
+            (1 if before & lo else 0) | (2 if before & hi else 0)
+            | (4 if after & lo else 0) | (8 if after & hi else 0)
+        )
+        for idx in hits[mask]:
+            counts[idx] += 1
 
 
-def _count_pairs(m, perm, increasing: bool, members, counts) -> None:
+def _count_pairs(perm, pre, increasing: bool, hits, counts) -> None:
+    # Many pairs of one host share a region mask, so the masks are tallied
+    # first and the hit table is applied once per distinct mask.
     n = len(perm)
-    mn = m[n]
-    for i in range(1, n):
-        x = perm[i - 1]
-        mtop_i = m[i - 1]
-        mbot_i = m[i]
-        for j in range(i + 1, n + 1):
-            y = perm[j - 1]
+    full = pre[n]
+    tally: dict[int, int] = {}
+    get = tally.get
+    for i in range(n - 1):
+        x = perm[i]
+        c0 = pre[i]
+        through_i = pre[i + 1]
+        for j in range(i + 1, n):
+            y = perm[j]
             if (y > x) != increasing:
                 continue
-            a, b = (x, y) if x < y else (y, x)
-            mtop_j = m[j - 1]
-            mbot_j = m[j]
-            mask = 0
-            if mtop_i[a - 1]:
-                mask |= 1
-            if mtop_i[b - 1] - mtop_i[a]:
-                mask |= 2
-            if (i - 1) - mtop_i[b]:
-                mask |= 4
-            if mtop_j[a - 1] - mbot_i[a - 1]:
-                mask |= 8
-            if (mtop_j[b - 1] - mbot_i[b - 1]) - (mtop_j[a] - mbot_i[a]):
-                mask |= 16
-            if (j - 1 - i) - (mtop_j[b] - mbot_i[b]):
-                mask |= 32
-            if mn[a - 1] - mbot_j[a - 1]:
-                mask |= 64
-            if (mn[b - 1] - mbot_j[b - 1]) - (mn[a] - mbot_j[a]):
-                mask |= 128
-            if (n - j) - (mn[b] - mbot_j[b]):
-                mask |= 256
-            for idx, pmask in members:
-                if not mask & pmask:
-                    counts[idx] += 1
+            if x < y:
+                a, b = x, y
+            else:
+                a, b = y, x
+            lo = (1 << a) - 1
+            mid = (1 << b) - (2 << a)
+            hi = -(2 << b)
+            c1 = pre[j] ^ through_i
+            c2 = full ^ pre[j + 1]
+            mask = (
+                (1 if c0 & lo else 0) | (2 if c0 & mid else 0) | (4 if c0 & hi else 0)
+                | (8 if c1 & lo else 0) | (16 if c1 & mid else 0) | (32 if c1 & hi else 0)
+                | (64 if c2 & lo else 0) | (128 if c2 & mid else 0) | (256 if c2 & hi else 0)
+            )
+            tally[mask] = get(mask, 0) + 1
+    for mask, times in tally.items():
+        for idx in hits[mask]:
+            counts[idx] += times
 
 
-def _count_generic(m, perm, tau, members, counts) -> None:
+def _candidate_masks(perm: Sequence[int], pre: list[int], tau: Perm) -> Iterator[int]:
+    """Region mask of each occurrence candidate of tau, in position order."""
     n = len(perm)
     k = len(tau)
-    for qs in combinations(range(1, n + 1), k):
-        values = tuple(perm[q - 1] for q in qs)
-        if reduced_pattern(values) != tau:
+    by_value = sorted(range(k), key=tau.__getitem__)
+    for qs in combinations(range(n), k):
+        rs = [perm[qs[t]] for t in by_value]
+        if rs != sorted(rs):
             continue
-        mask = _region_mask(m, qs, tuple(sorted(values)), k, n)
-        for idx, pmask in members:
-            if not mask & pmask:
+        bands = [(1 << b) - (2 << a) for a, b in zip([0, *rs], [*rs, n + 1])]
+        mask = 0
+        bit = 1
+        lo = 0
+        for hi in (*qs, n):
+            column = pre[hi] ^ pre[lo]
+            for band in bands:
+                if column & band:
+                    mask |= bit
+                bit <<= 1
+            lo = hi + 1
+        yield mask
+
+
+def _count_generic(perm, pre, tau, members, counts) -> None:
+    for mask in _candidate_masks(perm, pre, tau):
+        for idx, shaded in members:
+            if not mask & shaded:
                 counts[idx] += 1
-
-
-def reduced_pattern(values: Sequence[int]) -> Perm:
-    rank = {v: i + 1 for i, v in enumerate(sorted(values))}
-    return tuple(rank[v] for v in values)
 
 
 def count_occurrences(p: MeshPattern, perm: Sequence[int]) -> int:
@@ -429,14 +454,5 @@ def count_occurrences(p: MeshPattern, perm: Sequence[int]) -> int:
 
 def avoids(p: MeshPattern, perm: Sequence[int]) -> bool:
     """True when perm contains no occurrence of p (early exit on the first hit)."""
-    n = len(perm)
-    k = p.length
-    pmask = _box_mask(p)
-    m = _prefix_matrix(perm)
-    for qs in combinations(range(1, n + 1), k):
-        values = tuple(perm[q - 1] for q in qs)
-        if reduced_pattern(values) != p.tau:
-            continue
-        if not _region_mask(m, qs, tuple(sorted(values)), k, n) & pmask:
-            return False
-    return True
+    shaded = p.box_mask
+    return all(mask & shaded for mask in _candidate_masks(perm, _prefix_bits(perm), p.tau))

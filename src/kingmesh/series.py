@@ -174,10 +174,6 @@ class UPoly:
     def __str__(self):
         return format_upoly(self)
 
-    @staticmethod
-    def parse(text: str) -> "UPoly":
-        return parse_upoly(text)
-
 
 def _single_term_index(coeffs: Sequence[int]) -> int:
     """Index of the only nonzero entry, or -1 if there are several."""

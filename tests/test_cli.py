@@ -107,6 +107,20 @@ class TestDist:
             _, count_out, _ = run(capsys, "count", "--n", str(item["n"]))
             assert parse_upoly(item["coeff"]).evaluate(1) == int(count_out)
 
+    @pytest.mark.parametrize("command", ["dist", "verify"])
+    def test_bad_jobs_is_usage_error(self, capsys, command):
+        args = ("--pattern", "nr:X", "--n-max", "3") if command == "dist" else ("--theorem", "16")
+        code, out, err = run(capsys, command, *args, "--jobs", "-3")
+        assert code == 2 and out == ""
+        assert err == "error: --jobs must be a positive integer, got '-3'\n"
+
+    @pytest.mark.parametrize("value", ["abc", "0", "-2"])
+    def test_bad_jobs_env_is_usage_error(self, capsys, monkeypatch, value):
+        monkeypatch.setenv("KINGMESH_JOBS", value)
+        code, out, err = run(capsys, "dist", "--pattern", "nr:X", "--n-max", "3")
+        assert code == 2 and out == ""
+        assert err == f"error: KINGMESH_JOBS must be a positive integer, got '{value}'\n"
+
     def test_jobs_env_default(self, capsys, monkeypatch):
         monkeypatch.setenv("KINGMESH_JOBS", "2")
         _, baseline, _ = run(capsys, "dist", "--pattern", "nr:X", "--n-max", "5", "--format", "json")

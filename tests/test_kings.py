@@ -135,6 +135,18 @@ def test_all_methods_agree_at_7():
     assert set(values.values()) == {646}
 
 
+def test_recurrence_matches_explicit_to_40():
+    for n in range(41):
+        assert count_kings(n, "recurrence") == count_kings(n, "explicit")
+
+
+def test_recurrence_needs_no_recursion_depth():
+    # far past the interpreter's default recursion limit of 1000
+    value = count_kings(3000)
+    assert value > 0
+    assert value % 2 == 0  # reverse pairs each member with a different one
+
+
 def test_count_rejects_bad_input():
     with pytest.raises(ValueError):
         count_kings(-1)

@@ -18,6 +18,7 @@ from kingmesh.mesh import (
     OPEN_IDS,
     SOLVED_IDS,
     CatalogEntry,
+    CompiledPatterns,
     MeshPattern,
     PatternSyntaxError,
     avoids,
@@ -54,6 +55,19 @@ def _reference_count(pattern: MeshPattern, perm) -> int:
         if ok:
             total += 1
     return total
+
+
+# every tau of length 0..3: (), (1), (1,2), (2,1) and the six of length 3
+TAUS = [tau for k in range(4) for tau in permutations(range(1, k + 1))]
+
+
+def _patterns(tau):
+    k = len(tau)
+    boxes = st.sets(st.tuples(st.integers(0, k), st.integers(0, k)))
+    return boxes.map(lambda shaded: MeshPattern(tau, frozenset(shaded)))
+
+
+_hosts = st.integers(0, 7).flatmap(lambda n: st.permutations(range(1, n + 1))).map(tuple)
 
 
 class TestCatalog:
@@ -204,6 +218,20 @@ class TestCounting:
         host = tuple(values)
         p = MeshPattern((1, 2), frozenset(boxes))
         assert count_occurrences(p, host) == _reference_count(p, host)
+
+    @pytest.mark.parametrize("tau", TAUS, ids=lambda tau: "".join(map(str, tau)) or "empty")
+    @given(st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_compiled_kernels_against_reference(self, tau, data):
+        # one pattern with this tau, mixed with a few of any tau, compiled once
+        # and reused across hosts
+        pats = [data.draw(_patterns(tau))]
+        pats += data.draw(st.lists(st.sampled_from(TAUS).flatmap(_patterns), max_size=4))
+        compiled = CompiledPatterns(pats)
+        for host in data.draw(st.lists(_hosts, min_size=1, max_size=4)):
+            expected = [_reference_count(p, host) for p in pats]
+            assert occurrence_counts(compiled, host) == expected, host
+            assert [avoids(p, host) for p in pats] == [c == 0 for c in expected], host
 
     def test_batched_matches_single(self):
         pats = [e.pattern for e in catalog()]
