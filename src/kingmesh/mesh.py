@@ -393,10 +393,7 @@ def _count_pairs(perm, pre, increasing: bool, hits, counts) -> None:
             y = perm[j]
             if (y > x) != increasing:
                 continue
-            if x < y:
-                a, b = x, y
-            else:
-                a, b = y, x
+            a, b = (x, y) if x < y else (y, x)
             lo = (1 << a) - 1
             mid = (1 << b) - (2 << a)
             hi = -(2 << b)
