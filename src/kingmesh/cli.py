@@ -238,6 +238,8 @@ def _cmd_verify(args) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)  # counts past n = 1558 have over 4,300 digits
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

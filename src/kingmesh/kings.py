@@ -104,23 +104,34 @@ def reduced(values: Sequence[int]) -> Perm:
     return tuple(rank[v] for v in values)
 
 
+# A member's class depends only on its end entries.  The endpoint flags of an
+# entry say whether it is the smallest value and whether it is the largest;
+# each class forbids some flags at its first entry and some at its last.  The
+# entry of a one-element permutation carries both flags.
+SMALLEST, LARGEST = 1, 2
+CLASS_FORBIDS = {
+    KingClass.ALL: (0, 0),
+    KingClass.S: (SMALLEST, 0),
+    KingClass.L: (0, LARGEST),
+    KingClass.SL: (SMALLEST, LARGEST),
+    KingClass.LS: (LARGEST, SMALLEST),
+}
+
+
+def endpoint_flags(value: int, n: int) -> int:
+    """The endpoint flags of an entry ``value`` of a permutation of 1..n."""
+    return SMALLEST * (value == 1) | LARGEST * (value == n)
+
+
 def in_class(p: Sequence[int], king_class: KingClass = KingClass.ALL) -> bool:
     """Membership of p in a restricted king class (see :class:`KingClass`)."""
     if not is_king(p):
         return False
     if not p:
         return True
+    first, last = CLASS_FORBIDS[KingClass(king_class)]
     n = len(p)
-    kc = KingClass(king_class)
-    if kc is KingClass.ALL:
-        return True
-    if kc is KingClass.S:
-        return p[0] != 1
-    if kc is KingClass.L:
-        return p[-1] != n
-    if kc is KingClass.SL:
-        return p[0] != 1 and p[-1] != n
-    return p[0] != n and p[-1] != 1  # LS
+    return not (endpoint_flags(p[0], n) & first or endpoint_flags(p[-1], n) & last)
 
 
 def enumerate_kings(
@@ -137,29 +148,21 @@ def enumerate_kings(
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    kc = KingClass(king_class)
+    forbid_first, forbid_last = CLASS_FORBIDS[KingClass(king_class)]
     if n == 0:
         yield ()
         return
-    if n == 1:
-        if kc is KingClass.ALL and (first_values is None or 1 in set(first_values)):
-            yield (1,)
-        return
-    firsts = set(range(1, n + 1))
+    firsts = {v for v in range(1, n + 1) if not endpoint_flags(v, n) & forbid_first}
     if first_values is not None:
         firsts &= set(first_values)
-    if kc in (KingClass.S, KingClass.SL):
-        firsts.discard(1)
-    elif kc is KingClass.LS:
-        firsts.discard(n)
-    if kc in (KingClass.L, KingClass.SL):
-        forbid_last = n
-    elif kc is KingClass.LS:
-        forbid_last = 1
-    else:
-        forbid_last = 0  # matches no value
+    if n == 1:
+        if firsts and not forbid_last:
+            yield (1,)
+        return
+    # the one last value the class forbids, or 0, which matches no value
+    last = 1 if forbid_last & SMALLEST else n if forbid_last & LARGEST else 0
     for first in sorted(firsts):
-        yield from _subtree(n, first, forbid_last)
+        yield from _subtree(n, first, last)
 
 
 def _subtree(n: int, first: int, forbid_last: int) -> Iterator[Perm]:

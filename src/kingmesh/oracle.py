@@ -6,8 +6,12 @@ integer polynomial.  This is the independent route against which every closed
 form in :mod:`kingmesh.gfs` is checked: the two share no code beyond integer
 arithmetic.
 
+Its one kernel is a *census*: one pass over a class per length that tallies
+every host under its endpoint type.  Each class is a union of endpoint types,
+so a census of all kings yields every class's size and distributions.
+
 Enumeration can fan out over the choice of the first element; each worker owns
-the subtree below one first value and the partial counts are added, so the
+the subtree below one first value and the partial tallies are added, so the
 result is identical for any worker count.
 """
 
@@ -16,9 +20,11 @@ from __future__ import annotations
 import math
 import multiprocessing
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from itertools import accumulate
+from operator import add
+from typing import Sequence
 
-from .kings import KingClass, enumerate_kings
+from .kings import CLASS_FORBIDS, KingClass, endpoint_flags, enumerate_kings
 from .mesh import CompiledPatterns, MeshPattern, occurrence_counts, render_pattern
 from .series import UPoly, parse_upoly
 
@@ -61,41 +67,94 @@ class DistributionTable:
         )
 
 
-def _count_vectors(
-    patterns: Sequence[MeshPattern],
-    n: int,
-    king_class: KingClass,
-    first_values: Iterable[int] | None = None,
-) -> list[list[int]]:
-    """vectors[p][c] = number of class members with exactly c occurrences."""
-    sizes = [math.comb(n, p.length) + 1 for p in patterns]
-    vectors = [[0] * size for size in sizes]
+# A host's endpoint type is 4 * flags(first entry) + flags(last entry), with
+# the endpoint flags of kings.py; a class is the union of the types whose
+# flags it does not forbid.
+_CLASS_TYPES = {
+    kc: [t for t in range(16) if not (t >> 2 & first or t & 3 & last)]
+    for kc, (first, last) in CLASS_FORBIDS.items()
+}
+
+
+def _tally(task) -> list[int]:
+    """One length's tally.  Entry t counts the hosts of endpoint type t.  The
+    block of type t starts at 16 + t * stride and holds the patterns' vectors
+    one after another: how many of those hosts have exactly c occurrences."""
+    patterns, n, king_class, first_values = task
+    widths = [math.comb(n, p.length) + 1 for p in patterns]
+    stride = sum(widths)
+    starts = list(accumulate(widths, initial=16))[:-1]
+    by_type = [[t * stride + start for start in starts] for t in range(16)]
     compiled = CompiledPatterns(patterns)
+    flags = [endpoint_flags(v, n) for v in range(n + 1)]
+    counts = [0] * (16 + 16 * stride)
     for perm in enumerate_kings(n, king_class, first_values):
-        for idx, c in enumerate(occurrence_counts(compiled, perm)):
-            vectors[idx][c] += 1
-    return vectors
+        t = 4 * flags[perm[0]] + flags[perm[-1]] if n else 0
+        counts[t] += 1
+        if patterns:  # with none, a host costs only its tally
+            for start, c in zip(by_type[t], occurrence_counts(compiled, perm)):
+                counts[start + c] += 1
+    return counts
 
 
-def _worker(args) -> list[list[int]]:
-    patterns, n, king_class, first = args
-    return _count_vectors(patterns, n, king_class, (first,))
+@dataclass(frozen=True)
+class Census:
+    """The tallies of one pass over a king class, one per length, with the
+    patterns counted through ``pattern_n_max``.  A census of ALL answers for
+    every class; one of a restricted class counts only its own members."""
+
+    patterns: tuple[MeshPattern, ...]
+    pattern_n_max: int
+    tallies: tuple[list[int], ...]
+
+    def size(self, n: int, king_class: KingClass) -> int:
+        """Number of class members of length n."""
+        return sum(self.tallies[n][t] for t in _CLASS_TYPES[KingClass(king_class)])
+
+    def table(self, pattern: MeshPattern, king_class: KingClass) -> DistributionTable:
+        """The pattern's distribution rows over the class."""
+        kc = KingClass(king_class)
+        idx = self.patterns.index(pattern)
+        rows = []
+        for n, tally in enumerate(self.tallies[: self.pattern_n_max + 1]):
+            widths = [math.comb(n, p.length) + 1 for p in self.patterns]
+            start, stride = 16 + sum(widths[:idx]), sum(widths)
+            starts = [start + t * stride for t in _CLASS_TYPES[kc]]
+            rows.append(UPoly(sum(tally[s + c] for s in starts) for c in range(widths[idx])))
+        return DistributionTable(pattern, kc, tuple(rows))
 
 
-def _merged_vectors(
-    patterns: Sequence[MeshPattern], n: int, king_class: KingClass, jobs: int
-) -> list[list[int]]:
-    if jobs <= 1 or n < 2:
-        return _count_vectors(patterns, n, king_class)
-    tasks = [(tuple(patterns), n, king_class, first) for first in range(1, n + 1)]
-    with multiprocessing.Pool(min(jobs, n)) as pool:
-        partials = pool.map(_worker, tasks)
-    totals = [[0] * len(v) for v in partials[0]]
-    for part in partials:
-        for vec, add in zip(totals, part):
-            for i, c in enumerate(add):
-                vec[i] += c
-    return totals
+def census(
+    patterns: Sequence[MeshPattern],
+    n_max: int,
+    king_class: KingClass = KingClass.ALL,
+    jobs: int = 1,
+    pattern_n_max: int | None = None,
+) -> Census:
+    """Enumerate the class members of each length 0..n_max once, tallying
+    them by endpoint type and counting the patterns through ``pattern_n_max``
+    (default ``n_max``).  The work is split by length and first value; with
+    ``jobs > 1`` one pool of workers takes it, the longest lengths first.
+    """
+    if pattern_n_max is None:
+        pattern_n_max = n_max
+    if not 0 <= pattern_n_max <= n_max:
+        raise ValueError("n_max must be nonnegative")
+    patterns, kc = tuple(patterns), KingClass(king_class)
+    tasks = [
+        (patterns if n <= pattern_n_max else (), n, kc, (first,))
+        for n in range(n_max, -1, -1)
+        for first in range(1, max(n, 1) + 1)  # the empty host takes any first value
+    ]
+    if jobs > 1 and n_max >= 2:
+        with multiprocessing.Pool(min(jobs, n_max)) as pool:
+            parts = pool.map(_tally, tasks, chunksize=1)
+    else:
+        parts = map(_tally, tasks)
+    tallies: list = [None] * (n_max + 1)
+    for (_, n, _, _), part in zip(tasks, parts):
+        tallies[n] = part if tallies[n] is None else list(map(add, tallies[n], part))
+    return Census(patterns, pattern_n_max, tuple(tallies))
 
 
 def distribution(
@@ -105,7 +164,7 @@ def distribution(
     jobs: int = 1,
 ) -> UPoly:
     """Sum of u^(occurrence count) over the class members of length n."""
-    return UPoly(_merged_vectors([pattern], n, KingClass(king_class), jobs)[0])
+    return distribution_table(pattern, n, king_class, jobs).row(n)
 
 
 def distribution_table(
@@ -123,20 +182,12 @@ def distribution_tables(
     king_class: KingClass = KingClass.ALL,
     jobs: int = 1,
 ) -> list[DistributionTable]:
-    """Batched tables sharing a single enumeration pass per length.
+    """Batched tables from one census of the class: each length is enumerated
+    once for all the patterns, and each table sums its class's endpoint types.
 
     Occurrence counting, not enumeration, takes most of the time: over 80 %
     of the catalog sweep to n = 9.  A batch shares each host's set-up and
-    compiles the patterns once per length, but every pattern still costs.
+    compiles the patterns once per worker task, but every pattern still costs.
     """
-    if n_max < 0:
-        raise ValueError("n_max must be nonnegative")
-    kc = KingClass(king_class)
-    per_pattern: list[list[UPoly]] = [[] for _ in patterns]
-    for n in range(n_max + 1):
-        for idx, vec in enumerate(_merged_vectors(patterns, n, kc, jobs)):
-            per_pattern[idx].append(UPoly(vec))
-    return [
-        DistributionTable(p, kc, tuple(rows))
-        for p, rows in zip(patterns, per_pattern)
-    ]
+    result = census(patterns, n_max, king_class, jobs)
+    return [result.table(p, king_class) for p in result.patterns]

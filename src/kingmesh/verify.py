@@ -4,7 +4,9 @@ and pinned reference expansions.
 Three kinds of evidence are compared:
 
 * the closed-form series built by :mod:`kingmesh.gfs`;
-* the brute-force distributions of :mod:`kingmesh.oracle`;
+* the brute-force census of :mod:`kingmesh.oracle`, which `verify_all` takes
+  once for n = 0..max(11, n_max) and every check on kings reads: the class
+  sizes, and the catalog's rows over each class through n_max;
 * reference expansions pinned below as literal data, so that a regression in
   either computation path is caught even if both drift together.
 
@@ -23,16 +25,17 @@ from dataclasses import dataclass
 from itertools import permutations as _all_perms
 from typing import Callable, Iterable, Sequence
 
-from .kings import KingClass, complement, count_kings, enumerate_kings, is_king
+from .kings import KingClass, count_kings, is_king
 from .mesh import (
     KING_CROSS_DOWN,
     KING_CROSS_UP,
     OPEN_IDS,
     SOLVED_IDS,
     avoids,
+    catalog,
     catalog_pattern,
 )
-from .oracle import distribution_tables
+from .oracle import Census, census, distribution_table
 from .gfs import (
     avoidance_series,
     class_series,
@@ -49,6 +52,11 @@ REFERENCE_MISMATCH = "REFERENCE_MISMATCH"
 
 DEFAULT_ORDER = 30
 DEFAULT_N_MAX = 9
+
+# lengths covered whatever n_max is
+COUNTS_N_MAX = 11
+CLASSES_N_MAX = 10
+KINGCHAR_N_MAX = 8
 
 
 @dataclass(frozen=True)
@@ -364,11 +372,6 @@ def _first_row_mismatch(
     return None
 
 
-def _oracle_rows(ident: str, n_max: int, jobs: int) -> tuple[UPoly, ...]:
-    table = distribution_tables([catalog_pattern(ident)], n_max, KingClass.ALL, jobs)[0]
-    return table.rows
-
-
 def verify_theorem(
     ident: str,
     order: int = DEFAULT_ORDER,
@@ -389,7 +392,7 @@ def verify_theorem(
     subject = f"pattern {ident}: distribution over king permutations"
 
     if oracle_rows is None:
-        oracle_rows = _oracle_rows(ident, n_max, jobs)
+        oracle_rows = distribution_table(catalog_pattern(ident), n_max, KingClass.ALL, jobs).rows
     rows = e.coeffs[: len(oracle_rows)]
     witness = _first_row_mismatch(oracle_rows, rows)
     if witness is not None:
@@ -414,10 +417,11 @@ def verify_theorem(
 # ---------------------------------------------------------------------------
 
 
-def _check_counts_methods(n_top: int = 11) -> CheckReport:
-    subject = f"four counting methods agree for n <= {n_top}"
-    for n in range(n_top + 1):
-        values = {m: count_kings(n, m) for m in ("recurrence", "explicit", "gf", "enumerate")}
+def _check_counts_methods(kings: Census) -> CheckReport:
+    subject = f"four counting methods agree for n <= {COUNTS_N_MAX}"
+    for n in range(COUNTS_N_MAX + 1):
+        values = {m: count_kings(n, m) for m in ("recurrence", "explicit", "gf")}
+        values["enumerate"] = kings.size(n, KingClass.ALL)
         expect = KING_COUNTS[n] if n < len(KING_COUNTS) else values["recurrence"]
         for method, value in values.items():
             if value != expect:
@@ -430,66 +434,34 @@ def _check_counts_methods(n_top: int = 11) -> CheckReport:
     return CheckReport("counts:methods", subject, PASS)
 
 
-def _class_counts_by_enumeration(n: int) -> dict[KingClass, int]:
-    counts = dict.fromkeys(KingClass, 0)
-    for p in enumerate_kings(n):
-        counts[KingClass.ALL] += 1
-        if not p:
-            for kc in (KingClass.S, KingClass.L, KingClass.SL, KingClass.LS):
-                counts[kc] += 1
-            continue
-        s = p[0] != 1
-        l = p[-1] != n
-        if s:
-            counts[KingClass.S] += 1
-        if l:
-            counts[KingClass.L] += 1
-        if s and l:
-            counts[KingClass.SL] += 1
-        if p[0] != n and p[-1] != 1:
-            counts[KingClass.LS] += 1
-    return counts
-
-
-def _check_class_counts(n_top: int = 10) -> CheckReport:
-    subject = f"restricted-class counts match their series for n <= {n_top}"
-    b = class_series(KingClass.S, n_top)
-    c = class_series(KingClass.SL, n_top)
-    a = king_series(n_top)
-    prev_s = None
-    for n in range(n_top + 1):
-        counts = _class_counts_by_enumeration(n)
-        bn = b.coeff(n).evaluate(0)
-        cn = c.coeff(n).evaluate(0)
-        an = a.coeff(n).evaluate(0)
-        checks = (
-            (counts[KingClass.S], bn, "S"),
-            (counts[KingClass.L], bn, "L"),
-            (counts[KingClass.SL], cn, "SL"),
-            (counts[KingClass.LS], cn, "LS"),
-        )
-        for got, want, label in checks:
+def _check_class_counts(kings: Census) -> CheckReport:
+    subject = f"restricted-class counts match their series for n <= {CLASSES_N_MAX}"
+    a = king_series(CLASSES_N_MAX)
+    b = class_series(KingClass.S, CLASSES_N_MAX)
+    c = class_series(KingClass.SL, CLASSES_N_MAX)
+    series = {KingClass.S: b, KingClass.L: b, KingClass.SL: c, KingClass.LS: c}
+    for n in range(CLASSES_N_MAX + 1):
+        for kc, counts in series.items():
+            want, got = counts.coeff(n).evaluate(0), kings.size(n, kc)
             if got != want:
+                label = kc.value.upper()
                 return CheckReport(
-                    "counts:classes",
-                    subject,
-                    FAIL,
+                    "counts:classes", subject, FAIL,
                     Witness(n, f"{label}={want}", f"{label}={got}"),
                 )
-        if prev_s is not None and counts[KingClass.S] != an - prev_s:
+        # the members of ALL that begin with 1 are 1 followed by a shifted S member
+        got = kings.size(n, KingClass.S)
+        want = a.coeff(n).evaluate(0) - kings.size(n - 1, KingClass.S) if n else got
+        if got != want:
             return CheckReport(
-                "counts:classes",
-                subject,
-                FAIL,
-                Witness(n, f"S={an - prev_s}", f"S={counts[KingClass.S]}"),
+                "counts:classes", subject, FAIL, Witness(n, f"S={want}", f"S={got}")
             )
-        prev_s = counts[KingClass.S]
     return CheckReport("counts:classes", subject, PASS)
 
 
-def _check_king_characterization(n_top: int = 8) -> CheckReport:
-    subject = f"kings = avoiders of the two adjacency patterns for n <= {n_top}"
-    for n in range(n_top + 1):
+def _check_king_characterization() -> CheckReport:
+    subject = f"kings = avoiders of the two adjacency patterns for n <= {KINGCHAR_N_MAX}"
+    for n in range(KINGCHAR_N_MAX + 1):
         for p in _all_perms(range(1, n + 1)):
             expected = is_king(p)
             got = avoids(KING_CROSS_UP, p) and avoids(KING_CROSS_DOWN, p)
@@ -510,8 +482,7 @@ def _check_pinned_series(check_id: str, subject: str, series: Series, key: str) 
 
 def _check_strong_point_class(
     king_class: KingClass,
-    n_max: int,
-    jobs: int,
+    kings: Census,
     order: int,
 ) -> CheckReport:
     # The complement symmetry that maps SL onto LS maps pattern X onto X', so
@@ -521,10 +492,8 @@ def _check_strong_point_class(
     check_id = f"strongpoint:{king_class.value}"
     subject = f"strong-point distribution over class {kc_name} (pattern {pattern_id})"
     series = strong_point_series(king_class, order)
-    table = distribution_tables(
-        [catalog_pattern(pattern_id)], n_max, king_class, jobs
-    )[0]
-    witness = _first_row_mismatch(table.rows, series.coeffs[: len(table.rows)])
+    rows = kings.table(catalog_pattern(pattern_id), king_class).rows
+    witness = _first_row_mismatch(rows, series.coeffs[: len(rows)])
     if witness is not None:
         return CheckReport(check_id, subject + " (oracle vs series)", FAIL, witness)
     key = "Ctu" if king_class in (KingClass.SL, KingClass.LS) else "Btu"
@@ -535,35 +504,42 @@ def _check_strong_point_class(
     return CheckReport(check_id, subject, PASS)
 
 
-def _check_strong_point_sets(n_max: int, order: int) -> CheckReport:
+def _check_strong_point_sets(kings: Census, order: int) -> CheckReport:
     """Avoiding a strong point forces membership in every restricted class:
     the avoider sets of X in ALL/S/L/SL coincide, the X' avoiders in LS are
     their complement image, and all five cardinalities follow one series."""
-    subject = f"strong-point avoider sets coincide across classes for n <= {n_max}"
-    x = catalog_pattern("X")
-    xp = catalog_pattern("X'")
+    # The set equalities are count equalities.  Avoiding X does not depend on
+    # the class a host is counted in, so the X-avoiders in a class K are the
+    # X-avoiders in ALL that lie in K: equal to them exactly when the counts
+    # agree.  Complement maps SL onto LS and occurrences of X onto those of X'
+    # (box (i, j) of a length-1 pattern goes to (i, 1 - j)), so it maps the
+    # X-avoiders in SL onto the X'-avoiders in LS; these are the complements
+    # of all X-avoiders exactly when the counts agree.  A count of avoiders
+    # is the u^0 term of a distribution row.
+    full = kings.table(catalog_pattern("X"), KingClass.ALL).rows
+    claims = [
+        (kings.table(catalog_pattern("X"), kc).rows,
+         f"class {kc.value} avoider set equals the full set")
+        for kc in (KingClass.S, KingClass.L, KingClass.SL)
+    ] + [
+        (kings.table(catalog_pattern("X'"), KingClass.LS).rows,
+         "LS avoiders of X' = complements of the X avoiders")
+    ]
+    subject = f"strong-point avoider sets coincide across classes for n <= {len(full) - 1}"
     p_series = strong_point_avoiders(order)
-    for n in range(n_max + 1):
-        all_avoiders = {p for p in enumerate_kings(n) if avoids(x, p)}
-        expected = p_series.coeff(n).evaluate(0)
-        if len(all_avoiders) != expected:
+    for n, row in enumerate(full):
+        avoiders, expected = row.coeff(0), p_series.coeff(n).evaluate(0)
+        if avoiders != expected:
             return CheckReport(
                 "strongpoint:sets", subject, FAIL,
-                Witness(n, f"|K({n})(X)|={expected}", str(len(all_avoiders))),
+                Witness(n, f"|K({n})(X)|={expected}", str(avoiders)),
             )
-        for kc in (KingClass.S, KingClass.L, KingClass.SL):
-            members = {p for p in enumerate_kings(n, kc) if avoids(x, p)}
-            if members != all_avoiders:
+        for rows, claim in claims:
+            if rows[n].coeff(0) != avoiders:
                 return CheckReport(
                     "strongpoint:sets", subject, FAIL,
-                    Witness(n, f"class {kc.value} avoider set equals the full set", "differs"),
+                    Witness(n, claim, f"{rows[n].coeff(0)} avoiders, not {avoiders}"),
                 )
-        ls_members = {p for p in enumerate_kings(n, KingClass.LS) if avoids(xp, p)}
-        if ls_members != {complement(p) for p in all_avoiders}:
-            return CheckReport(
-                "strongpoint:sets", subject, FAIL,
-                Witness(n, "LS avoiders of X' = complements of the X avoiders", "differs"),
-            )
     return CheckReport("strongpoint:sets", subject, PASS)
 
 
@@ -604,9 +580,12 @@ def verify_all(
     jobs: int = 1,
 ) -> list[CheckReport]:
     """Run the whole battery and return the reports sorted by check id."""
+    entries = catalog()
+    top = max(COUNTS_N_MAX, CLASSES_N_MAX, n_max)
+    kings = census([e.pattern for e in entries], top, KingClass.ALL, jobs, pattern_n_max=n_max)
     reports: list[CheckReport] = []
-    reports.append(_check_counts_methods())
-    reports.append(_check_class_counts())
+    reports.append(_check_counts_methods(kings))
+    reports.append(_check_class_counts(kings))
     reports.append(_check_king_characterization())
     reports.append(
         _check_pinned_series("golden:B", "pinned expansion of the S-class counts",
@@ -621,19 +600,14 @@ def verify_all(
                              strong_point_series(KingClass.ALL, order), "Atu")
     )
 
-    # one shared sweep over the whole catalog
-    idents = [e.ident for e in _catalog_entries()]
-    patterns = [catalog_pattern(i) for i in idents]
-    tables = distribution_tables(patterns, n_max, KingClass.ALL, jobs)
-    rows_by_ident = {i: t.rows for i, t in zip(idents, tables)}
-
+    rows_by_ident = {e.ident: kings.table(e.pattern, KingClass.ALL).rows for e in entries}
     for ident in SOLVED_IDS:
         reports.append(
             verify_theorem(ident, order, n_max, jobs, oracle_rows=rows_by_ident[ident])
         )
     for kc in (KingClass.S, KingClass.L, KingClass.SL, KingClass.LS):
-        reports.append(_check_strong_point_class(kc, n_max, jobs, order))
-    reports.append(_check_strong_point_sets(n_max, order))
+        reports.append(_check_strong_point_class(kc, kings, order))
+    reports.append(_check_strong_point_sets(kings, order))
     reports.append(_check_halving(n_max, rows_by_ident["10"]))
     for ident in OPEN_IDS:
         reports.append(_check_open_mass(ident, rows_by_ident[ident], n_max))
@@ -641,12 +615,6 @@ def verify_all(
         reports.append(verify_equation(eq_id, order))
     reports.sort(key=lambda r: r.check_id)
     return reports
-
-
-def _catalog_entries():
-    from .mesh import catalog
-
-    return catalog()
 
 
 # ---------------------------------------------------------------------------

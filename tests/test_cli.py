@@ -5,6 +5,7 @@ import json
 import pytest
 
 from kingmesh.cli import main
+from kingmesh.kings import count_kings
 from kingmesh.series import Series
 
 
@@ -35,6 +36,15 @@ class TestCount:
         code, _, err = run(capsys, "count", "--n", "5", "--class", "s", "--method", "rec")
         assert code == 2
         assert "class" in err
+
+    @pytest.mark.parametrize("fmt", ["table", "json"])
+    def test_count_past_the_int_digit_limit(self, capsys, fmt):
+        # count_kings(3000) has over 9,000 digits; Python's default limit on
+        # int-to-str conversion is 4,300
+        code, out, err = run(capsys, "count", "--n", "3000", "--format", fmt)
+        assert code == 0, err
+        value = int(out) if fmt == "table" else json.loads(out)["count"]
+        assert value == count_kings(3000)
 
     def test_json(self, capsys):
         code, out, _ = run(capsys, "count", "--n", "5", "--format", "json")

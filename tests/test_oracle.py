@@ -2,10 +2,11 @@
 
 import pytest
 
-from kingmesh.kings import KingClass, count_kings
+from kingmesh.kings import KingClass, count_class, count_kings
 from kingmesh.mesh import MeshPattern, catalog, catalog_pattern
 from kingmesh.oracle import (
     DistributionTable,
+    census,
     distribution,
     distribution_table,
     distribution_tables,
@@ -60,9 +61,10 @@ def test_table_type():
 
 def test_batched_equals_individual():
     pats = [catalog_pattern("16"), catalog_pattern("63"), catalog_pattern("3")]
-    batched = distribution_tables(pats, 6)
-    for p, table in zip(pats, batched):
-        assert table.rows == distribution_table(p, 6).rows
+    for kc in KingClass:
+        batched = distribution_tables(pats, 6, kc)
+        for p, table in zip(pats, batched):
+            assert table.rows == distribution_table(p, 6, kc).rows
 
 
 def test_worker_splits_agree():
@@ -74,9 +76,36 @@ def test_worker_splits_agree():
 
 def test_worker_splits_agree_on_restricted_class():
     p = catalog_pattern("X")
-    serial = distribution_table(p, 7, KingClass.SL, jobs=1)
-    parallel = distribution_table(p, 7, KingClass.SL, jobs=3)
-    assert serial == parallel
+    for kc in (KingClass.S, KingClass.L, KingClass.SL, KingClass.LS):
+        serial = distribution_table(p, 7, kc, jobs=1)
+        parallel = distribution_table(p, 7, kc, jobs=3)
+        assert serial == parallel
+
+
+@pytest.mark.parametrize("jobs", [1, 3])
+def test_census_of_all_kings_answers_for_every_class(jobs):
+    # one pass over ALL, summed by endpoint type, against a separate pass
+    # over each class, from n = 0 on: at n = 0 there are no end entries and
+    # at n = 1 the only entry is both the smallest and the largest
+    pats = [catalog_pattern(i) for i in ("X", "X'", "16", "3")]
+    kings = census(pats, 7, jobs=jobs)
+    for kc in KingClass:
+        sizes = [kings.size(n, kc) for n in range(8)]
+        assert sizes == [count_class(n, kc, "enumerate") for n in range(8)], kc
+        for p, table in zip(pats, distribution_tables(pats, 7, kc, jobs)):
+            assert kings.table(p, kc) == table, (kc, p)
+
+
+def test_census_counts_patterns_through_their_own_range():
+    pats = [catalog_pattern("X"), catalog_pattern("63")]
+    full = census(pats, 8)
+    short = census(pats, 8, pattern_n_max=5)
+    for kc in KingClass:
+        assert [short.size(n, kc) for n in range(9)] == [full.size(n, kc) for n in range(9)]
+        for p in pats:
+            assert short.table(p, kc).rows == full.table(p, kc).rows[:6]
+    with pytest.raises(ValueError):
+        census(pats, 4, pattern_n_max=5)
 
 
 def test_repeated_runs_identical():

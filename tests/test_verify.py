@@ -1,16 +1,25 @@
 """The cross-check battery: passing checks, fault isolation, report plumbing."""
 
+import hashlib
+from dataclasses import replace
+
 import pytest
 
-from kingmesh.mesh import SOLVED_IDS
+import kingmesh.kings as kings_mod
+from kingmesh.kings import KingClass
+from kingmesh.mesh import SOLVED_IDS, catalog_pattern
+from kingmesh.oracle import Census, census
 from kingmesh.series import Series, UPoly, format_upoly
 from kingmesh.verify import (
     EQUATIONS,
     FAIL,
     PASS,
     REFERENCE_MISMATCH,
+    KING_COUNTS,
     CheckReport,
     Witness,
+    _check_strong_point_class,
+    _check_strong_point_sets,
     report_from_dict,
     report_to_dict,
     reports_from_json,
@@ -108,11 +117,28 @@ def test_report_dict_round_trip():
     assert reports_from_json(reports_to_json(reports)) == reports
 
 
-def test_verify_all_small_run():
+def test_verify_all_small_run(monkeypatch):
     # a small full run passes, repeats byte-identically, and sorts by id
     a = verify_all(order=8, n_max=4)
+    # the second run counts the king permutations it draws: each length
+    # through the counting range n = 11 exactly once
+    hosts = 0
+    subtree = kings_mod._subtree
+
+    def counting_subtree(*args):
+        nonlocal hosts
+        for perm in subtree(*args):
+            hosts += 1
+            yield perm
+
+    monkeypatch.setattr(kings_mod, "_subtree", counting_subtree)
     b = verify_all(order=8, n_max=4)
+    assert hosts == sum(KING_COUNTS[2:12]) == 5_829_712
     assert reports_to_json(a) == reports_to_json(b)
+    # the report as the code before the shared census produced it
+    assert hashlib.sha256(reports_to_json(a).encode()).hexdigest() == (
+        "20e36871a34c0226e27b8fbc23286b8971ecae6b19b53b9a5397bbda7273f13c"
+    )
     ids = [r.check_id for r in a]
     assert ids == sorted(ids)
     assert all(r.status == PASS for r in a), [r for r in a if r.status != PASS]
@@ -136,3 +162,29 @@ def test_halving_witness_at_small_n():
     assert report.status == FAIL
     assert report.witness.n == 4
     assert report.witness.expected == format_upoly(UPoly((1, 1)))
+
+
+def test_strong_point_checks_catch_an_off_by_one_avoider_count():
+    # the set equalities are checked as counts; one SL avoider too many at
+    # n = 6 must still fail both the set check and the SL distribution check
+    x = catalog_pattern("X")
+
+    class OffByOne(Census):
+        def table(self, pattern, king_class):
+            table = super().table(pattern, king_class)
+            if pattern != x or king_class is not KingClass.SL:
+                return table
+            rows = list(table.rows)
+            rows[6] = rows[6] + UPoly((1,))
+            return replace(table, rows=tuple(rows))
+
+    real = census([x, catalog_pattern("X'")], 7)
+    faulty = OffByOne(real.patterns, real.pattern_n_max, real.tallies)
+    assert _check_strong_point_sets(real, 8).status == PASS
+    assert _check_strong_point_class(KingClass.SL, real, 8).status == PASS
+    for report in (
+        _check_strong_point_sets(faulty, 8),
+        _check_strong_point_class(KingClass.SL, faulty, 8),
+    ):
+        assert report.status == FAIL, report
+        assert report.witness.n == 6
