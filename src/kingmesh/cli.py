@@ -18,7 +18,7 @@ import json
 import os
 import sys
 
-from .kings import KingClass, count_class, count_kings, enumerate_kings
+from .kings import COUNT_METHODS, KingClass, count_class, count_kings, enumerate_kings
 from .mesh import PatternSyntaxError, catalog, parse_pattern, render_pattern
 from .oracle import DistributionTable, distribution_tables
 from .gfs import BASE_NAMES, series_by_name
@@ -30,14 +30,6 @@ from .verify import (
     verify_equation,
     verify_theorem,
 )
-
-_METHOD_TOKENS = {
-    "rec": "recurrence",
-    "explicit": "explicit",
-    "gf": "gf",
-    "enum": "enumerate",
-}
-
 
 def _jobs(args) -> int:
     """Worker count from ``--jobs``, else ``KINGMESH_JOBS``, else 1."""
@@ -72,7 +64,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_count = sub.add_parser("count", help="count class members of one length")
     p_count.add_argument("--n", type=int, required=True)
     p_count.add_argument("--class", dest="king_class", choices=[c.value for c in KingClass], default="all")
-    p_count.add_argument("--method", choices=tuple(_METHOD_TOKENS), default=None)
+    p_count.add_argument("--method", choices=tuple(COUNT_METHODS), default=None)
     add_format(p_count)
 
     p_list = sub.add_parser("list", help="stream class members, one per line")
@@ -129,7 +121,7 @@ def _perm_text(p) -> str:
 def _cmd_count(args) -> int:
     kc = KingClass(args.king_class)
     token = args.method or ("rec" if kc is KingClass.ALL else "enum")
-    method = _METHOD_TOKENS[token]
+    method = COUNT_METHODS[token]
     if kc is not KingClass.ALL and method in ("recurrence", "explicit"):
         print(
             f"error: method {token!r} only counts the unrestricted class; "

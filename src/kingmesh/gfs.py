@@ -12,20 +12,48 @@ Three families are exposed:
                                  members with zero occurrences, respectively
                                  the full occurrence distribution marked by u.
 
-The distribution builders exist only for the solved catalog entries; the open
-entries have exhaustive data (see :mod:`kingmesh.oracle`) but no closed form.
+The closed forms exist only for the solved catalog entries, and ``SOLVED``
+holds all that is known about each of them in one record; the open entries
+have exhaustive data (see :mod:`kingmesh.oracle`) but no closed form.
 """
 
 from __future__ import annotations
 
 import math
-from functools import lru_cache
+from dataclasses import dataclass
+from functools import cached_property, lru_cache
+from typing import Callable
 
 from .kings import KingClass
-from .mesh import SOLVED_IDS
 from .series import Series, UPoly
 
 BASE_NAMES = ("A", "B", "C", "Atu", "Btu", "Ctu")
+
+
+class Terms:
+    """The series the closed forms are built from, at one truncation order:
+    1, t, u, ut and 1 + t, and, each built on first use, the class series
+    A, B, C, the strong-point distributions Atu, Btu, Ctu, the strong-point
+    avoiders S, and the denominators q = 1 + t + tA of S and
+    qu = 1 + t(1 + u + ut + (1 - u)A) of the strong-point distributions."""
+
+    a = cached_property(lambda r: king_series(r.order))
+    b = cached_property(lambda r: class_series(KingClass.S, r.order))
+    c = cached_property(lambda r: class_series(KingClass.SL, r.order))
+    atu = cached_property(lambda r: strong_point_series(KingClass.ALL, r.order))
+    btu = cached_property(lambda r: strong_point_series(KingClass.S, r.order))
+    ctu = cached_property(lambda r: strong_point_series(KingClass.SL, r.order))
+    s = cached_property(lambda r: strong_point_avoiders(r.order))
+    q = cached_property(lambda r: r.one + r.t + r.t * r.a)
+    qu = cached_property(lambda r: r.one + r.t * (r.one + r.u + r.ut + (r.one - r.u) * r.a))
+
+    def __init__(self, order: int):
+        self.order = order
+        self.one = Series.one(order)
+        self.t = Series.t(order)
+        self.u = Series.term(order, upow=1)
+        self.ut = Series.term(order, tpow=1, upow=1)
+        self.opt = self.one + self.t
 
 
 @lru_cache(maxsize=None)
@@ -35,11 +63,10 @@ def king_series(order: int) -> Series:
     Term n is divisible by t^n, so summing n = 0..order is exact at the
     truncation order.
     """
-    one = Series.one(order)
-    t = Series.t(order)
-    step = (one - t) / (one + t) * t
-    total = one
-    term = one
+    r = Terms(order)
+    step = (r.one - r.t) / r.opt * r.t
+    total = r.one
+    term = r.one
     for n in range(1, order + 1):
         term = term * step * n
         if term.is_zero():
@@ -56,14 +83,12 @@ def class_series(king_class: KingClass, order: int) -> Series:
     swaps them), as do SL and LS (complement swaps them).
     """
     kc = KingClass(king_class)
-    a = king_series(order)
-    one = Series.one(order)
-    t = Series.t(order)
+    r = Terms(order)
     if kc is KingClass.ALL:
-        return a
+        return r.a
     if kc in (KingClass.S, KingClass.L):
-        return a / (one + t)
-    return t / (one + t) + a / ((one + t) * (one + t))
+        return r.a / r.opt
+    return r.t / r.opt + r.a / (r.opt * r.opt)
 
 
 @lru_cache(maxsize=None)
@@ -76,26 +101,19 @@ def strong_point_series(king_class: KingClass, order: int) -> Series:
     one length-1 pattern to the other).
     """
     kc = KingClass(king_class)
-    a = king_series(order)
-    one = Series.one(order)
-    t = Series.t(order)
-    u = Series.term(order, upow=1)
-    ut = Series.term(order, tpow=1, upow=1)
-    den = one + t * (one + u + ut) + t * (one - u) * a
+    r = Terms(order)
     if kc is KingClass.ALL:
-        return (one + ut) * (one + t) * a / den
+        return (r.one + r.ut) * r.opt * r.a / r.qu
     if kc in (KingClass.S, KingClass.L):
-        return (one + t) * a / den
-    return ut / (one + ut) + (one + t) * a / ((one + ut) * den)
+        return r.opt * r.a / r.qu
+    return r.ut / (r.one + r.ut) + r.opt * r.a / ((r.one + r.ut) * r.qu)
 
 
 def strong_point_avoiders(order: int) -> Series:
     """Series of king permutations with no strong point at all; identical for
     every one of the five classes."""
-    a = king_series(order)
-    one = Series.one(order)
-    t = Series.t(order)
-    return (one + t) * a / (one + t + t * a)
+    r = Terms(order)
+    return r.opt * r.a / r.q
 
 
 def _halved_king_counts(order: int) -> list[int]:
@@ -109,53 +127,255 @@ def _halved_king_counts(order: int) -> list[int]:
     return halves[: order + 1]
 
 
+# ---------------------------------------------------------------------------
+# The solved patterns.  Each record holds the pinned expansion of E, a builder
+# of the avoidance series P and one of the distribution E, both taking the
+# Terms of one order, and the pattern's proof identities.  P and E never call
+# each other, so that E at u = 0 against P compares two routes.  An identity's
+# residual (lhs - rhs) takes the Terms, P and E: "av" relates P to the class
+# counts, "dist" E to P, "star" an auxiliary restricted distribution E*.  The
+# auxiliaries are eliminated from one identity and checked in the other, so no
+# check is satisfied by construction.
+# ---------------------------------------------------------------------------
+
+Residual = Callable[[Terms, Series, Series], Series]
+
+
+@dataclass(frozen=True)
+class SolvedPattern:
+    """Everything known in closed form about one solved catalog pattern."""
+
+    expansion: tuple[str, ...]  # the pinned row of E, ascending powers of t
+    avoidance: Callable[[Terms], Series]
+    distribution: Callable[[Terms], Series]
+    av: Residual | None = None
+    dist: Residual | None = None
+    star: Residual | None = None
+    star_margin: int = 0  # truncation orders the star construction consumes
+
+    @property
+    def identities(self) -> tuple[tuple[str, Residual, int], ...]:
+        """(kind, residual, margin) of each identity, in the order AV, DIST, STAR."""
+        kinds = (("AV", self.av, 0), ("DIST", self.dist, 0), ("STAR", self.star, self.star_margin))
+        return tuple(kind for kind in kinds if kind[1] is not None)
+
+
+def _avoidance_10(r: Terms) -> Series:
+    # Exactly half the class of each length n >= 2 avoids; the pattern
+    # needs the outer elements increasing and reversal flips that.
+    rows = [1, 1] + _halved_king_counts(r.order)[2:]
+    return Series.from_ints(r.order, rows[: r.order + 1])
+
+
+def _distribution_10(r: Terms) -> Series:
+    halves = _halved_king_counts(r.order)[2:]
+    coeffs = [UPoly.one(), UPoly.one()] + [UPoly((h, h)) for h in halves]
+    return Series(r.order, coeffs[: r.order + 1])
+
+
+def _distribution_16(r: Terms) -> Series:
+    # E = sum_{i>=0} u^C(i,2) t^i (1+u^i t) * prod_{j<=i} F(u^j t) * prod_{k<=i, k>=1} G(u^k t)
+    # with F = (1+t)A/(1+t+tA) and G = (A-1-t)/((1+t)A).  Consecutive partial
+    # products differ by the factor (FG)(u^i t), and F*G telescopes to
+    # H = (A-1-t)/(1+t+tA), so the running product only ever multiplies by a
+    # substituted-univariate series (monomial coefficients, cheap).  H is
+    # divisible by t^4, which makes the tail of the sum vanish quickly.
+    one, t, a, order = r.one, r.t, r.a, r.order
+    running = (one + t) * a / r.q
+    h = (a - one - t) / r.q
+    total = (one + t) * running
+    for i in range(1, order + 1):
+        running = running * h.subst_ut(i)
+        if running.is_zero():
+            break
+        factor = one + Series.term(order, tpow=1, upow=i)
+        term = (factor * running).mul_t(i).scale_u(math.comb(i, 2))
+        total = total + term
+    return total
+
+
+def _star_16(r: Terms, p: Series, e: Series) -> Series:
+    estar = (r.q / (r.opt * r.a)) * e - r.one
+    return estar - (e.subst_ut(1) - estar.subst_ut(1)).mul_t(1)
+
+
+def _av_22(r: Terms, p: Series, e: Series) -> Series:
+    blk = r.a - r.b - r.t
+    return p - (r.a - 2 * r.t * blk * r.a - blk * blk * r.a)
+
+
+def _dist_22(r: Terms, p: Series, e: Series) -> Series:
+    blk = r.a - r.b - r.t
+    return e - (p + 2 * r.ut * blk * r.a + r.u * blk * blk * r.a)
+
+
+def _dist_63(r: Terms, p: Series, e: Series) -> Series:
+    # the main identity, cleared of its 1/t factor
+    estar = (r.t + r.ut * (e - r.one)) / (r.one + r.ut)
+    return (e - p).mul_t(1) - (estar - r.t) * (p - r.one) * r.opt
+
+
+def _restricted(estar: Series, e: Series) -> Series:
+    # E*, eliminated from the main identity at the order it keeps, must
+    # satisfy E* = t + ut (E - 1 - E*)
+    w = Terms(estar.order)
+    return estar - (w.t + w.ut * (e.truncated(w.order) - w.one - estar))
+
+
+def _star_63(r: Terms, p: Series, e: Series) -> Series:
+    x = (e - p).div_t(1)
+    y = (p - r.one).div_t(1)
+    w = Terms(x.order)
+    return _restricted(w.t + (x / (y * w.opt)).mul_t(1), e)
+
+
+# the king counts for n = 0..10
+A_ROW = ("1", "1", "0", "0", "2", "14", "90", "646", "5242", "47622", "479306")
+_X_ROW = ("1", "u", "0", "0", "2", "10+4u", "68+20u+2u^2", "500+136u+10u^2")
+
+SOLVED: dict[str, SolvedPattern] = {
+    "X": SolvedPattern(_X_ROW, lambda r: r.s, lambda r: r.atu),
+    "X'": SolvedPattern(_X_ROW, lambda r: r.s, lambda r: r.atu),
+    "10": SolvedPattern(
+        ("1", "1", "0", "0", "1+u", "7+7u", "45+45u", "323+323u", "2621+2621u", "23811+23811u"),
+        _avoidance_10,
+        _distribution_10,
+    ),
+    # no king permutation contains 11, 14, 30, 34, 36 or 45
+    "11": SolvedPattern(A_ROW, lambda r: r.a, lambda r: r.a),
+    "12": SolvedPattern(
+        ("1", "1", "0", "0", "2", "12+2u^4", "78+12u^5", "568+78u^6", "4674+568u^7"),
+        lambda r: r.t + r.a / r.opt,
+        lambda r: r.a / r.opt + (r.a.subst_ut(1) / (r.one + r.ut)).mul_t(1),
+        av=lambda r, p, e: p - (r.a - r.t * (r.b - r.one)),
+        dist=lambda r, p, e: e - (p + (r.b.subst_ut(1) - r.one).mul_t(1)),
+    ),
+    "13": SolvedPattern(
+        ("1", "1", "0", "0", "2", "14", "88+2u", "636+10u", "5174+68u"),
+        lambda r: r.t * r.t / r.opt + (r.one + 2 * r.t) * r.a / (r.opt * r.opt),
+        lambda r: (r.t * r.t * (r.one - r.u)) / r.opt
+            + (r.one + 2 * r.t + r.u * r.t * r.t) * r.a / (r.opt * r.opt),
+        av=lambda r, p, e: p - (r.a - r.t * r.t * (r.c - r.one)),
+        dist=lambda r, p, e: e - (p + r.u * r.t * r.t * (r.c - r.one)),
+    ),
+    "14": SolvedPattern(A_ROW, lambda r: r.a, lambda r: r.a),
+    "16": SolvedPattern(
+        ("1", "1", "0", "0", "2", "12+2u^4", "78+12u^5", "568+78u^6", "4674+568u^7"),
+        lambda r: r.opt * r.opt * r.a / r.q,
+        _distribution_16,
+        av=lambda r, p, e: p - (r.a - r.t * (r.b - r.one) * r.s),
+        dist=lambda r, p, e: e - (p + ((r.q / (r.opt * r.a)) * e - r.one - r.t) * r.s),
+        star=_star_16,
+    ),
+    "17": SolvedPattern(
+        ("1", "1", "0", "0", "2", "14", "88+2u", "636+10u", "5174+68u"),
+        lambda r: (r.one / r.opt + r.t * r.opt / r.q) * r.a,
+        lambda r: (r.one / r.opt + r.t * r.opt / r.qu) * r.a,
+        av=lambda r, p, e: p - (r.b + r.t * r.s),
+        dist=lambda r, p, e: e - (r.b + r.btu.mul_t(1)),
+    ),
+    "19": SolvedPattern(
+        ("1", "1", "0", "0", "2", "12+2u", "76+14u", "556+90u", "4596+646u"),
+        lambda r: (r.one + r.t - r.t * r.a / r.opt) * r.a,
+        lambda r: (r.one + r.t - r.ut - r.t * (r.one - r.u) * r.a / r.opt) * r.a,
+        av=lambda r, p, e: p
+            - (r.a - r.t * (r.b - r.one) - r.t * (r.a - r.one) * (r.b - r.one)),
+        dist=lambda r, p, e: e
+            - (p + r.ut * (r.b - r.one) + r.ut * (r.a - r.one) * (r.b - r.one)),
+    ),
+    "20": SolvedPattern(
+        ("1", "1", "0", "0", "2", "14", "88+2u", "634+12u", "5164+78u"),
+        lambda r: (r.one + r.t * r.t / r.opt - r.t * r.t * r.a / (r.opt * r.opt)) * r.a,
+        lambda r: (
+            r.one
+            + r.t * r.t * (r.one - r.u) / r.opt
+            - r.t * r.t * (r.one - r.u) * r.a / (r.opt * r.opt)
+        ) * r.a,
+        av=lambda r, p, e: p - (r.a - (r.a - r.b - r.t) * (r.a - r.b)),
+        dist=lambda r, p, e: e - (p + r.u * (r.a - r.b - r.t) * (r.a - r.b)),
+    ),
+    "22": SolvedPattern(
+        ("1", "1", "0", "0", "2", "14", "86+4u", "618+28u", "5062+180u"),
+        lambda r: (r.one + r.t * r.t - r.t * r.t * r.a * r.a / (r.opt * r.opt)) * r.a,
+        lambda r: (r.one + r.t * r.t * (r.one - r.u) * (r.one - r.a * r.a / (r.opt * r.opt))) * r.a,
+        av=_av_22,
+        dist=_dist_22,
+    ),
+    "27": SolvedPattern(
+        ("1", "1", "0", "0", "2", "14", "86+4u", "624+20u+2u^2", "5096+136u+10u^2"),
+        lambda r: (r.t + r.one / r.opt - r.t * r.t * r.a * r.a / (r.opt * r.q)) * r.a,
+        lambda r: (r.one + (r.t * r.t * (r.one - r.u) / r.opt) * (r.one - r.a * r.a / r.qu)) * r.a,
+        av=lambda r, p, e: p - (r.a - (r.t * r.t * r.b * r.b * r.s - r.t * r.t * r.b)),
+        dist=lambda r, p, e: e
+            - (p + (r.u * r.t * r.t * r.b * r.s * r.btu - r.u * r.t * r.t * r.b)),
+    ),
+    "28": SolvedPattern(
+        ("1", "1", "0", "0", "2", "14", "88+2u", "632+14u", "5152+90u"),
+        lambda r: r.opt * r.opt * r.a / (r.opt * r.opt + r.t * r.t * (r.a - r.t - r.one) * r.a),
+        lambda r: r.opt * r.opt * r.a / (
+            r.one + r.t * (2 * r.one + r.t * (r.one + (r.one - r.u) * (r.a - r.t - r.one) * r.a))
+        ),
+        av=lambda r, p, e: p - (r.a - r.t * r.t * p * r.a * (r.c - r.one)),
+        dist=lambda r, p, e: e - (p + r.u * r.t * r.t * p * (r.c - r.one) * e),
+    ),
+    "30": SolvedPattern(A_ROW, lambda r: r.a, lambda r: r.a),
+    "33": SolvedPattern(
+        ("1", "1", "0", "0", "2", "14", "88+2u", "636+10u", "5174+68u"),
+        lambda r: r.opt * (r.one + r.t + r.t * (2 * r.one + r.t) * r.a) * r.a / (r.q * r.q),
+        lambda r: r.opt * (r.one + r.t * (r.one + r.u + r.ut + (2 * r.one - r.u + r.t) * r.a))
+            * r.a / (r.q * r.qu),
+        av=lambda r, p, e: p - (r.a - r.t * r.t * r.s * r.b * (r.ctu.eval_u(0) - r.one)),
+        dist=lambda r, p, e: e
+            - (p + r.u * r.t * r.t * r.s * r.btu * (r.ctu.eval_u(0) - r.one)),
+    ),
+    "34": SolvedPattern(A_ROW, lambda r: r.a, lambda r: r.a),
+    "36": SolvedPattern(A_ROW, lambda r: r.a, lambda r: r.a),
+    "45": SolvedPattern(A_ROW, lambda r: r.a, lambda r: r.a),
+    "55": SolvedPattern(
+        ("1", "1", "0", "0", "2", "14", "88+2u", "632+14u", "5152+88u+2u^2"),
+        lambda r: r.opt * (r.a - r.t) / (r.one + r.t * (r.a - r.t - r.one)),
+        lambda r: r.opt * (r.t * (r.one - r.u) - (r.one - r.ut) * r.a)
+            / (-r.one + r.t * (r.one - r.u + r.t - (r.one - r.u) * r.a)),
+        av=lambda r, p, e: p + (r.b - r.one) * (p - r.one) * (r.t + r.t * r.t) - r.a,
+        dist=lambda r, p, e: e
+            - (p + r.u * (e / r.opt - r.one) * (p - r.one) * (r.t + r.t * r.t)),
+    ),
+    "63": SolvedPattern(
+        ("1", "1", "0", "0", "2", "12+2u", "76+14u", "556+88u+2u^2", "4592+636u+14u^2"),
+        lambda r: (2 * r.a - r.t - r.one) / (r.a - r.t),
+        lambda r: (r.opt * (r.one - r.u) + (r.u - 2 * r.one + r.u * r.t * r.t) * r.a)
+            / (-r.u + r.t * (r.one - r.u + r.ut) - (r.one - r.u) * r.a),
+        av=lambda r, p, e: p + (p - r.one) * (r.b - r.one) * r.opt - r.a,
+        dist=_dist_63,
+        star=_star_63,
+        star_margin=1,
+    ),
+    "64": SolvedPattern(
+        ("1", "1", "0", "0", "2", "10+4u", "68+20u+2u^2", "500+136u+10u^2", "4170+1004u+68u^2"),
+        lambda r: r.one + r.t + r.one / r.opt - r.one / r.a,
+        lambda r: (
+            (r.u - r.one) * (r.one + r.ut) * r.opt
+            + (2 * r.one - r.u + r.t * (2 * r.one + r.t + r.u - r.u * r.u)) * r.a
+        ) / (r.u * (r.one + r.ut) * r.opt + (r.one - r.u) * (r.one + r.t + r.ut) * r.a),
+        av=lambda r, p, e: p - (r.a - ((p - r.one) * (r.a - r.one) - r.t * r.t * r.b)),
+        dist=lambda r, p, e: e - (
+            p + r.u * (p - r.one) * (e - r.one) - r.ut * (r.t + r.ut * (e - r.one)) / (r.one + r.ut)
+        ),
+        star=lambda r, p, e: _restricted(
+            (p + r.u * (p - r.one) * (e - r.one) - e).div_u().div_t(1), e
+        ),
+        star_margin=1,
+    ),
+}
+
+
 @lru_cache(maxsize=None)
 def avoidance_series(ident: str, order: int) -> Series:
     """Counting series of king permutations avoiding a solved catalog pattern."""
     ident = str(ident)
-    if ident not in SOLVED_IDS:
+    if ident not in SOLVED:
         raise ValueError(f"no closed avoidance form for pattern {ident!r}")
-    a = king_series(order)
-    one = Series.one(order)
-    t = Series.t(order)
-    opt = one + t
-    if ident in ("X", "X'"):
-        return strong_point_avoiders(order)
-    if ident == "10":
-        # Exactly half the class of each length n >= 2 avoids; the pattern
-        # needs the outer elements increasing and reversal flips that.
-        halves = _halved_king_counts(order)
-        rows = [1, 1] + halves[2:] if order >= 1 else [1]
-        return Series.from_ints(order, rows[: order + 1])
-    if ident in ("11", "14", "30", "34", "36", "45"):
-        return a  # unavoidable-free: no king permutation contains these
-    if ident == "12":
-        return t + a / opt
-    if ident == "13":
-        return t * t / opt + (one + 2 * t) * a / (opt * opt)
-    if ident == "16":
-        return opt * opt * a / (one + t + t * a)
-    if ident == "17":
-        return (one / opt + t * opt / (one + t + t * a)) * a
-    if ident == "19":
-        return (one + t - t * a / opt) * a
-    if ident == "20":
-        return (one + t * t / opt - t * t * a / (opt * opt)) * a
-    if ident == "22":
-        return (one + t * t - t * t * a * a / (opt * opt)) * a
-    if ident == "27":
-        return (t + one / opt - t * t * a * a / (opt * (one + t + t * a))) * a
-    if ident == "28":
-        return opt * opt * a / (opt * opt + t * t * (a - t - one) * a)
-    if ident == "33":
-        q = one + t + t * a
-        return opt * (one + t + t * (2 * one + t) * a) * a / (q * q)
-    if ident == "55":
-        return opt * (a - t) / (one + t * (a - t - one))
-    if ident == "63":
-        return (2 * a - t - one) / (a - t)
-    # "64"
-    return one + t + one / opt - one / a
+    return SOLVED[ident].avoidance(Terms(order))
 
 
 @lru_cache(maxsize=None)
@@ -167,84 +387,12 @@ def distribution_series(ident: str, order: int) -> Series:
     coefficient collapses to the class count.
     """
     ident = str(ident)
-    if ident not in SOLVED_IDS:
+    if ident not in SOLVED:
         raise ValueError(f"no closed distribution form for pattern {ident!r}")
-    a = king_series(order)
-    one = Series.one(order)
-    t = Series.t(order)
-    u = Series.term(order, upow=1)
-    ut = Series.term(order, tpow=1, upow=1)
-    opt = one + t
-    if ident in ("X", "X'"):
-        return strong_point_series(KingClass.ALL, order)
-    if ident == "10":
-        halves = _halved_king_counts(order)
-        coeffs = [UPoly.one()] + [UPoly.one()] * (1 if order >= 1 else 0)
-        coeffs += [UPoly((h, h)) for h in halves[2 : order + 1]]
-        return Series(order, coeffs[: order + 1])
-    if ident in ("11", "14", "30", "34", "36", "45"):
-        return a
-    if ident == "12":
-        return a / opt + (a.subst_ut(1) / (one + ut)).mul_t(1)
-    if ident == "13":
-        return (t * t * (one - u)) / opt + (one + 2 * t + u * t * t) * a / (opt * opt)
-    if ident == "16":
-        return _distribution_16(order)
-    if ident == "17":
-        den = one + t * (one + u + ut + (one - u) * a)
-        return (one / opt + t * opt / den) * a
-    if ident == "19":
-        return (one + t - ut - t * (one - u) * a / opt) * a
-    if ident == "20":
-        return (one + t * t * (one - u) / opt - t * t * (one - u) * a / (opt * opt)) * a
-    if ident == "22":
-        return (one + t * t * (one - u) * (one - a * a / (opt * opt))) * a
-    if ident == "27":
-        den = one + t * (one + u + ut + (one - u) * a)
-        return (one + (t * t * (one - u) / opt) * (one - a * a / den)) * a
-    if ident == "28":
-        den = one + t * (2 * one + t * (one + (one - u) * (a - t - one) * a))
-        return opt * opt * a / den
-    if ident == "33":
-        num = opt * (one + t * (one + u + ut + (2 * one - u + t) * a)) * a
-        den = (one + t + t * a) * (one + t * (one + u + ut + (one - u) * a))
-        return num / den
-    if ident == "55":
-        num = opt * (t * (one - u) - (one - ut) * a)
-        den = -one + t * (one - u + t - (one - u) * a)
-        return num / den
-    if ident == "63":
-        num = opt * (one - u) + (u - 2 * one + u * t * t) * a
-        den = -u + t * (one - u + ut) - (one - u) * a
-        return num / den
-    # "64"
-    num = (u - one) * (one + ut) * opt + (2 * one - u + t * (2 * one + t + u - u * u)) * a
-    den = u * (one + ut) * opt + (one - u) * (one + t + ut) * a
-    return num / den
+    return SOLVED[ident].distribution(Terms(order))
 
 
-def _distribution_16(order: int) -> Series:
-    # E = sum_{i>=0} u^C(i,2) t^i (1+u^i t) * prod_{j<=i} F(u^j t) * prod_{k<=i, k>=1} G(u^k t)
-    # with F = (1+t)A/(1+t+tA) and G = (A-1-t)/((1+t)A).  Consecutive partial
-    # products differ by the factor (FG)(u^i t), and F*G telescopes to
-    # H = (A-1-t)/(1+t+tA), so the running product only ever multiplies by a
-    # substituted-univariate series (monomial coefficients, cheap).  H is
-    # divisible by t^4, which makes the tail of the sum vanish quickly.
-    a = king_series(order)
-    one = Series.one(order)
-    t = Series.t(order)
-    q = one + t + t * a
-    running = (one + t) * a / q
-    h = (a - one - t) / q
-    total = (one + t) * running
-    for i in range(1, order + 1):
-        running = running * h.subst_ut(i)
-        if running.is_zero():
-            break
-        factor = one + Series.term(order, tpow=1, upow=i)
-        term = (factor * running).mul_t(i).scale_u(math.comb(i, 2))
-        total = total + term
-    return total
+_BASE_CLASSES = {"A": KingClass.ALL, "B": KingClass.S, "C": KingClass.SL}
 
 
 def series_by_name(name: str, order: int) -> Series:
@@ -257,14 +405,7 @@ def series_by_name(name: str, order: int) -> Series:
     distribution series.
     """
     if name in BASE_NAMES:
-        kc = {
-            "A": KingClass.ALL,
-            "B": KingClass.S,
-            "C": KingClass.SL,
-            "Atu": KingClass.ALL,
-            "Btu": KingClass.S,
-            "Ctu": KingClass.SL,
-        }[name]
+        kc = _BASE_CLASSES[name[0]]
         if name.endswith("tu"):
             return strong_point_series(kc, order)
         return class_series(kc, order)

@@ -45,7 +45,8 @@ class KingClass(str, Enum):
     LS = "ls"
 
 
-COUNT_METHODS = ("recurrence", "explicit", "gf", "enumerate")
+# the four counting methods of count_kings, under their short names
+COUNT_METHODS = {"rec": "recurrence", "explicit": "explicit", "gf": "gf", "enum": "enumerate"}
 
 
 def is_permutation(values: Sequence[int]) -> bool:
@@ -252,7 +253,7 @@ def count_kings(n: int, method: str = "recurrence") -> int:
         return king_series(n).coeff(n).evaluate(0)
     if method == "enumerate":
         return sum(1 for _ in enumerate_kings(n))
-    raise ValueError(f"unknown method {method!r}; expected one of {COUNT_METHODS}")
+    raise ValueError(f"unknown method {method!r}; expected one of {tuple(COUNT_METHODS.values())}")
 
 
 def count_class(n: int, king_class: KingClass, method: str = "enumerate") -> int:

@@ -136,10 +136,12 @@ def census(
     (default ``n_max``).  The work is split by length and first value; with
     ``jobs > 1`` one pool of workers takes it, the longest lengths first.
     """
+    if n_max < 0:
+        raise ValueError("n_max must be nonnegative")
     if pattern_n_max is None:
         pattern_n_max = n_max
     if not 0 <= pattern_n_max <= n_max:
-        raise ValueError("n_max must be nonnegative")
+        raise ValueError(f"pattern_n_max must lie in 0..n_max = {n_max}, got {pattern_n_max}")
     patterns, kc = tuple(patterns), KingClass(king_class)
     tasks = [
         (patterns if n <= pattern_n_max else (), n, kc, (first,))

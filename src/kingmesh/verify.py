@@ -30,13 +30,16 @@ from .mesh import (
     KING_CROSS_DOWN,
     KING_CROSS_UP,
     OPEN_IDS,
-    SOLVED_IDS,
     avoids,
     catalog,
     catalog_pattern,
 )
 from .oracle import Census, census, distribution_table
 from .gfs import (
+    A_ROW,
+    SOLVED,
+    Residual,
+    Terms,
     avoidance_series,
     class_series,
     distribution_series,
@@ -79,40 +82,18 @@ class CheckReport:
 
 
 # ---------------------------------------------------------------------------
-# Pinned reference expansions (initial coefficients, ascending powers of t).
+# Pinned reference expansions (initial coefficients, ascending powers of t):
+# the class rows, and the E: row of each solved pattern's record.
 # ---------------------------------------------------------------------------
 
-_A_ROW = ("1", "1", "0", "0", "2", "14", "90", "646", "5242", "47622", "479306")
-
 REFERENCE_EXPANSIONS: dict[str, tuple[str, ...]] = {
-    "A": _A_ROW + ("5296790", "63779034"),
+    "A": A_ROW + ("5296790", "63779034"),
     "B": ("1", "0", "0", "0", "2", "12", "78", "568", "4674", "42948", "436358"),
     "C": ("1", "0", "0", "0", "2", "10", "68", "500", "4174", "38774", "397584"),
     "Atu": ("1", "u", "0", "0", "2", "10+4u", "68+20u+2u^2", "500+136u+10u^2"),
     "Btu": ("1", "0", "0", "0", "2", "10+2u", "68+10u", "500+68u", "4174+500u"),
     "Ctu": ("1", "0", "0", "0", "2", "10", "68", "500", "4174"),
-    "E:10": ("1", "1", "0", "0", "1+u", "7+7u", "45+45u", "323+323u", "2621+2621u", "23811+23811u"),
-    "E:11": _A_ROW,
-    "E:14": _A_ROW,
-    "E:30": _A_ROW,
-    "E:34": _A_ROW,
-    "E:36": _A_ROW,
-    "E:45": _A_ROW,
-    "E:12": ("1", "1", "0", "0", "2", "12+2u^4", "78+12u^5", "568+78u^6", "4674+568u^7"),
-    "E:13": ("1", "1", "0", "0", "2", "14", "88+2u", "636+10u", "5174+68u"),
-    "E:16": ("1", "1", "0", "0", "2", "12+2u^4", "78+12u^5", "568+78u^6", "4674+568u^7"),
-    "E:17": ("1", "1", "0", "0", "2", "14", "88+2u", "636+10u", "5174+68u"),
-    "E:19": ("1", "1", "0", "0", "2", "12+2u", "76+14u", "556+90u", "4596+646u"),
-    "E:20": ("1", "1", "0", "0", "2", "14", "88+2u", "634+12u", "5164+78u"),
-    "E:22": ("1", "1", "0", "0", "2", "14", "86+4u", "618+28u", "5062+180u"),
-    "E:27": ("1", "1", "0", "0", "2", "14", "86+4u", "624+20u+2u^2", "5096+136u+10u^2"),
-    "E:28": ("1", "1", "0", "0", "2", "14", "88+2u", "632+14u", "5152+90u"),
-    "E:33": ("1", "1", "0", "0", "2", "14", "88+2u", "636+10u", "5174+68u"),
-    "E:55": ("1", "1", "0", "0", "2", "14", "88+2u", "632+14u", "5152+88u+2u^2"),
-    "E:63": ("1", "1", "0", "0", "2", "12+2u", "76+14u", "556+88u+2u^2", "4592+636u+14u^2"),
-    "E:64": ("1", "1", "0", "0", "2", "10+4u", "68+20u+2u^2", "500+136u+10u^2", "4170+1004u+68u^2"),
-    "E:X": ("1", "u", "0", "0", "2", "10+4u", "68+20u+2u^2", "500+136u+10u^2"),
-    "E:X'": ("1", "u", "0", "0", "2", "10+4u", "68+20u+2u^2", "500+136u+10u^2"),
+    **{f"E:{ident}": record.expansion for ident, record in SOLVED.items()},
 }
 
 KING_COUNTS = tuple(int(v) for v in REFERENCE_EXPANSIONS["A"])
@@ -126,6 +107,8 @@ def reference_rows(key: str) -> tuple[UPoly, ...]:
 # Functional-equation registry.  Each builder returns the residual (lhs - rhs)
 # of one stated identity, constructed purely from closed-form series; `margin`
 # is how many truncation orders the construction consumes (division by t).
+# The class identities are written here, the per-pattern ones are read from
+# the records of the solved patterns.
 # ---------------------------------------------------------------------------
 
 
@@ -137,201 +120,54 @@ class EquationSpec:
     margin: int = 0
 
 
-def _prims(order: int):
-    one = Series.one(order)
-    t = Series.t(order)
-    u = Series.term(order, upow=1)
-    ut = Series.term(order, tpow=1, upow=1)
-    return one, t, u, ut
+def _spec(
+    eq_id: str, subject: str, residual: Callable[[Terms], Series], margin: int = 0
+) -> EquationSpec:
+    return EquationSpec(eq_id, subject, lambda w: residual(Terms(w)), margin)
 
 
-def _base(order: int):
-    a = king_series(order)
-    b = class_series(KingClass.S, order)
-    c = class_series(KingClass.SL, order)
-    return a, b, c
+_IDENTITY_SUBJECTS = {
+    "AV": "avoidance identity",
+    "DIST": "distribution identity",
+    "STAR": "auxiliary restricted-distribution identity",
+}
 
 
-def _eq_count_split(w: int) -> Series:
-    a, b, _ = _base(w)
-    one, t, _, _ = _prims(w)
-    return b + t * b - a
+def _pattern_spec(ident: str, kind: str, residual: Residual, margin: int) -> EquationSpec:
+    def of_terms(r: Terms) -> Series:
+        return residual(r, avoidance_series(ident, r.order), distribution_series(ident, r.order))
 
-
-def _eq_count_inclusion(w: int) -> Series:
-    a, b, c = _base(w)
-    one, t, _, _ = _prims(w)
-    return c - (a - t - 2 * t * (b - one) + t * t * (c - one))
-
-
-def _eq_strong_avoid(w: int) -> Series:
-    a, b, _ = _base(w)
-    _, t, _, _ = _prims(w)
-    p = strong_point_avoiders(w)
-    return p + t * p * b - a
-
-
-def _eq_strong_all(w: int) -> Series:
-    _, _, _, ut = _prims(w)
-    p = strong_point_avoiders(w)
-    atu = strong_point_series(KingClass.ALL, w)
-    btu = strong_point_series(KingClass.S, w)
-    return p + ut * p * btu - atu
-
-
-def _eq_strong_split(w: int) -> Series:
-    _, _, _, ut = _prims(w)
-    atu = strong_point_series(KingClass.ALL, w)
-    btu = strong_point_series(KingClass.S, w)
-    return btu + ut * btu - atu
-
-
-def _eq_strong_inclusion(w: int) -> Series:
-    one, _, _, ut = _prims(w)
-    atu = strong_point_series(KingClass.ALL, w)
-    btu = strong_point_series(KingClass.S, w)
-    ctu = strong_point_series(KingClass.SL, w)
-    return ctu - (atu - ut - 2 * ut * (btu - one) + ut * ut * (ctu - one))
-
-
-def _pattern_eq(ident: str, kind: str) -> Callable[[int], Series]:
-    # Residual builders for the per-pattern proof identities.  "av" relates the
-    # avoidance series to the class counts, "dist" the distribution series to
-    # the avoidance series, "star" an auxiliary restricted distribution.  The
-    # auxiliaries are eliminated from one identity and checked in the other,
-    # so no check is satisfied by construction.
-    def build(w: int) -> Series:
-        one, t, u, ut = _prims(w)
-        a, b, c = _base(w)
-        p = avoidance_series(ident, w)
-        e = distribution_series(ident, w)
-        s = strong_point_avoiders(w)
-        if ident == "12":
-            if kind == "av":
-                return p - (a - t * (b - one))
-            return e - (p + (b.subst_ut(1) - one).mul_t(1))
-        if ident == "13":
-            if kind == "av":
-                return p - (a - t * t * (c - one))
-            return e - (p + u * t * t * (c - one))
-        if ident == "16":
-            if kind == "av":
-                return p - (a - t * (b - one) * s)
-            estar = ((one + t + t * a) / ((one + t) * a)) * e - one
-            if kind == "dist":
-                return e - (p + (estar - t) * s)
-            return estar - (e.subst_ut(1) - estar.subst_ut(1)).mul_t(1)
-        if ident == "17":
-            btu = strong_point_series(KingClass.S, w)
-            if kind == "av":
-                return p - (b + t * s)
-            return e - (b + btu.mul_t(1))
-        if ident == "19":
-            if kind == "av":
-                return p - (a - t * (b - one) - t * (a - one) * (b - one))
-            return e - (p + ut * (b - one) + ut * (a - one) * (b - one))
-        if ident == "20":
-            block = (a - b - t) * (a - b)
-            if kind == "av":
-                return p - (a - block)
-            return e - (p + u * block)
-        if ident == "22":
-            blk = a - b - t
-            if kind == "av":
-                return p - (a - 2 * t * blk * a - blk * blk * a)
-            return e - (p + 2 * ut * blk * a + u * blk * blk * a)
-        if ident == "27":
-            btu = strong_point_series(KingClass.S, w)
-            if kind == "av":
-                return p - (a - (t * t * b * b * s - t * t * b))
-            contained = u * t * t * b * s * btu - u * t * t * b
-            return e - (p + contained)
-        if ident == "28":
-            if kind == "av":
-                return p - (a - t * t * p * a * (c - one))
-            return e - (p + u * t * t * p * (c - one) * e)
-        if ident == "33":
-            btu = strong_point_series(KingClass.S, w)
-            c0 = strong_point_series(KingClass.SL, w).eval_u(0)
-            if kind == "av":
-                return p - (a - t * t * s * b * (c0 - one))
-            return e - (p + u * t * t * s * btu * (c0 - one))
-        if ident == "55":
-            if kind == "av":
-                return p + (b - one) * (p - one) * (t + t * t) - a
-            estar = e / (one + t)
-            return e - (p + u * (estar - one) * (p - one) * (t + t * t))
-        if ident == "63":
-            if kind == "av":
-                return p + (p - one) * (b - one) * (one + t) - a
-            if kind == "dist":
-                # main identity, cleared of its 1/t factor
-                estar = (t + ut * (e - one)) / (one + ut)
-                return (e - p).mul_t(1) - (estar - t) * (p - one) * (one + t)
-            # star identity, with the auxiliary eliminated from the main one
-            x = (e - p).div_t(1)
-            y = (p - one).div_t(1)
-            w1 = x.order
-            onew = Series.one(w1)
-            tw = Series.t(w1)
-            utw = Series.term(w1, tpow=1, upow=1)
-            estar = tw + (x / (y * (onew + tw))).mul_t(1)
-            ew = e.truncated(w1)
-            return estar - (tw + utw * (ew - onew - estar))
-        if ident == "64":
-            if kind == "av":
-                return p - (a - ((p - one) * (a - one) - t * t * b))
-            if kind == "dist":
-                estar = (t + ut * (e - one)) / (one + ut)
-                return e - (p + u * (p - one) * (e - one) - ut * estar)
-            estar = (p + u * (p - one) * (e - one) - e).div_u().div_t(1)
-            w1 = estar.order
-            onew = Series.one(w1)
-            tw = Series.t(w1)
-            utw = Series.term(w1, tpow=1, upow=1)
-            ew = e.truncated(w1)
-            return estar - (tw + utw * (ew - onew - estar))
-        raise AssertionError(f"no equations registered for pattern {ident}")
-
-    return build
+    subject = f"pattern {ident}: {_IDENTITY_SUBJECTS[kind]}"
+    return _spec(f"EQ_P{ident}_{kind}", subject, of_terms, margin)
 
 
 def _equation_specs() -> tuple[EquationSpec, ...]:
     specs = [
-        EquationSpec("EQ_B", "class split: B + tB = A", _eq_count_split),
-        EquationSpec("EQ_C", "class recursion: C = A - t - 2t(B-1) + t^2(C-1)", _eq_count_inclusion),
-        EquationSpec("EQ_PX", "strong-point avoidance: P + tPB = A", _eq_strong_avoid),
-        EquationSpec("EQ_ATU", "strong-point distribution: P + utP*Btu = Atu", _eq_strong_all),
-        EquationSpec("EQ_BTU", "strong-point split: Btu + ut*Btu = Atu", _eq_strong_split),
-        EquationSpec("EQ_CTU", "strong-point recursion for Ctu", _eq_strong_inclusion),
+        _spec("EQ_B", "class split: B + tB = A", lambda r: r.b + r.t * r.b - r.a),
+        _spec(
+            "EQ_C", "class recursion: C = A - t - 2t(B-1) + t^2(C-1)",
+            lambda r: r.c - (r.a - r.t - 2 * r.t * (r.b - r.one) + r.t * r.t * (r.c - r.one)),
+        ),
+        _spec(
+            "EQ_PX", "strong-point avoidance: P + tPB = A",
+            lambda r: r.s + r.t * r.s * r.b - r.a,
+        ),
+        _spec(
+            "EQ_ATU", "strong-point distribution: P + utP*Btu = Atu",
+            lambda r: r.s + r.ut * r.s * r.btu - r.atu,
+        ),
+        _spec(
+            "EQ_BTU", "strong-point split: Btu + ut*Btu = Atu",
+            lambda r: r.btu + r.ut * r.btu - r.atu,
+        ),
+        _spec(
+            "EQ_CTU", "strong-point recursion for Ctu",
+            lambda r: r.ctu
+                - (r.atu - r.ut - 2 * r.ut * (r.btu - r.one) + r.ut * r.ut * (r.ctu - r.one)),
+        ),
     ]
-    # the 63/64 star checks eliminate their auxiliary from the main identity,
-    # which costs one order of truncation (division by t); 16's does not
-    star_margins = {"16": 0, "63": 1, "64": 1}
-    for ident in ("12", "13", "16", "17", "19", "20", "22", "27", "28", "33", "55", "63", "64"):
-        specs.append(
-            EquationSpec(
-                f"EQ_P{ident}_AV",
-                f"pattern {ident}: avoidance identity",
-                _pattern_eq(ident, "av"),
-            )
-        )
-        specs.append(
-            EquationSpec(
-                f"EQ_P{ident}_DIST",
-                f"pattern {ident}: distribution identity",
-                _pattern_eq(ident, "dist"),
-            )
-        )
-        if ident in star_margins:
-            specs.append(
-                EquationSpec(
-                    f"EQ_P{ident}_STAR",
-                    f"pattern {ident}: auxiliary restricted-distribution identity",
-                    _pattern_eq(ident, "star"),
-                    margin=star_margins[ident],
-                )
-            )
+    for ident, record in SOLVED.items():
+        specs += [_pattern_spec(ident, *identity) for identity in record.identities]
     return tuple(specs)
 
 
@@ -384,7 +220,7 @@ def verify_theorem(
     the avoidance series (and at u=1 to the class counts), and the pinned
     reference expansion must match on its printed range."""
     ident = str(ident)
-    if ident not in SOLVED_IDS:
+    if ident not in SOLVED:
         raise KeyError(f"pattern {ident!r} has no distribution theorem")
     e = distribution_series(ident, order)
     p = avoidance_series(ident, order)
@@ -393,7 +229,8 @@ def verify_theorem(
 
     if oracle_rows is None:
         oracle_rows = distribution_table(catalog_pattern(ident), n_max, KingClass.ALL, jobs).rows
-    rows = e.coeffs[: len(oracle_rows)]
+    # the series must reach every oracle row, whatever the order asked for
+    rows = distribution_series(ident, max(order, len(oracle_rows) - 1)).coeffs
     witness = _first_row_mismatch(oracle_rows, rows)
     if witness is not None:
         return CheckReport(check_id, subject + " (oracle vs series)", FAIL, witness)
@@ -491,9 +328,9 @@ def _check_strong_point_class(
     kc_name = king_class.value.upper()
     check_id = f"strongpoint:{king_class.value}"
     subject = f"strong-point distribution over class {kc_name} (pattern {pattern_id})"
-    series = strong_point_series(king_class, order)
     rows = kings.table(catalog_pattern(pattern_id), king_class).rows
-    witness = _first_row_mismatch(rows, series.coeffs[: len(rows)])
+    series = strong_point_series(king_class, max(order, len(rows) - 1))
+    witness = _first_row_mismatch(rows, series.coeffs)
     if witness is not None:
         return CheckReport(check_id, subject + " (oracle vs series)", FAIL, witness)
     key = "Ctu" if king_class in (KingClass.SL, KingClass.LS) else "Btu"
@@ -526,7 +363,7 @@ def _check_strong_point_sets(kings: Census, order: int) -> CheckReport:
          "LS avoiders of X' = complements of the X avoiders")
     ]
     subject = f"strong-point avoider sets coincide across classes for n <= {len(full) - 1}"
-    p_series = strong_point_avoiders(order)
+    p_series = strong_point_avoiders(max(order, len(full) - 1))
     for n, row in enumerate(full):
         avoiders, expected = row.coeff(0), p_series.coeff(n).evaluate(0)
         if avoiders != expected:
@@ -601,7 +438,7 @@ def verify_all(
     )
 
     rows_by_ident = {e.ident: kings.table(e.pattern, KingClass.ALL).rows for e in entries}
-    for ident in SOLVED_IDS:
+    for ident in SOLVED:
         reports.append(
             verify_theorem(ident, order, n_max, jobs, oracle_rows=rows_by_ident[ident])
         )

@@ -1,7 +1,10 @@
 """Closed-form series builders against pinned expansions and identities."""
 
+from dataclasses import replace
+
 import pytest
 
+import kingmesh.gfs as gfs_mod
 from kingmesh.kings import KingClass
 from kingmesh.mesh import SOLVED_IDS
 from kingmesh.gfs import (
@@ -174,3 +177,34 @@ def test_series_by_name():
     assert series_by_name("E:X'", 6) == distribution_series("X'", 6)
     with pytest.raises(ValueError):
         series_by_name("Q:16", 6)
+
+
+def test_registry_holds_the_solved_patterns_in_catalog_order():
+    assert tuple(gfs_mod.SOLVED) == SOLVED_IDS
+    for ident, record in gfs_mod.SOLVED.items():
+        rows = [parse_upoly(text) for text in record.expansion]
+        assert [str(row) for row in rows] == list(record.expansion), ident
+
+
+@pytest.mark.parametrize("refused, built", [
+    ("distribution", avoidance_series),
+    ("avoidance", distribution_series),
+])
+def test_avoidance_and_distribution_routes_are_independent(monkeypatch, refused, built):
+    # every series of one route builds while the other route refuses to run
+    order = 14
+    expected = {ident: built(ident, order) for ident in SOLVED_IDS}
+
+    def refuse(terms):
+        raise AssertionError(f"the {refused} route was called")
+
+    for ident, record in gfs_mod.SOLVED.items():
+        monkeypatch.setitem(gfs_mod.SOLVED, ident, replace(record, **{refused: refuse}))
+    avoidance_series.cache_clear()
+    distribution_series.cache_clear()
+    try:
+        for ident in SOLVED_IDS:
+            assert built(ident, order) == expected[ident], ident
+    finally:
+        avoidance_series.cache_clear()
+        distribution_series.cache_clear()

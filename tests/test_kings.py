@@ -160,3 +160,8 @@ def test_count_rejects_bad_input():
 @settings(deadline=None)
 def test_enumeration_size_matches_recurrence(n):
     assert sum(1 for _ in enumerate_kings(n)) == count_kings(n)
+
+
+def test_unknown_method_lists_the_four_methods():
+    with pytest.raises(ValueError, match=r"expected one of \('recurrence', 'explicit', 'gf', 'enumerate'\)"):
+        count_kings(5, "bogus")

@@ -145,3 +145,10 @@ def test_custom_pattern():
     # occurrences {21, 41, 43} and 3142 has {31, 32, 42}, three each
     p = MeshPattern((2, 1), frozenset({(1, 1)}))
     assert distribution(p, 4) == parse_upoly("2u^3")
+
+
+def test_census_names_the_bad_pattern_range():
+    with pytest.raises(ValueError, match="pattern_n_max must lie in 0..n_max = 5, got 7"):
+        census([catalog_pattern("X")], 5, pattern_n_max=7)
+    with pytest.raises(ValueError, match="^n_max must be nonnegative$"):
+        census([catalog_pattern("X")], -1)

@@ -8,7 +8,7 @@ import pytest
 import kingmesh.kings as kings_mod
 from kingmesh.kings import KingClass
 from kingmesh.mesh import SOLVED_IDS, catalog_pattern
-from kingmesh.oracle import Census, census
+from kingmesh.oracle import Census, census, distribution_table
 from kingmesh.series import Series, UPoly, format_upoly
 from kingmesh.verify import (
     EQUATIONS,
@@ -185,6 +185,42 @@ def test_strong_point_checks_catch_an_off_by_one_avoider_count():
     for report in (
         _check_strong_point_sets(faulty, 8),
         _check_strong_point_class(KingClass.SL, faulty, 8),
+    ):
+        assert report.status == FAIL, report
+        assert report.witness.n == 6
+
+
+def test_theorem_reaches_every_oracle_row_below_the_order():
+    # with order < n_max the series is taken far enough to meet all the rows
+    rows = list(distribution_table(catalog_pattern("16"), 7).rows)
+    assert verify_theorem("16", order=3, n_max=7, oracle_rows=tuple(rows)).status == PASS
+    rows[6] = rows[6] + UPoly((5,))
+    report = verify_theorem("16", order=3, n_max=7, oracle_rows=tuple(rows))
+    assert report.status == FAIL
+    assert report.witness.n == 6
+
+
+def test_strong_point_checks_reach_every_census_row_below_the_order():
+    # order 3 is below the census range n <= 7: the set check must not index
+    # past its series, and the SL check must still see row 6
+    x = catalog_pattern("X")
+
+    class OffByOne(Census):
+        def table(self, pattern, king_class):
+            table = super().table(pattern, king_class)
+            if pattern != x or king_class is not KingClass.SL:
+                return table
+            rows = list(table.rows)
+            rows[6] = rows[6] + UPoly((1,))
+            return replace(table, rows=tuple(rows))
+
+    real = census([x, catalog_pattern("X'")], 7)
+    faulty = OffByOne(real.patterns, real.pattern_n_max, real.tallies)
+    assert _check_strong_point_sets(real, 3).status == PASS
+    assert _check_strong_point_class(KingClass.SL, real, 3).status == PASS
+    for report in (
+        _check_strong_point_sets(faulty, 3),
+        _check_strong_point_class(KingClass.SL, faulty, 3),
     ):
         assert report.status == FAIL, report
         assert report.witness.n == 6
