@@ -3,8 +3,9 @@
 A permutation (one-line notation, values 1..n) is a *king permutation* when
 every two adjacent entries differ by more than one, like non-attacking kings
 placed on adjacent columns of a board.  This module provides the symmetry
-operations, membership tests, a streaming backtracking enumerator, and four
-independent ways of counting.
+operations, membership tests, a streaming backtracking enumerator, a counting
+walk that tallies the members below one first value without building them,
+and four independent ways of counting.
 
 >>> is_king((2, 4, 1, 3))
 True
@@ -149,21 +150,26 @@ def enumerate_kings(
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    forbid_first, forbid_last = CLASS_FORBIDS[KingClass(king_class)]
     if n == 0:
         yield ()
         return
-    firsts = {v for v in range(1, n + 1) if not endpoint_flags(v, n) & forbid_first}
+    firsts, last = class_ends(n, king_class)
     if first_values is not None:
-        firsts &= set(first_values)
+        firsts = sorted(set(firsts) & set(first_values))
     if n == 1:
-        if firsts and not forbid_last:
+        if firsts and last != 1:
             yield (1,)
         return
-    # the one last value the class forbids, or 0, which matches no value
-    last = 1 if forbid_last & SMALLEST else n if forbid_last & LARGEST else 0
-    for first in sorted(firsts):
+    for first in firsts:
         yield from _subtree(n, first, last)
+
+
+def class_ends(n: int, king_class: KingClass) -> tuple[list[int], int]:
+    """The values a class member of length n >= 1 may begin with, ascending,
+    and the one value it may not end with, or 0, which matches no value."""
+    forbid_first, forbid_last = CLASS_FORBIDS[KingClass(king_class)]
+    firsts = [v for v in range(1, n + 1) if not endpoint_flags(v, n) & forbid_first]
+    return firsts, 1 if forbid_last & SMALLEST else n if forbid_last & LARGEST else 0
 
 
 def _subtree(n: int, first: int, forbid_last: int) -> Iterator[Perm]:
@@ -199,6 +205,68 @@ def _subtree(n: int, first: int, forbid_last: int) -> Iterator[Perm]:
             idxs[-1] = i
             rems.append(r[:i] + r[i + 1 :])
             idxs.append(0)
+
+
+def tally_subtree(n: int, first: int, forbid_last: int) -> list[int]:
+    """Count the king permutations of 1..n (n >= 1) that begin with ``first``
+    and do not end with ``forbid_last`` (0 forbids nothing): entry f of the
+    result is how many of them end on an entry with endpoint flags f.
+
+    The same exhaustive backtracking as the stream below one first value: no
+    subtree's count is reused or derived by symmetry, and every adjacent pair
+    of every member counted is tested, so the count stays an enumeration,
+    independent of the closed forms.  But no member is built or yielded,
+    which makes it several times faster where only the number matters.  The
+    last four entries are placed inline, saving the calls that outnumber all
+    others.
+    """
+    flags = [endpoint_flags(v, n) for v in range(n + 1)]
+    # far[a][b]: a and b differ by more than one, so they may stand side by side
+    far = [[abs(a - b) > 1 for b in range(n + 1)] for a in range(n + 1)]
+    tally = [0, 0, 0, 0]
+
+    def walk(prev: int, rest: list[int]) -> None:
+        if len(rest) == 4:
+            a, b, c, d = rest
+            fp = far[prev]
+            for w, x, y, z in ((a, b, c, d), (b, a, c, d), (c, a, b, d), (d, a, b, c)):
+                if not fp[w]:
+                    continue
+                # w follows prev; then the six orders of x, y, z
+                fw = far[w]
+                xy, xz, yz = far[x][y], far[x][z], far[y][z]
+                if fw[x]:
+                    if xy and yz and z != forbid_last:
+                        tally[flags[z]] += 1
+                    if xz and yz and y != forbid_last:
+                        tally[flags[y]] += 1
+                if fw[y]:
+                    if xy and xz and z != forbid_last:
+                        tally[flags[z]] += 1
+                    if yz and xz and x != forbid_last:
+                        tally[flags[x]] += 1
+                if fw[z]:
+                    if xz and xy and y != forbid_last:
+                        tally[flags[y]] += 1
+                    if yz and xy and x != forbid_last:
+                        tally[flags[x]] += 1
+        elif rest:
+            fp = far[prev]
+            for i, v in enumerate(rest):
+                if fp[v]:
+                    walk(v, rest[:i] + rest[i + 1 :])
+        elif prev != forbid_last:  # only for n <= 4, which start below four values
+            tally[flags[prev]] += 1
+
+    walk(first, [v for v in range(1, n + 1) if v != first])
+    return tally
+
+
+def _count_by_walk(n: int, king_class: KingClass) -> int:
+    if n == 0:
+        return 1
+    firsts, last = class_ends(n, king_class)
+    return sum(sum(tally_subtree(n, first, last)) for first in firsts)
 
 
 def _count_by_recurrence(n: int) -> int:
@@ -238,7 +306,7 @@ def count_kings(n: int, method: str = "recurrence") -> int:
     """Number of king permutations of length n, by one of four routes.
 
     ``recurrence`` and ``explicit`` use closed arithmetic, ``gf`` reads the
-    t^n coefficient of the counting series, ``enumerate`` counts the stream.
+    t^n coefficient of the counting series, ``enumerate`` walks every member.
     All four agree; the slow ones exist to keep the fast ones honest.
     """
     if n < 0:
@@ -252,7 +320,7 @@ def count_kings(n: int, method: str = "recurrence") -> int:
 
         return king_series(n).coeff(n).evaluate(0)
     if method == "enumerate":
-        return sum(1 for _ in enumerate_kings(n))
+        return _count_by_walk(n, KingClass.ALL)
     raise ValueError(f"unknown method {method!r}; expected one of {tuple(COUNT_METHODS.values())}")
 
 
@@ -262,7 +330,7 @@ def count_class(n: int, king_class: KingClass, method: str = "enumerate") -> int
     if kc is KingClass.ALL:
         return count_kings(n, method)
     if method == "enumerate":
-        return sum(1 for _ in enumerate_kings(n, kc))
+        return _count_by_walk(n, kc)
     if method == "gf":
         from .gfs import class_series
 

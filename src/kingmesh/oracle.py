@@ -8,7 +8,11 @@ arithmetic.
 
 Its one kernel is a *census*: one pass over a class per length that tallies
 every host under its endpoint type.  Each class is a union of endpoint types,
-so a census of all kings yields every class's size and distributions.
+so a census of all kings yields every class's size and distributions.  A
+length that counts no pattern needs only those tallies, so its hosts are not
+streamed: :func:`kingmesh.kings.tally_subtree` walks the same backtracking
+tree below each first value and returns how many hosts end on each kind of
+last entry, without building one.
 
 Enumeration can fan out over the choice of the first element; each worker owns
 the subtree below one first value and the partial tallies are added, so the
@@ -24,7 +28,14 @@ from itertools import accumulate
 from operator import add
 from typing import Sequence
 
-from .kings import CLASS_FORBIDS, KingClass, endpoint_flags, enumerate_kings
+from .kings import (
+    CLASS_FORBIDS,
+    KingClass,
+    class_ends,
+    endpoint_flags,
+    enumerate_kings,
+    tally_subtree,
+)
 from .mesh import CompiledPatterns, MeshPattern, occurrence_counts, render_pattern
 from .series import UPoly, parse_upoly
 
@@ -77,23 +88,28 @@ _CLASS_TYPES = {
 
 
 def _tally(task) -> list[int]:
-    """One length's tally.  Entry t counts the hosts of endpoint type t.  The
-    block of type t starts at 16 + t * stride and holds the patterns' vectors
-    one after another: how many of those hosts have exactly c occurrences."""
-    patterns, n, king_class, first_values = task
+    """One length's tally below one first value.  Entry t counts the hosts of
+    endpoint type t.  The block of type t starts at 16 + t * stride and holds
+    the patterns' vectors one after another: how many of those hosts have
+    exactly c occurrences."""
+    patterns, n, king_class, first = task
     widths = [math.comb(n, p.length) + 1 for p in patterns]
     stride = sum(widths)
+    flags = [endpoint_flags(v, n) for v in range(n + 1)]
+    counts = [0] * (16 + 16 * stride)
+    if n and not patterns:  # a host costs only its tally: count, do not build
+        firsts, last = class_ends(n, king_class)
+        if first in firsts:
+            counts[4 * flags[first] : 4 * flags[first] + 4] = tally_subtree(n, first, last)
+        return counts
     starts = list(accumulate(widths, initial=16))[:-1]
     by_type = [[t * stride + start for start in starts] for t in range(16)]
     compiled = CompiledPatterns(patterns)
-    flags = [endpoint_flags(v, n) for v in range(n + 1)]
-    counts = [0] * (16 + 16 * stride)
-    for perm in enumerate_kings(n, king_class, first_values):
+    for perm in enumerate_kings(n, king_class, (first,)):
         t = 4 * flags[perm[0]] + flags[perm[-1]] if n else 0
         counts[t] += 1
-        if patterns:  # with none, a host costs only its tally
-            for start, c in zip(by_type[t], occurrence_counts(compiled, perm)):
-                counts[start + c] += 1
+        for start, c in zip(by_type[t], occurrence_counts(compiled, perm)):
+            counts[start + c] += 1
     return counts
 
 
@@ -144,7 +160,7 @@ def census(
         raise ValueError(f"pattern_n_max must lie in 0..n_max = {n_max}, got {pattern_n_max}")
     patterns, kc = tuple(patterns), KingClass(king_class)
     tasks = [
-        (patterns if n <= pattern_n_max else (), n, kc, (first,))
+        (patterns if n <= pattern_n_max else (), n, kc, first)
         for n in range(n_max, -1, -1)
         for first in range(1, max(n, 1) + 1)  # the empty host takes any first value
     ]

@@ -229,8 +229,9 @@ def verify_theorem(
 
     if oracle_rows is None:
         oracle_rows = distribution_table(catalog_pattern(ident), n_max, KingClass.ALL, jobs).rows
-    # the series must reach every oracle row, whatever the order asked for
-    rows = distribution_series(ident, max(order, len(oracle_rows) - 1)).coeffs
+    pinned = reference_rows(f"E:{ident}")
+    # the series must reach every oracle and pinned row, whatever the order asked for
+    rows = distribution_series(ident, max(order, len(oracle_rows) - 1, len(pinned) - 1)).coeffs
     witness = _first_row_mismatch(oracle_rows, rows)
     if witness is not None:
         return CheckReport(check_id, subject + " (oracle vs series)", FAIL, witness)
@@ -242,8 +243,7 @@ def verify_theorem(
         w = _first_row_mismatch(king_series(order).coeffs, e.eval_u(1).coeffs)
         return CheckReport(check_id, subject + " (u=1 vs counts)", FAIL, w)
 
-    pinned = reference_rows(f"E:{ident}")
-    witness = _first_row_mismatch(pinned, e.coeffs[: len(pinned)])
+    witness = _first_row_mismatch(pinned, rows)
     if witness is not None:
         return CheckReport(check_id, subject + " (pinned expansion)", REFERENCE_MISMATCH, witness)
     return CheckReport(check_id, subject, PASS)
@@ -309,9 +309,12 @@ def _check_king_characterization() -> CheckReport:
     return CheckReport("kingchar", subject, PASS)
 
 
-def _check_pinned_series(check_id: str, subject: str, series: Series, key: str) -> CheckReport:
+def _check_pinned_series(
+    check_id: str, subject: str, build: Callable[[int], Series], key: str, order: int
+) -> CheckReport:
+    # the series is taken far enough to meet every pinned row, whatever the order
     pinned = reference_rows(key)
-    witness = _first_row_mismatch(pinned, series.coeffs[: len(pinned)])
+    witness = _first_row_mismatch(pinned, build(max(order, len(pinned) - 1)).coeffs)
     if witness is None:
         return CheckReport(check_id, subject, PASS)
     return CheckReport(check_id, subject, FAIL, witness)
@@ -329,13 +332,12 @@ def _check_strong_point_class(
     check_id = f"strongpoint:{king_class.value}"
     subject = f"strong-point distribution over class {kc_name} (pattern {pattern_id})"
     rows = kings.table(catalog_pattern(pattern_id), king_class).rows
-    series = strong_point_series(king_class, max(order, len(rows) - 1))
+    pinned = reference_rows("Ctu" if king_class in (KingClass.SL, KingClass.LS) else "Btu")
+    series = strong_point_series(king_class, max(order, len(rows) - 1, len(pinned) - 1))
     witness = _first_row_mismatch(rows, series.coeffs)
     if witness is not None:
         return CheckReport(check_id, subject + " (oracle vs series)", FAIL, witness)
-    key = "Ctu" if king_class in (KingClass.SL, KingClass.LS) else "Btu"
-    pinned = reference_rows(key)
-    witness = _first_row_mismatch(pinned, series.coeffs[: len(pinned)])
+    witness = _first_row_mismatch(pinned, series.coeffs)
     if witness is not None:
         return CheckReport(check_id, subject + " (pinned expansion)", REFERENCE_MISMATCH, witness)
     return CheckReport(check_id, subject, PASS)
@@ -426,15 +428,15 @@ def verify_all(
     reports.append(_check_king_characterization())
     reports.append(
         _check_pinned_series("golden:B", "pinned expansion of the S-class counts",
-                             class_series(KingClass.S, order), "B")
+                             lambda w: class_series(KingClass.S, w), "B", order)
     )
     reports.append(
         _check_pinned_series("golden:C", "pinned expansion of the SL-class counts",
-                             class_series(KingClass.SL, order), "C")
+                             lambda w: class_series(KingClass.SL, w), "C", order)
     )
     reports.append(
         _check_pinned_series("golden:Atu", "pinned expansion of the strong-point distribution",
-                             strong_point_series(KingClass.ALL, order), "Atu")
+                             lambda w: strong_point_series(KingClass.ALL, w), "Atu", order)
     )
 
     rows_by_ident = {e.ident: kings.table(e.pattern, KingClass.ALL).rows for e in entries}

@@ -6,15 +6,19 @@ from hypothesis import strategies as st
 
 from kingmesh.kings import (
     KingClass,
+    class_ends,
     complement,
     count_class,
     count_kings,
+    endpoint_flags,
     enumerate_kings,
     in_class,
     is_king,
     reduced,
     reverse,
+    tally_subtree,
 )
+from kingmesh.oracle import census
 
 # the sequence 1, 1, 0, 0, 2, 14, ... of king-permutation counts
 KING_COUNTS = [1, 1, 0, 0, 2, 14, 90, 646, 5242, 47622, 479306, 5296790]
@@ -125,8 +129,7 @@ def test_class_count_identities():
 
 @pytest.mark.parametrize("method", ["recurrence", "explicit", "gf", "enumerate"])
 def test_counts_against_known_values(method):
-    top = 11 if method != "enumerate" else 8
-    for n in range(top + 1):
+    for n in range(len(KING_COUNTS)):
         assert count_kings(n, method) == KING_COUNTS[n]
 
 
@@ -165,3 +168,33 @@ def test_enumeration_size_matches_recurrence(n):
 def test_unknown_method_lists_the_four_methods():
     with pytest.raises(ValueError, match=r"expected one of \('recurrence', 'explicit', 'gf', 'enumerate'\)"):
         count_kings(5, "bogus")
+
+
+@pytest.mark.parametrize("kc", list(KingClass))
+def test_tally_subtree_matches_the_stream(kc):
+    # the counting walk against the streamed members, one first value at a
+    # time: n <= 4 takes the walk's plain path, longer lengths its inline tail
+    for n in range(10):
+        firsts, last = class_ends(n, kc)
+        for first in range(1, n + 1):
+            streamed = [0, 0, 0, 0]
+            for p in enumerate_kings(n, kc, first_values=[first]):
+                streamed[endpoint_flags(p[-1], n)] += 1
+            walked = tally_subtree(n, first, last) if first in firsts else [0, 0, 0, 0]
+            assert walked == streamed, (n, first)
+
+
+def test_census_without_patterns_counts_every_length():
+    # every length of a pattern-free census is walked, not streamed
+    kings = census((), 11)
+    assert [kings.size(n, KingClass.ALL) for n in range(12)] == KING_COUNTS
+    for kc in (KingClass.S, KingClass.L, KingClass.SL, KingClass.LS):
+        assert [kings.size(n, kc) for n in range(12)] == [
+            count_class(n, kc, "gf") for n in range(12)
+        ], kc
+
+
+@pytest.mark.parametrize("kc", [KingClass.S, KingClass.L, KingClass.SL, KingClass.LS])
+def test_class_enumerate_matches_gf_to_10(kc):
+    for n in range(11):
+        assert count_class(n, kc, "enumerate") == count_class(n, kc, "gf"), n

@@ -6,10 +6,12 @@ from dataclasses import replace
 import pytest
 
 import kingmesh.kings as kings_mod
+import kingmesh.oracle as oracle_mod
+from kingmesh.gfs import class_series
 from kingmesh.kings import KingClass
 from kingmesh.mesh import SOLVED_IDS, catalog_pattern
 from kingmesh.oracle import Census, census, distribution_table
-from kingmesh.series import Series, UPoly, format_upoly
+from kingmesh.series import Series, UPoly, format_upoly, parse_upoly
 from kingmesh.verify import (
     EQUATIONS,
     FAIL,
@@ -18,6 +20,7 @@ from kingmesh.verify import (
     KING_COUNTS,
     CheckReport,
     Witness,
+    _check_pinned_series,
     _check_strong_point_class,
     _check_strong_point_sets,
     report_from_dict,
@@ -120,20 +123,32 @@ def test_report_dict_round_trip():
 def test_verify_all_small_run(monkeypatch):
     # a small full run passes, repeats byte-identically, and sorts by id
     a = verify_all(order=8, n_max=4)
-    # the second run counts the king permutations it draws: each length
-    # through the counting range n = 11 exactly once
+    # the second run counts the king permutations it draws, streamed where
+    # patterns are counted and walked past n_max: each length through the
+    # counting range n = 11 exactly once, below each first value once
     hosts = 0
-    subtree = kings_mod._subtree
+    tasks = []
+    subtree, walk = kings_mod._subtree, oracle_mod.tally_subtree
 
-    def counting_subtree(*args):
+    def counting_subtree(n, first, forbid_last):
         nonlocal hosts
-        for perm in subtree(*args):
+        tasks.append((n, first))
+        for perm in subtree(n, first, forbid_last):
             hosts += 1
             yield perm
 
+    def counting_walk(n, first, forbid_last):
+        nonlocal hosts
+        tasks.append((n, first))
+        tally = walk(n, first, forbid_last)
+        hosts += sum(tally)
+        return tally
+
     monkeypatch.setattr(kings_mod, "_subtree", counting_subtree)
+    monkeypatch.setattr(oracle_mod, "tally_subtree", counting_walk)
     b = verify_all(order=8, n_max=4)
     assert hosts == sum(KING_COUNTS[2:12]) == 5_829_712
+    assert sorted(tasks) == [(n, f) for n in range(2, 12) for f in range(1, n + 1)]
     assert reports_to_json(a) == reports_to_json(b)
     # the report as the code before the shared census produced it
     assert hashlib.sha256(reports_to_json(a).encode()).hexdigest() == (
@@ -224,3 +239,43 @@ def test_strong_point_checks_reach_every_census_row_below_the_order():
     ):
         assert report.status == FAIL, report
         assert report.witness.n == 6
+
+
+def _bump_last_pinned_row(monkeypatch, key):
+    import kingmesh.verify as verify_mod
+
+    poisoned = dict(verify_mod.REFERENCE_EXPANSIONS)
+    rows = list(poisoned[key])
+    rows[-1] = format_upoly(parse_upoly(rows[-1]) + UPoly((1,)))
+    poisoned[key] = tuple(rows)
+    monkeypatch.setattr(verify_mod, "REFERENCE_EXPANSIONS", poisoned)
+    return len(rows) - 1, rows[-1]
+
+
+def test_golden_check_compares_the_whole_pinned_expansion(monkeypatch):
+    # order 3 stops short of the pinned rows, which run to n = 10
+    n, bumped = _bump_last_pinned_row(monkeypatch, "B")
+    report = _check_pinned_series(
+        "golden:B", "pinned expansion of the S-class counts",
+        lambda w: class_series(KingClass.S, w), "B", 3,
+    )
+    assert report.status == FAIL
+    assert (report.witness.n, report.witness.expected, report.witness.actual) == (
+        n, bumped, "436358"
+    )
+
+
+def test_theorem_compares_the_whole_pinned_expansion(monkeypatch, catalog_sweep_9):
+    n, bumped = _bump_last_pinned_row(monkeypatch, "E:16")
+    rows = catalog_sweep_9["16"].rows[:6]
+    report = verify_theorem("16", order=3, n_max=5, oracle_rows=rows)
+    assert report.status == REFERENCE_MISMATCH
+    assert (report.witness.n, report.witness.expected) == (n, bumped) == (8, "4675+568u^7")
+
+
+def test_strong_point_class_compares_the_whole_pinned_expansion(monkeypatch):
+    n, bumped = _bump_last_pinned_row(monkeypatch, "Btu")
+    kings = census([catalog_pattern("X"), catalog_pattern("X'")], 5)
+    report = _check_strong_point_class(KingClass.S, kings, 3)
+    assert report.status == REFERENCE_MISMATCH
+    assert (report.witness.n, report.witness.expected) == (n, bumped)
