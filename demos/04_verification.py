@@ -3,7 +3,7 @@
 Every distribution result the package implements is checked three ways:
 exhaustive enumeration, closed-form series, and pinned reference expansions;
 the functional equations behind the closed forms are checked to have zero
-residual.  This demo runs a reduced battery (the defaults take a minute).
+residual.  This demo runs a reduced battery.
 """
 
 from collections import Counter

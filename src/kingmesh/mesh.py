@@ -18,10 +18,10 @@ closed distribution results for ("solved") or only exhaustive data for
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import accumulate, combinations
 from operator import or_
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from .kings import Perm, is_permutation
 
@@ -410,8 +410,8 @@ def _count_pairs(perm, pre, increasing: bool, hits, counts) -> None:
             counts[idx] += times
 
 
-def _candidate_masks(perm: Sequence[int], pre: list[int], tau: Perm) -> Iterator[int]:
-    """Region mask of each occurrence candidate of tau, in position order."""
+def _count_generic(perm, pre, tau, members, counts) -> None:
+    # each choice of k positions ordered as tau gets a region mask, tested on every member
     n = len(perm)
     k = len(tau)
     by_value = sorted(range(k), key=tau.__getitem__)
@@ -430,14 +430,15 @@ def _candidate_masks(perm: Sequence[int], pre: list[int], tau: Perm) -> Iterator
                     mask |= bit
                 bit <<= 1
             lo = hi + 1
-        yield mask
-
-
-def _count_generic(perm, pre, tau, members, counts) -> None:
-    for mask in _candidate_masks(perm, pre, tau):
         for idx, shaded in members:
             if not mask & shaded:
                 counts[idx] += 1
+
+
+# patterns that count_occurrences and avoids keep compiled: the catalog and both
+# crosses fit, and each hit table of k = 2 takes about 40 kB
+_COMPILED_PATTERNS_KEPT = 64
+_compiled = lru_cache(maxsize=_COMPILED_PATTERNS_KEPT)(CompiledPatterns)
 
 
 def count_occurrences(p: MeshPattern, perm: Sequence[int]) -> int:
@@ -446,10 +447,9 @@ def count_occurrences(p: MeshPattern, perm: Sequence[int]) -> int:
     >>> count_occurrences(catalog_pattern("X"), (1, 3, 5, 2, 4))
     1
     """
-    return occurrence_counts((p,), perm)[0]
+    return occurrence_counts(_compiled((p,)), perm)[0]
 
 
 def avoids(p: MeshPattern, perm: Sequence[int]) -> bool:
-    """True when perm contains no occurrence of p (early exit on the first hit)."""
-    shaded = p.box_mask
-    return all(mask & shaded for mask in _candidate_masks(perm, _prefix_bits(perm), p.tau))
+    """True when perm contains no occurrence of p."""
+    return not count_occurrences(p, perm)

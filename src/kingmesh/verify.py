@@ -215,37 +215,34 @@ def verify_theorem(
     jobs: int = 1,
     oracle_rows: Sequence[UPoly] | None = None,
 ) -> CheckReport:
-    """Three-way check for one solved pattern: the exhaustive distribution must
+    """Four-leg check for one solved pattern: the exhaustive distribution must
     match the closed-form series row by row, the series at u=0 must reduce to
-    the avoidance series (and at u=1 to the class counts), and the pinned
+    the avoidance series and at u=1 to the class counts, and the pinned
     reference expansion must match on its printed range."""
     ident = str(ident)
     if ident not in SOLVED:
         raise KeyError(f"pattern {ident!r} has no distribution theorem")
-    e = distribution_series(ident, order)
-    p = avoidance_series(ident, order)
+    if order < 0:
+        raise ValueError("order must be nonnegative")
     check_id = f"theorem:{ident}"
     subject = f"pattern {ident}: distribution over king permutations"
 
     if oracle_rows is None:
         oracle_rows = distribution_table(catalog_pattern(ident), n_max, KingClass.ALL, jobs).rows
     pinned = reference_rows(f"E:{ident}")
-    # the series must reach every oracle and pinned row, whatever the order asked for
-    rows = distribution_series(ident, max(order, len(oracle_rows) - 1, len(pinned) - 1)).coeffs
-    witness = _first_row_mismatch(oracle_rows, rows)
-    if witness is not None:
-        return CheckReport(check_id, subject + " (oracle vs series)", FAIL, witness)
-
-    if e.eval_u(0) != p:
-        w = _first_row_mismatch(p.coeffs, e.eval_u(0).coeffs)
-        return CheckReport(check_id, subject + " (u=0 vs avoidance)", FAIL, w)
-    if e.eval_u(1) != king_series(order):
-        w = _first_row_mismatch(king_series(order).coeffs, e.eval_u(1).coeffs)
-        return CheckReport(check_id, subject + " (u=1 vs counts)", FAIL, w)
-
-    witness = _first_row_mismatch(pinned, rows)
-    if witness is not None:
-        return CheckReport(check_id, subject + " (pinned expansion)", REFERENCE_MISMATCH, witness)
+    # every leg reads one series, taken to every oracle and pinned row whatever the order
+    reach = max(order, len(oracle_rows) - 1, len(pinned) - 1)
+    e = distribution_series(ident, reach)
+    legs = (
+        ("oracle vs series", oracle_rows, e.coeffs, FAIL),
+        ("u=0 vs avoidance", avoidance_series(ident, reach).coeffs, e.eval_u(0).coeffs, FAIL),
+        ("u=1 vs counts", king_series(reach).coeffs, e.eval_u(1).coeffs, FAIL),
+        ("pinned expansion", pinned, e.coeffs, REFERENCE_MISMATCH),
+    )
+    for leg, expected, actual, status in legs:
+        witness = _first_row_mismatch(expected, actual)
+        if witness is not None:
+            return CheckReport(check_id, f"{subject} ({leg})", status, witness)
     return CheckReport(check_id, subject, PASS)
 
 
@@ -419,6 +416,8 @@ def verify_all(
     jobs: int = 1,
 ) -> list[CheckReport]:
     """Run the whole battery and return the reports sorted by check id."""
+    if n_max < 0:
+        raise ValueError("n_max must be nonnegative")
     entries = catalog()
     top = max(COUNTS_N_MAX, CLASSES_N_MAX, n_max)
     kings = census([e.pattern for e in entries], top, KingClass.ALL, jobs, pattern_n_max=n_max)

@@ -193,6 +193,19 @@ class TestVerify:
         assert "FAIL" in out
         assert "expected 0" in out
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("--all", "--n-max", "-1"), "n_max must be nonnegative"),
+            (("--theorem", "16", "--n-max", "-1"), "n_max must be nonnegative"),
+            (("--theorem", "16", "--order", "-1"), "order must be nonnegative"),
+        ],
+    )
+    def test_negative_range_is_usage_error(self, capsys, argv, message):
+        code, out, err = run(capsys, "verify", *argv)
+        assert code == 2 and out == ""
+        assert err == f"error: {message}\n"
+
     def test_full_battery(self, capsys):
         code, out, _ = run(
             capsys, "verify", "--all", "--order", "10", "--n-max", "5"

@@ -5,13 +5,15 @@ shaded-region definition (scan every element for every box); the production
 counter must agree with it everywhere it is feasible to compare.
 """
 
+from collections import Counter
 from itertools import combinations, permutations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kingmesh.kings import enumerate_kings, is_king
+import kingmesh.mesh as mesh_mod
+from kingmesh.kings import complement, enumerate_kings, is_king, reverse
 from kingmesh.mesh import (
     KING_CROSS_DOWN,
     KING_CROSS_UP,
@@ -68,6 +70,21 @@ def _patterns(tau):
 
 
 _hosts = st.integers(0, 7).flatmap(lambda n: st.permutations(range(1, n + 1))).map(tuple)
+# patterns of length 0..3, each length equally likely
+_short_patterns = (
+    st.integers(0, 3).flatmap(lambda k: st.permutations(range(1, k + 1))).map(tuple)
+    .flatmap(_patterns)
+)
+
+
+def _reversed_pattern(p: MeshPattern) -> MeshPattern:
+    k = p.length
+    return MeshPattern(reverse(p.tau), frozenset((k - i, j) for i, j in p.shaded))
+
+
+def _complemented_pattern(p: MeshPattern) -> MeshPattern:
+    k = p.length
+    return MeshPattern(complement(p.tau), frozenset((i, k - j) for i, j in p.shaded))
 
 
 class TestCatalog:
@@ -246,6 +263,37 @@ class TestCounting:
         assert count_occurrences(p, host) == _reference_count(p, host)
         q = MeshPattern((1, 2, 3), frozenset())
         assert count_occurrences(q, (1, 2, 3, 4)) == 4
+
+    @given(_short_patterns, _hosts)
+    @settings(max_examples=300, deadline=None)
+    def test_reverse_and_complement_symmetries(self, p, host):
+        # each symmetry of the square maps the occurrences of p in the image
+        # of a host one to one onto those of the image of p in the host
+        assert count_occurrences(p, reverse(host)) == count_occurrences(
+            _reversed_pattern(p), host
+        )
+        assert count_occurrences(p, complement(host)) == count_occurrences(
+            _complemented_pattern(p), host
+        )
+
+    def test_each_pattern_compiled_once(self, monkeypatch):
+        compiled = Counter()
+        init = CompiledPatterns.__init__
+
+        def counting_init(self, patterns):
+            init(self, patterns)
+            compiled.update(self.patterns)
+
+        monkeypatch.setattr(CompiledPatterns, "__init__", counting_init)
+        mesh_mod._compiled.cache_clear()
+        pats = [e.pattern for e in catalog()] + [KING_CROSS_UP, KING_CROSS_DOWN]
+        for n in range(8):
+            for s in enumerate_kings(n):
+                for p in pats:
+                    count_occurrences(p, s)
+                    avoids(p, s)
+        assert set(compiled) == set(pats)
+        assert max(compiled.values()) == 1
 
     def test_monotone_in_shading(self):
         # adding a shaded box never increases the count

@@ -273,6 +273,30 @@ def test_theorem_compares_the_whole_pinned_expansion(monkeypatch, catalog_sweep_
     assert (report.witness.n, report.witness.expected) == (n, bumped) == (8, "4675+568u^7")
 
 
+@pytest.mark.parametrize(
+    "builder, leg", [("avoidance_series", "u=0 vs avoidance"), ("king_series", "u=1 vs counts")]
+)
+def test_theorem_u_legs_reach_past_the_order(monkeypatch, builder, leg):
+    # a P or an A wrong at n = 6 must fail even when the order stops at 3
+    import kingmesh.verify as verify_mod
+
+    right = getattr(verify_mod, builder)
+
+    def wrong_at_6(*args):
+        series = right(*args)
+        if series.order < 6:
+            return series
+        coeffs = list(series.coeffs)
+        coeffs[6] = coeffs[6] + UPoly((1,))
+        return Series(series.order, coeffs)
+
+    monkeypatch.setattr(verify_mod, builder, wrong_at_6)
+    report = verify_theorem("16", order=3, n_max=7)
+    assert report.status == FAIL
+    assert report.subject.endswith(f"({leg})")
+    assert report.witness.n == 6
+
+
 def test_strong_point_class_compares_the_whole_pinned_expansion(monkeypatch):
     n, bumped = _bump_last_pinned_row(monkeypatch, "Btu")
     kings = census([catalog_pattern("X"), catalog_pattern("X'")], 5)
