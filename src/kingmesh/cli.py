@@ -23,6 +23,8 @@ from .mesh import PatternSyntaxError, catalog, parse_pattern, render_pattern
 from .oracle import DistributionTable, distribution_tables
 from .gfs import BASE_NAMES, series_by_name
 from .verify import (
+    DEFAULT_N_MAX,
+    DEFAULT_ORDER,
     EQUATIONS,
     FAIL,
     report_to_dict,
@@ -100,8 +102,8 @@ def _build_parser() -> argparse.ArgumentParser:
     vgroup.add_argument("--theorem", help="check one solved catalog pattern")
     vgroup.add_argument("--equation", help="check one registered identity")
     vgroup.add_argument("--all", action="store_true", help="full battery (default)")
-    p_verify.add_argument("--order", type=int, default=30)
-    p_verify.add_argument("--n-max", type=int, default=9)
+    p_verify.add_argument("--order", type=int, default=DEFAULT_ORDER)
+    p_verify.add_argument("--n-max", type=int, default=DEFAULT_N_MAX)
     p_verify.add_argument("--jobs", type=int, default=None)
     add_format(p_verify)
 

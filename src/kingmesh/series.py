@@ -45,10 +45,6 @@ class UPoly:
         return UPoly((value,))
 
     @staticmethod
-    def zero() -> "UPoly":
-        return _UP_ZERO
-
-    @staticmethod
     def one() -> "UPoly":
         return _UP_ONE
 
@@ -283,10 +279,6 @@ class Series:
     # -- constructors -------------------------------------------------------
 
     @staticmethod
-    def zero(order: int) -> "Series":
-        return Series(order)
-
-    @staticmethod
     def one(order: int) -> "Series":
         return Series(order, (1,))
 
@@ -325,12 +317,6 @@ class Series:
     def is_zero(self, through: int | None = None) -> bool:
         upto = self._order if through is None else min(through, self._order)
         return all(c.is_zero for c in self._c[: upto + 1])
-
-    def first_nonzero(self) -> int | None:
-        for n, c in enumerate(self._c):
-            if not c.is_zero:
-                return n
-        return None
 
     # -- ring operations ----------------------------------------------------
 
@@ -383,11 +369,14 @@ class Series:
 
     __rmul__ = __mul__
 
-    def divide(self, divisor: "Series") -> "Series":
+    def __truediv__(self, other):
         """The unique q with divisor*q == self up to the truncation order.
 
         Requires the t^0 coefficient of the divisor to be the constant +1 or
         -1 (forward substitution stays in Z[u])."""
+        divisor = self._coerce(other)
+        if divisor is NotImplemented:
+            return NotImplemented
         self._check_order(divisor)
         b0 = divisor._c[0]
         if b0.degree > 0 or b0.coeff(0) not in (1, -1):
@@ -407,19 +396,11 @@ class Series:
             out.append(acc._scaled(inv))
         return Series(n, out)
 
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self.divide(other)
-
     def _coerce(self, other):
         if isinstance(other, Series):
             return other
         if isinstance(other, (int, UPoly)):
-            c = _as_upoly(other)
-            s = Series(self._order)
-            return Series(self._order, (c,)) if not c.is_zero else s
+            return Series(self._order, (_as_upoly(other),))
         return NotImplemented
 
     # -- substitutions and shifts -------------------------------------------

@@ -16,12 +16,19 @@ agree with each other but not with the pinned text, the report says
 the pinned row is the suspect.  Functional-equation checks build both sides of
 a stated identity from the closed forms and require the residual series to be
 identically zero.
+
+Every check that compares rows decides through `_compare`: it lists its legs,
+each a label, the expected rows, the actual rows and the status a mismatch
+earns.  The first row that differs, in the first leg that differs, is the
+witness (its n, expected and actual value), and the subject names that leg.
+Only ``kingchar``, whose witness is a permutation, and the sign test of
+``mass:*`` decide on their own.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import permutations as _all_perms
 from typing import Callable, Iterable, Sequence
 
@@ -47,7 +54,7 @@ from .gfs import (
     strong_point_avoiders,
     strong_point_series,
 )
-from .series import Series, UPoly, format_upoly, parse_upoly
+from .series import Series, UPoly, parse_upoly
 
 PASS = "PASS"
 FAIL = "FAIL"
@@ -79,6 +86,32 @@ class CheckReport:
     @property
     def ok(self) -> bool:
         return self.status != FAIL
+
+
+# A leg: its label, the expected rows, the actual rows (row n is the value at
+# length n) and the status a mismatch earns.
+Leg = tuple[str, Sequence, Sequence, str]
+
+
+def _compare(check_id: str, subject: str, legs: Iterable[Leg]) -> CheckReport:
+    """Compare each leg on the rows both sides have; the first row that
+    differs, in the first leg that differs, is the witness, and the subject
+    names that leg.
+
+    >>> _compare("demo", "squares", [("table", (0, 1, 4), (0, 1, 4), FAIL)])
+    CheckReport(check_id='demo', subject='squares', status='PASS', witness=None)
+    >>> _compare("demo", "squares", [("table", (0, 1, 4), (0, 1, 4), FAIL),
+    ...                              ("formula", (0, 1, 4, 9), (0, 1, 5), FAIL)])
+    ... # doctest: +NORMALIZE_WHITESPACE
+    CheckReport(check_id='demo', subject='squares (formula)', status='FAIL',
+                witness=Witness(n=2, expected='4', actual='5'))
+    """
+    for label, expected, actual, status in legs:
+        for n, (e, a) in enumerate(zip(expected, actual)):
+            if e != a:
+                witness = Witness(n, str(e), str(a))
+                return CheckReport(check_id, f"{subject} ({label})", status, witness)
+    return CheckReport(check_id, subject, PASS)
 
 
 # ---------------------------------------------------------------------------
@@ -181,31 +214,14 @@ def verify_equation(eq_id: str, order: int = DEFAULT_ORDER) -> CheckReport:
     if spec is None:
         known = ", ".join(sorted(EQUATIONS))
         raise KeyError(f"unknown equation {eq_id!r}; registered: {known}")
-    residual = spec.build(order + spec.margin)
-    check_id = f"equation:{eq_id}"
-    bad = residual.first_nonzero()
-    if bad is None or bad > order:
-        return CheckReport(check_id, spec.subject, PASS)
-    return CheckReport(
-        check_id,
-        spec.subject,
-        FAIL,
-        Witness(bad, "0", format_upoly(residual.coeff(bad))),
-    )
+    residual = spec.build(order + spec.margin).coeffs
+    zeros = (UPoly(),) * (order + 1)
+    return _compare(f"equation:{eq_id}", spec.subject, [("residual", zeros, residual, FAIL)])
 
 
 # ---------------------------------------------------------------------------
-# Theorem checks: oracle rows vs closed form vs pinned expansion.
+# The checks: the theorems, then the rest of the battery.
 # ---------------------------------------------------------------------------
-
-
-def _first_row_mismatch(
-    expected: Sequence[UPoly], actual: Sequence[UPoly]
-) -> Witness | None:
-    for n, (e, a) in enumerate(zip(expected, actual)):
-        if e != a:
-            return Witness(n, format_upoly(e), format_upoly(a))
-    return None
 
 
 def verify_theorem(
@@ -233,64 +249,37 @@ def verify_theorem(
     # every leg reads one series, taken to every oracle and pinned row whatever the order
     reach = max(order, len(oracle_rows) - 1, len(pinned) - 1)
     e = distribution_series(ident, reach)
-    legs = (
+    return _compare(check_id, subject, [
         ("oracle vs series", oracle_rows, e.coeffs, FAIL),
         ("u=0 vs avoidance", avoidance_series(ident, reach).coeffs, e.eval_u(0).coeffs, FAIL),
         ("u=1 vs counts", king_series(reach).coeffs, e.eval_u(1).coeffs, FAIL),
         ("pinned expansion", pinned, e.coeffs, REFERENCE_MISMATCH),
-    )
-    for leg, expected, actual, status in legs:
-        witness = _first_row_mismatch(expected, actual)
-        if witness is not None:
-            return CheckReport(check_id, f"{subject} ({leg})", status, witness)
-    return CheckReport(check_id, subject, PASS)
-
-
-# ---------------------------------------------------------------------------
-# The remaining whole-suite checks.
-# ---------------------------------------------------------------------------
+    ])
 
 
 def _check_counts_methods(kings: Census) -> CheckReport:
-    subject = f"four counting methods agree for n <= {COUNTS_N_MAX}"
-    for n in range(COUNTS_N_MAX + 1):
-        values = {m: count_kings(n, m) for m in ("recurrence", "explicit", "gf")}
-        values["enumerate"] = kings.size(n, KingClass.ALL)
-        expect = KING_COUNTS[n] if n < len(KING_COUNTS) else values["recurrence"]
-        for method, value in values.items():
-            if value != expect:
-                return CheckReport(
-                    "counts:methods",
-                    subject,
-                    FAIL,
-                    Witness(n, str(expect), f"{method}={value}"),
-                )
-    return CheckReport("counts:methods", subject, PASS)
+    ns = range(COUNTS_N_MAX + 1)
+    # past the pinned counts the recurrence stands in for them
+    expect = [KING_COUNTS[n] if n < len(KING_COUNTS) else count_kings(n) for n in ns]
+    counted = {m: [count_kings(n, m) for n in ns] for m in ("recurrence", "explicit", "gf")}
+    counted["enumerate"] = [kings.size(n, KingClass.ALL) for n in ns]
+    legs = [(method, expect, values, FAIL) for method, values in counted.items()]
+    return _compare("counts:methods", f"four counting methods agree for n <= {COUNTS_N_MAX}", legs)
 
 
 def _check_class_counts(kings: Census) -> CheckReport:
     subject = f"restricted-class counts match their series for n <= {CLASSES_N_MAX}"
-    a = king_series(CLASSES_N_MAX)
+    ns = range(CLASSES_N_MAX + 1)
     b = class_series(KingClass.S, CLASSES_N_MAX)
     c = class_series(KingClass.SL, CLASSES_N_MAX)
     series = {KingClass.S: b, KingClass.L: b, KingClass.SL: c, KingClass.LS: c}
-    for n in range(CLASSES_N_MAX + 1):
-        for kc, counts in series.items():
-            want, got = counts.coeff(n).evaluate(0), kings.size(n, kc)
-            if got != want:
-                label = kc.value.upper()
-                return CheckReport(
-                    "counts:classes", subject, FAIL,
-                    Witness(n, f"{label}={want}", f"{label}={got}"),
-                )
-        # the members of ALL that begin with 1 are 1 followed by a shifted S member
-        got = kings.size(n, KingClass.S)
-        want = a.coeff(n).evaluate(0) - kings.size(n - 1, KingClass.S) if n else got
-        if got != want:
-            return CheckReport(
-                "counts:classes", subject, FAIL, Witness(n, f"S={want}", f"S={got}")
-            )
-    return CheckReport("counts:classes", subject, PASS)
+    sizes = {kc: [kings.size(n, kc) for n in ns] for kc in series}
+    legs = [(kc.value.upper(), [r.evaluate(0) for r in f.coeffs], sizes[kc], FAIL)
+            for kc, f in series.items()]
+    # the members of ALL that begin with 1 are 1 followed by a shifted S member
+    s, a = sizes[KingClass.S], king_series(CLASSES_N_MAX).coeffs
+    legs.append(("S from A", [a[n].evaluate(0) - (s[n - 1] if n else 0) for n in ns], s, FAIL))
+    return _compare("counts:classes", subject, legs)
 
 
 def _check_king_characterization() -> CheckReport:
@@ -311,10 +300,28 @@ def _check_pinned_series(
 ) -> CheckReport:
     # the series is taken far enough to meet every pinned row, whatever the order
     pinned = reference_rows(key)
-    witness = _first_row_mismatch(pinned, build(max(order, len(pinned) - 1)).coeffs)
-    if witness is None:
-        return CheckReport(check_id, subject, PASS)
-    return CheckReport(check_id, subject, FAIL, witness)
+    series = build(max(order, len(pinned) - 1))
+    return _compare(check_id, subject, [("pinned expansion", pinned, series.coeffs, FAIL)])
+
+
+# the pinned rows that golden:<key> compares with one computed series each
+_GOLDEN = (
+    ("B", "pinned expansion of the S-class counts", lambda w: class_series(KingClass.S, w)),
+    ("C", "pinned expansion of the SL-class counts", lambda w: class_series(KingClass.SL, w)),
+    ("Atu", "pinned expansion of the strong-point distribution",
+     lambda w: strong_point_series(KingClass.ALL, w)),
+)
+
+
+# Each restricted class, the pattern its strong-point distribution is measured
+# with and the pinned row that distribution follows.  The complement symmetry
+# that maps SL onto LS maps pattern X onto X', so LS is measured with X'.
+_STRONG_POINT_CLASSES = {
+    KingClass.S: ("X", "Btu"),
+    KingClass.L: ("X", "Btu"),
+    KingClass.SL: ("X", "Ctu"),
+    KingClass.LS: ("X'", "Ctu"),
+}
 
 
 def _check_strong_point_class(
@@ -322,22 +329,17 @@ def _check_strong_point_class(
     kings: Census,
     order: int,
 ) -> CheckReport:
-    # The complement symmetry that maps SL onto LS maps pattern X onto X', so
-    # the LS distribution is measured with X'.
-    pattern_id = "X'" if king_class is KingClass.LS else "X"
-    kc_name = king_class.value.upper()
+    pattern_id, pinned_key = _STRONG_POINT_CLASSES[king_class]
     check_id = f"strongpoint:{king_class.value}"
+    kc_name = king_class.value.upper()
     subject = f"strong-point distribution over class {kc_name} (pattern {pattern_id})"
     rows = kings.table(catalog_pattern(pattern_id), king_class).rows
-    pinned = reference_rows("Ctu" if king_class in (KingClass.SL, KingClass.LS) else "Btu")
+    pinned = reference_rows(pinned_key)
     series = strong_point_series(king_class, max(order, len(rows) - 1, len(pinned) - 1))
-    witness = _first_row_mismatch(rows, series.coeffs)
-    if witness is not None:
-        return CheckReport(check_id, subject + " (oracle vs series)", FAIL, witness)
-    witness = _first_row_mismatch(pinned, series.coeffs)
-    if witness is not None:
-        return CheckReport(check_id, subject + " (pinned expansion)", REFERENCE_MISMATCH, witness)
-    return CheckReport(check_id, subject, PASS)
+    return _compare(check_id, subject, [
+        ("oracle vs series", rows, series.coeffs, FAIL),
+        ("pinned expansion", pinned, series.coeffs, REFERENCE_MISMATCH),
+    ])
 
 
 def _check_strong_point_sets(kings: Census, order: int) -> CheckReport:
@@ -352,62 +354,44 @@ def _check_strong_point_sets(kings: Census, order: int) -> CheckReport:
     # X-avoiders in SL onto the X'-avoiders in LS; these are the complements
     # of all X-avoiders exactly when the counts agree.  A count of avoiders
     # is the u^0 term of a distribution row.
-    full = kings.table(catalog_pattern("X"), KingClass.ALL).rows
-    claims = [
-        (kings.table(catalog_pattern("X"), kc).rows,
-         f"class {kc.value} avoider set equals the full set")
-        for kc in (KingClass.S, KingClass.L, KingClass.SL)
-    ] + [
-        (kings.table(catalog_pattern("X'"), KingClass.LS).rows,
-         "LS avoiders of X' = complements of the X avoiders")
+    def avoiders(pattern_id: str, kc: KingClass) -> list[int]:
+        return [row.coeff(0) for row in kings.table(catalog_pattern(pattern_id), kc).rows]
+
+    full = avoiders("X", KingClass.ALL)
+    series = strong_point_avoiders(max(order, len(full) - 1)).coeffs
+    legs = [("X avoiders vs series", [p.evaluate(0) for p in series], full, FAIL)]
+    legs += [
+        (f"{pattern_id} avoiders in {kc.value.upper()}", full, avoiders(pattern_id, kc), FAIL)
+        for kc, (pattern_id, _) in _STRONG_POINT_CLASSES.items()
     ]
     subject = f"strong-point avoider sets coincide across classes for n <= {len(full) - 1}"
-    p_series = strong_point_avoiders(max(order, len(full) - 1))
-    for n, row in enumerate(full):
-        avoiders, expected = row.coeff(0), p_series.coeff(n).evaluate(0)
-        if avoiders != expected:
-            return CheckReport(
-                "strongpoint:sets", subject, FAIL,
-                Witness(n, f"|K({n})(X)|={expected}", str(avoiders)),
-            )
-        for rows, claim in claims:
-            if rows[n].coeff(0) != avoiders:
-                return CheckReport(
-                    "strongpoint:sets", subject, FAIL,
-                    Witness(n, claim, f"{rows[n].coeff(0)} avoiders, not {avoiders}"),
-                )
-    return CheckReport("strongpoint:sets", subject, PASS)
+    return _compare("strongpoint:sets", subject, legs)
 
 
 def _check_halving(n_max: int, oracle_rows: Sequence[UPoly]) -> CheckReport:
     subject = f"pattern 10: half avoid, half contain exactly once (2 <= n <= {n_max})"
-    for n in range(2, n_max + 1):
-        an = count_kings(n)
-        row = oracle_rows[n]
-        expected = UPoly((an // 2, an // 2))
-        if an % 2 or row != expected:
-            return CheckReport(
-                "halving:10", subject, FAIL,
-                Witness(n, format_upoly(expected), format_upoly(row)),
-            )
-    return CheckReport("halving:10", subject, PASS)
+    rows = oracle_rows[: n_max + 1]
+    counts = [count_kings(n) for n in range(2, n_max + 1)]
+    # the claim starts at n = 2 (A_0 = A_1 = 1): the rows below it are expected as they are
+    halves = [*rows[:2], *(UPoly((an // 2, an // 2)) for an in counts)]
+    odd = [0, 0, *(an % 2 for an in counts)]
+    return _compare("halving:10", subject, [
+        ("half and half", halves, rows, FAIL),
+        ("A_n even", [0] * len(odd), odd, FAIL),
+    ])
 
 
 def _check_open_mass(ident: str, rows: Sequence[UPoly], n_max: int) -> CheckReport:
+    check_id = f"mass:{ident}"
     subject = f"pattern {ident}: exhaustive rows are nonnegative with total mass A_n"
-    for n in range(n_max + 1):
-        row = rows[n]
+    rows = rows[: n_max + 1]
+    for n, row in enumerate(rows):
         if any(c < 0 for c in row.coeffs):
-            return CheckReport(
-                f"mass:{ident}", subject, FAIL,
-                Witness(n, "nonnegative coefficients", format_upoly(row)),
-            )
-        if row.evaluate(1) != count_kings(n):
-            return CheckReport(
-                f"mass:{ident}", subject, FAIL,
-                Witness(n, str(count_kings(n)), str(row.evaluate(1))),
-            )
-    return CheckReport(f"mass:{ident}", subject, PASS)
+            witness = Witness(n, "nonnegative coefficients", str(row))
+            return CheckReport(check_id, subject, FAIL, witness)
+    counts = [count_kings(n) for n in range(n_max + 1)]
+    masses = [row.evaluate(1) for row in rows]
+    return _compare(check_id, subject, [("total mass", counts, masses, FAIL)])
 
 
 def verify_all(
@@ -416,43 +400,28 @@ def verify_all(
     jobs: int = 1,
 ) -> list[CheckReport]:
     """Run the whole battery and return the reports sorted by check id."""
+    if order < 0:
+        raise ValueError("order must be nonnegative")
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
     entries = catalog()
     top = max(COUNTS_N_MAX, CLASSES_N_MAX, n_max)
     kings = census([e.pattern for e in entries], top, KingClass.ALL, jobs, pattern_n_max=n_max)
-    reports: list[CheckReport] = []
-    reports.append(_check_counts_methods(kings))
-    reports.append(_check_class_counts(kings))
-    reports.append(_check_king_characterization())
-    reports.append(
-        _check_pinned_series("golden:B", "pinned expansion of the S-class counts",
-                             lambda w: class_series(KingClass.S, w), "B", order)
-    )
-    reports.append(
-        _check_pinned_series("golden:C", "pinned expansion of the SL-class counts",
-                             lambda w: class_series(KingClass.SL, w), "C", order)
-    )
-    reports.append(
-        _check_pinned_series("golden:Atu", "pinned expansion of the strong-point distribution",
-                             lambda w: strong_point_series(KingClass.ALL, w), "Atu", order)
-    )
-
-    rows_by_ident = {e.ident: kings.table(e.pattern, KingClass.ALL).rows for e in entries}
-    for ident in SOLVED:
-        reports.append(
-            verify_theorem(ident, order, n_max, jobs, oracle_rows=rows_by_ident[ident])
-        )
-    for kc in (KingClass.S, KingClass.L, KingClass.SL, KingClass.LS):
-        reports.append(_check_strong_point_class(kc, kings, order))
-    reports.append(_check_strong_point_sets(kings, order))
-    reports.append(_check_halving(n_max, rows_by_ident["10"]))
-    for ident in OPEN_IDS:
-        reports.append(_check_open_mass(ident, rows_by_ident[ident], n_max))
-    for eq_id in EQUATIONS:
-        reports.append(verify_equation(eq_id, order))
-    reports.sort(key=lambda r: r.check_id)
-    return reports
+    rows = {e.ident: kings.table(e.pattern, KingClass.ALL).rows for e in entries}
+    reports = [
+        _check_counts_methods(kings),
+        _check_class_counts(kings),
+        _check_king_characterization(),
+        *(_check_pinned_series(f"golden:{key}", subject, build, key, order)
+          for key, subject, build in _GOLDEN),
+        *(verify_theorem(i, order, n_max, jobs, oracle_rows=rows[i]) for i in SOLVED),
+        *(_check_strong_point_class(kc, kings, order) for kc in _STRONG_POINT_CLASSES),
+        _check_strong_point_sets(kings, order),
+        _check_halving(n_max, rows["10"]),
+        *(_check_open_mass(i, rows[i], n_max) for i in OPEN_IDS),
+        *(verify_equation(eq_id, order) for eq_id in EQUATIONS),
+    ]
+    return sorted(reports, key=lambda r: r.check_id)
 
 
 # ---------------------------------------------------------------------------
@@ -461,26 +430,15 @@ def verify_all(
 
 
 def report_to_dict(report: CheckReport) -> dict:
-    data: dict = {
-        "id": report.check_id,
-        "subject": report.subject,
-        "status": report.status,
-    }
+    data = {"id": report.check_id, "subject": report.subject, "status": report.status}
     if report.witness is not None:
-        data["witness"] = {
-            "n": report.witness.n,
-            "expected": report.witness.expected,
-            "actual": report.witness.actual,
-        }
+        data["witness"] = asdict(report.witness)
     return data
 
 
 def report_from_dict(data: dict) -> CheckReport:
-    witness = None
-    if "witness" in data and data["witness"] is not None:
-        w = data["witness"]
-        witness = Witness(w["n"], w["expected"], w["actual"])
-    return CheckReport(data["id"], data["subject"], data["status"], witness)
+    w = data.get("witness")
+    return CheckReport(data["id"], data["subject"], data["status"], Witness(**w) if w else None)
 
 
 def reports_to_json(reports: Iterable[CheckReport]) -> str:

@@ -199,6 +199,7 @@ class TestVerify:
             (("--all", "--n-max", "-1"), "n_max must be nonnegative"),
             (("--theorem", "16", "--n-max", "-1"), "n_max must be nonnegative"),
             (("--theorem", "16", "--order", "-1"), "order must be nonnegative"),
+            (("--all", "--order", "-1"), "order must be nonnegative"),
         ],
     )
     def test_negative_range_is_usage_error(self, capsys, argv, message):

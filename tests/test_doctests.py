@@ -2,10 +2,11 @@ import doctest
 
 import kingmesh.kings
 import kingmesh.mesh
+import kingmesh.verify
 
 
 def test_docstring_examples():
-    for module in (kingmesh.kings, kingmesh.mesh):
+    for module in (kingmesh.kings, kingmesh.mesh, kingmesh.verify):
         result = doctest.testmod(module, verbose=False)
         assert result.failed == 0, module.__name__
         assert result.attempted > 0, module.__name__

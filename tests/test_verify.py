@@ -9,10 +9,11 @@ import kingmesh.kings as kings_mod
 import kingmesh.oracle as oracle_mod
 from kingmesh.gfs import class_series
 from kingmesh.kings import KingClass
-from kingmesh.mesh import SOLVED_IDS, catalog_pattern
+from kingmesh.mesh import OPEN_IDS, SOLVED_IDS, catalog_pattern
 from kingmesh.oracle import Census, census, distribution_table
 from kingmesh.series import Series, UPoly, format_upoly, parse_upoly
 from kingmesh.verify import (
+    COUNTS_N_MAX,
     EQUATIONS,
     FAIL,
     PASS,
@@ -20,6 +21,9 @@ from kingmesh.verify import (
     KING_COUNTS,
     CheckReport,
     Witness,
+    _check_class_counts,
+    _check_counts_methods,
+    _check_open_mass,
     _check_pinned_series,
     _check_strong_point_class,
     _check_strong_point_sets,
@@ -303,3 +307,58 @@ def test_strong_point_class_compares_the_whole_pinned_expansion(monkeypatch):
     report = _check_strong_point_class(KingClass.S, kings, 3)
     assert report.status == REFERENCE_MISMATCH
     assert (report.witness.n, report.witness.expected) == (n, bumped)
+
+
+def test_verify_all_rejects_a_negative_order_before_the_census(monkeypatch):
+    import kingmesh.verify as verify_mod
+
+    def no_census(*args, **kwargs):
+        raise AssertionError("the census ran before the order was checked")
+
+    monkeypatch.setattr(verify_mod, "census", no_census)
+    with pytest.raises(ValueError, match="order must be nonnegative"):
+        verify_all(order=-1)
+
+
+@pytest.fixture(scope="module")
+def sizes_census():
+    """Class sizes through the counting range, no pattern counted."""
+    return census((), COUNTS_N_MAX)
+
+
+def test_counts_methods_names_the_method_that_is_off(monkeypatch, sizes_census):
+    assert _check_counts_methods(sizes_census).status == PASS
+    right = kings_mod._count_by_explicit
+    monkeypatch.setattr(kings_mod, "_count_by_explicit", lambda n: right(n) + (n == 7))
+    report = _check_counts_methods(sizes_census)
+    assert report.status == FAIL
+    assert report.subject.endswith("(explicit)")
+    assert (report.witness.n, report.witness.expected, report.witness.actual) == (
+        7, str(KING_COUNTS[7]), str(KING_COUNTS[7] + 1)
+    )
+
+
+def test_class_counts_name_the_class_that_is_off(sizes_census):
+    class OffAtNine(Census):
+        def size(self, n, king_class):
+            return super().size(n, king_class) + (n == 9 and king_class is KingClass.LS)
+
+    assert _check_class_counts(sizes_census).status == PASS
+    faulty = OffAtNine(sizes_census.patterns, sizes_census.pattern_n_max, sizes_census.tallies)
+    report = _check_class_counts(faulty)
+    assert report.status == FAIL
+    assert report.subject.endswith("(LS)")
+    assert report.witness.n == 9
+    assert int(report.witness.actual) == int(report.witness.expected) + 1
+
+
+def test_open_mass_catches_a_row_whose_mass_is_off(catalog_sweep_9):
+    ident = OPEN_IDS[0]
+    rows = list(catalog_sweep_9[ident].rows)
+    assert _check_open_mass(ident, rows, 9).status == PASS
+    rows[6] = rows[6] + UPoly((0, 1))
+    report = _check_open_mass(ident, tuple(rows), 9)
+    assert report.status == FAIL
+    assert report.subject.endswith("(total mass)")
+    assert report.witness.n == 6
+    assert int(report.witness.actual) == int(report.witness.expected) + 1
