@@ -12,7 +12,7 @@ problem).
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Iterable
 
 
 class NonUnitConstantTermError(ArithmeticError):
@@ -89,13 +89,6 @@ class UPoly:
             raise ValueError(f"{self} is not divisible by u^{k}")
         return UPoly(self._c[k:])
 
-    def _scaled(self, factor: int) -> "UPoly":
-        if factor == 0:
-            return _UP_ZERO
-        if factor == 1:
-            return self
-        return UPoly(c * factor for c in self._c)
-
     def __add__(self, other):
         other = _as_upoly(other)
         if other is NotImplemented:
@@ -129,28 +122,9 @@ class UPoly:
         other = _as_upoly(other)
         if other is NotImplemented:
             return NotImplemented
-        a, b = self._c, other._c
-        if not a or not b:
-            return _UP_ZERO
-        if len(a) == 1:
-            return other._scaled(a[0])
-        if len(b) == 1:
-            return self._scaled(b[0])
-        # Single-term operands are common (substituted series have monomial
-        # coefficients); shifting beats the quadratic loop there.
-        ia = _single_term_index(a)
-        if ia >= 0:
-            return other._scaled(a[ia]).shift(ia)
-        ib = _single_term_index(b)
-        if ib >= 0:
-            return self._scaled(b[ib]).shift(ib)
-        out = [0] * (len(a) + len(b) - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    if y:
-                        out[i + j] += x * y
-        return UPoly(out)
+        row: list[int] = []
+        _add_product(row, _nonzero(self), _nonzero(other))
+        return UPoly(row)
 
     __rmul__ = __mul__
 
@@ -171,23 +145,35 @@ class UPoly:
         return format_upoly(self)
 
 
-def _single_term_index(coeffs: Sequence[int]) -> int:
-    """Index of the only nonzero entry, or -1 if there are several."""
-    found = -1
-    for i, c in enumerate(coeffs):
-        if c:
-            if found >= 0:
-                return -1
-            found = i
-    return found
-
-
 def _as_upoly(value) -> "UPoly":
+    """value as a UPoly, or NotImplemented unless it is an int or a UPoly."""
     if isinstance(value, UPoly):
         return value
     if isinstance(value, int):
         return UPoly((value,))
     return NotImplemented
+
+
+def _nonzero(p: UPoly) -> list[tuple[int, int]]:
+    """The nonzero (power, coefficient) pairs of p, ascending in power."""
+    return [(k, c) for k, c in enumerate(p._c) if c]
+
+
+def _add_product(row: list[int], xs, ys, sign: int = 1) -> None:
+    """Add sign * x * y into the coefficient row, for x and y given by their
+    nonzero (power, coefficient) pairs; the row first grows to the top power.
+
+    This is the one product kernel of the ring.  A sparse loop costs
+    len(xs) * len(ys), so monomial and constant operands need no shortcut."""
+    if not xs or not ys:
+        return
+    top = xs[-1][0] + ys[-1][0] + 1
+    if len(row) < top:
+        row.extend([0] * (top - len(row)))
+    for i, x in xs:
+        x *= sign
+        for j, y in ys:
+            row[i + j] += x * y
 
 
 _UP_ZERO = UPoly()
@@ -269,7 +255,9 @@ class Series:
     def __init__(self, order: int, coeffs: Iterable = ()):
         if order < 0:
             raise ValueError("order must be nonnegative")
-        c = [_coerce_coeff(x) for x in coeffs]
+        c = [_as_upoly(x) for x in coeffs]
+        if any(x is NotImplemented for x in c):
+            raise TypeError("series coefficients must be ints or UPolys")
         if len(c) > order + 1:
             raise ValueError("more coefficients than the order allows")
         c.extend([_UP_ZERO] * (order + 1 - len(c)))
@@ -349,23 +337,21 @@ class Series:
         return Series(self._order, (-a for a in self._c))
 
     def __mul__(self, other):
-        if isinstance(other, (int, UPoly)):
-            f = _as_upoly(other)
-            return Series(self._order, (a * f for a in self._c))
-        if not isinstance(other, Series):
+        other = self._coerce(other)
+        if other is NotImplemented:
             return NotImplemented
         self._check_order(other)
         n = self._order
-        out = [_UP_ZERO] * (n + 1)
-        b = other._c
-        for i, x in enumerate(self._c):
-            if x.is_zero:
-                continue
-            for j in range(n + 1 - i):
-                y = b[j]
-                if not y.is_zero:
-                    out[i + j] = out[i + j] + x * y
-        return Series(n, out)
+        xs = [(i, _nonzero(a)) for i, a in enumerate(self._c) if a._c]
+        ys = [(j, _nonzero(b)) for j, b in enumerate(other._c) if b._c]
+        # one integer row per t-slot; a UPoly is made per slot, not per term
+        rows: list[list[int]] = [[] for _ in range(n + 1)]
+        for i, x in xs:
+            for j, y in ys:
+                if i + j > n:
+                    break
+                _add_product(rows[i + j], x, y)
+        return Series(n, map(UPoly, rows))
 
     __rmul__ = __mul__
 
@@ -373,7 +359,11 @@ class Series:
         """The unique q with divisor*q == self up to the truncation order.
 
         Requires the t^0 coefficient of the divisor to be the constant +1 or
-        -1 (forward substitution stays in Z[u])."""
+        -1 (forward substitution stays in Z[u]).
+
+        >>> print(Series.one(4) / (Series.one(4) + Series.t(4)))
+        1 + -1*t + t^2 + -1*t^3 + t^4
+        """
         divisor = self._coerce(other)
         if divisor is NotImplemented:
             return NotImplemented
@@ -382,19 +372,20 @@ class Series:
         if b0.degree > 0 or b0.coeff(0) not in (1, -1):
             raise NonUnitConstantTermError(b0)
         inv = b0.coeff(0)
-        n = self._order
-        b_terms = [(m, c) for m, c in enumerate(divisor._c) if m > 0 and not c.is_zero]
+        bs = [(m, _nonzero(b)) for m, b in enumerate(divisor._c) if m and b._c]
         out: list[UPoly] = []
-        for k in range(n + 1):
-            acc = self._c[k]
-            for m, c in b_terms:
+        qs: list[list[tuple[int, int]]] = []
+        for k, a in enumerate(self._c):
+            # q_k = (a_k - sum of b_m * q_(k-m) over m >= 1) / b_0
+            row = list(a._c)
+            for m, b in bs:
                 if m > k:
                     break
-                q = out[k - m]
-                if not q.is_zero:
-                    acc = acc - c * q
-            out.append(acc._scaled(inv))
-        return Series(n, out)
+                _add_product(row, b, qs[k - m], -1)
+            q = UPoly(inv * c for c in row)
+            out.append(q)
+            qs.append(_nonzero(q))
+        return Series(self._order, out)
 
     def _coerce(self, other):
         if isinstance(other, Series):
@@ -478,11 +469,3 @@ class Series:
                 tpart = "t" if n == 1 else f"t^{n}"
                 parts.append(tpart if body == "1" else f"{body}*{tpart}")
         return " + ".join(parts) if parts else "0"
-
-
-def _coerce_coeff(value) -> UPoly:
-    if isinstance(value, UPoly):
-        return value
-    if isinstance(value, int):
-        return UPoly((value,))
-    raise TypeError(f"cannot use {value!r} as a series coefficient")

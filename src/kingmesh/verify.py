@@ -21,6 +21,9 @@ Every check that compares rows decides through `_compare`: it lists its legs,
 each a label, the expected rows, the actual rows and the status a mismatch
 earns.  The first row that differs, in the first leg that differs, is the
 witness (its n, expected and actual value), and the subject names that leg.
+In a leg named ``X vs Y``, X is the actual side and Y the expected one: the
+census row, or the closed form under a substitution, is judged against the
+closed form it should equal.
 Only ``kingchar``, whose witness is a permutation, and the sign test of
 ``mass:*`` decide on their own.
 """
@@ -123,7 +126,8 @@ REFERENCE_EXPANSIONS: dict[str, tuple[str, ...]] = {
     "A": A_ROW + ("5296790", "63779034"),
     "B": ("1", "0", "0", "0", "2", "12", "78", "568", "4674", "42948", "436358"),
     "C": ("1", "0", "0", "0", "2", "10", "68", "500", "4174", "38774", "397584"),
-    "Atu": ("1", "u", "0", "0", "2", "10+4u", "68+20u+2u^2", "500+136u+10u^2"),
+    # the strong-point distribution over ALL is the distribution of pattern X
+    "Atu": SOLVED["X"].expansion,
     "Btu": ("1", "0", "0", "0", "2", "10+2u", "68+10u", "500+68u", "4174+500u"),
     "Ctu": ("1", "0", "0", "0", "2", "10", "68", "500", "4174"),
     **{f"E:{ident}": record.expansion for ident, record in SOLVED.items()},
@@ -250,7 +254,7 @@ def verify_theorem(
     reach = max(order, len(oracle_rows) - 1, len(pinned) - 1)
     e = distribution_series(ident, reach)
     return _compare(check_id, subject, [
-        ("oracle vs series", oracle_rows, e.coeffs, FAIL),
+        ("oracle vs series", e.coeffs, oracle_rows, FAIL),
         ("u=0 vs avoidance", avoidance_series(ident, reach).coeffs, e.eval_u(0).coeffs, FAIL),
         ("u=1 vs counts", king_series(reach).coeffs, e.eval_u(1).coeffs, FAIL),
         ("pinned expansion", pinned, e.coeffs, REFERENCE_MISMATCH),
@@ -270,12 +274,11 @@ def _check_counts_methods(kings: Census) -> CheckReport:
 def _check_class_counts(kings: Census) -> CheckReport:
     subject = f"restricted-class counts match their series for n <= {CLASSES_N_MAX}"
     ns = range(CLASSES_N_MAX + 1)
-    b = class_series(KingClass.S, CLASSES_N_MAX)
-    c = class_series(KingClass.SL, CLASSES_N_MAX)
-    series = {KingClass.S: b, KingClass.L: b, KingClass.SL: c, KingClass.LS: c}
-    sizes = {kc: [kings.size(n, kc) for n in ns] for kc in series}
-    legs = [(kc.value.upper(), [r.evaluate(0) for r in f.coeffs], sizes[kc], FAIL)
-            for kc, f in series.items()]
+    classes = (KingClass.S, KingClass.L, KingClass.SL, KingClass.LS)
+    sizes = {kc: [kings.size(n, kc) for n in ns] for kc in classes}
+    series = {kc: class_series(kc, CLASSES_N_MAX).coeffs for kc in classes}
+    legs = [(kc.value.upper(), [r.evaluate(0) for r in series[kc]], sizes[kc], FAIL)
+            for kc in classes]
     # the members of ALL that begin with 1 are 1 followed by a shifted S member
     s, a = sizes[KingClass.S], king_series(CLASSES_N_MAX).coeffs
     legs.append(("S from A", [a[n].evaluate(0) - (s[n - 1] if n else 0) for n in ns], s, FAIL))
@@ -337,7 +340,7 @@ def _check_strong_point_class(
     pinned = reference_rows(pinned_key)
     series = strong_point_series(king_class, max(order, len(rows) - 1, len(pinned) - 1))
     return _compare(check_id, subject, [
-        ("oracle vs series", rows, series.coeffs, FAIL),
+        ("oracle vs series", series.coeffs, rows, FAIL),
         ("pinned expansion", pinned, series.coeffs, REFERENCE_MISMATCH),
     ])
 

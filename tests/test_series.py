@@ -30,13 +30,65 @@ def series(order=12, **kwargs):
     )
 
 
-def unit_series(order=20):
+def unit_series(order=20, coefficients=upolys()):
     """Series with constant term +-1, the divisible ones."""
     return st.builds(
         lambda sign, cs: Series(order, [UPoly.const(sign)] + cs),
         st.sampled_from((1, -1)),
-        st.lists(upolys(), max_size=order),
+        st.lists(coefficients, max_size=order),
     )
+
+
+def sparse_upolys(max_degree=400, max_coeff=10**6):
+    """Zero, monomial and two-term polynomials up to u-degree max_degree, the
+    shapes subst_ut produces, with coefficients of either sign."""
+    term = st.tuples(
+        st.integers(min_value=0, max_value=max_degree),
+        st.integers(min_value=-max_coeff, max_value=max_coeff),
+    )
+    return st.lists(term, max_size=2).map(upoly_of)
+
+
+def sparse_series(order=8):
+    return st.builds(
+        lambda cs: Series(order, cs), st.lists(sparse_upolys(), max_size=order + 1)
+    )
+
+
+# Schoolbook reference: a polynomial is a dict {power: coefficient} without
+# zero entries, a series a list of such dicts, one per power of t.
+
+
+def upoly_of(terms):
+    coeffs = {}
+    for k, c in terms:
+        coeffs[k] = coeffs.get(k, 0) + c
+    return UPoly([coeffs.get(k, 0) for k in range(max(coeffs, default=-1) + 1)])
+
+
+def as_dict(p):
+    return {k: c for k, c in enumerate(p.coeffs) if c}
+
+
+def dict_add_product(out, a, b):
+    for i, x in a.items():
+        for j, y in b.items():
+            out[i + j] = out.get(i + j, 0) + x * y
+            if not out[i + j]:
+                del out[i + j]
+
+
+def dict_series_mul(a, b):
+    order = len(a) - 1
+    out = [{} for _ in a]
+    for i, x in enumerate(a):
+        for j, y in enumerate(b[: order + 1 - i]):
+            dict_add_product(out[i + j], x, y)
+    return out
+
+
+def as_dicts(s):
+    return [as_dict(c) for c in s.coeffs]
 
 
 class TestUPoly:
@@ -77,6 +129,15 @@ class TestUPoly:
         assert (a + b) + c == a + (b + c)
         assert (a * b) * c == a * (b * c)
         assert a * (b + c) == a * b + a * c
+
+    @given(
+        st.one_of(sparse_upolys(), upolys(max_coeff=10**6)),
+        st.one_of(sparse_upolys(), upolys(max_coeff=10**6)),
+    )
+    def test_product_matches_schoolbook(self, a, b):
+        expected = {}
+        dict_add_product(expected, as_dict(a), as_dict(b))
+        assert as_dict(a * b) == expected
 
     @given(upolys(max_degree=6, max_coeff=999))
     def test_string_round_trip(self, p):
@@ -142,6 +203,32 @@ class TestSeries:
     def test_division_inverts_multiplication(self, a, b):
         assert (a / b) * b == a
         assert (a * b) / b == a
+
+    @given(sparse_series(), st.one_of(sparse_series(), unit_series(order=8)))
+    @settings(max_examples=60, deadline=None)
+    def test_product_matches_schoolbook(self, a, b):
+        assert as_dicts(a * b) == dict_series_mul(as_dicts(a), as_dicts(b))
+
+    @given(sparse_series(), sparse_upolys())
+    @settings(max_examples=60, deadline=None)
+    def test_coefficient_product_matches_schoolbook(self, a, f):
+        expected = [{} for _ in a.coeffs]
+        for n, c in enumerate(as_dicts(a)):
+            dict_add_product(expected[n], c, as_dict(f))
+        assert as_dicts(a * f) == as_dicts(f * a) == expected
+
+    @given(sparse_series(order=6), unit_series(order=6, coefficients=sparse_upolys()))
+    @settings(max_examples=60, deadline=None)
+    def test_quotient_matches_schoolbook(self, a, b):
+        # b is a unit, so q is the quotient exactly when b * q == a
+        q = a / b
+        assert dict_series_mul(as_dicts(b), as_dicts(q)) == as_dicts(a)
+
+    def test_coefficients_must_be_ints_or_upolys(self):
+        with pytest.raises(TypeError):
+            Series(3, [object()])
+        with pytest.raises(TypeError):
+            Series(3, [1, 2.0])
 
     def test_subst_ut(self):
         s = Series.from_ints(2, (1, 1, 1))

@@ -362,3 +362,35 @@ def test_open_mass_catches_a_row_whose_mass_is_off(catalog_sweep_9):
     assert report.subject.endswith("(total mass)")
     assert report.witness.n == 6
     assert int(report.witness.actual) == int(report.witness.expected) + 1
+
+
+def test_theorem_oracle_leg_expects_the_closed_form(catalog_sweep_9):
+    # in "oracle vs series" the census row is the actual side
+    rows = list(catalog_sweep_9["16"].rows)
+    rows[5] = rows[5] + UPoly((1,))
+    report = verify_theorem("16", order=10, n_max=9, oracle_rows=tuple(rows))
+    assert report.status == FAIL
+    assert report.subject.endswith("(oracle vs series)")
+    assert (report.witness.n, report.witness.expected, report.witness.actual) == (
+        5, "12+2u^4", "13+2u^4"
+    )
+
+
+def test_strong_point_oracle_leg_expects_the_closed_form():
+    x = catalog_pattern("X")
+
+    class OffByOne(Census):
+        def table(self, pattern, king_class):
+            table = super().table(pattern, king_class)
+            if pattern != x or king_class is not KingClass.SL:
+                return table
+            rows = list(table.rows)
+            rows[6] = rows[6] + UPoly((1,))
+            return replace(table, rows=tuple(rows))
+
+    real = census([x, catalog_pattern("X'")], 7)
+    faulty = OffByOne(real.patterns, real.pattern_n_max, real.tallies)
+    report = _check_strong_point_class(KingClass.SL, faulty, 8)
+    assert report.status == FAIL
+    assert report.subject.endswith("(oracle vs series)")
+    assert (report.witness.n, report.witness.expected, report.witness.actual) == (6, "68", "69")
