@@ -392,9 +392,6 @@ def distribution_series(ident: str, order: int) -> Series:
     return SOLVED[ident].distribution(Terms(order))
 
 
-_BASE_CLASSES = {"A": KingClass.ALL, "B": KingClass.S, "C": KingClass.SL}
-
-
 def series_by_name(name: str, order: int) -> Series:
     """Resolve a CLI-style series name.
 
@@ -405,10 +402,7 @@ def series_by_name(name: str, order: int) -> Series:
     distribution series.
     """
     if name in BASE_NAMES:
-        kc = _BASE_CLASSES[name[0]]
-        if name.endswith("tu"):
-            return strong_point_series(kc, order)
-        return class_series(kc, order)
+        return getattr(Terms(order), name.lower())
     if name.startswith("P:"):
         return avoidance_series(name[2:], order)
     if name.startswith("E:"):

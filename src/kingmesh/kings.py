@@ -64,6 +64,11 @@ def is_permutation(values: Sequence[int]) -> bool:
     return True
 
 
+def perm_text(p: Sequence[int], sep: str) -> str:
+    """The entries as one digit string, or joined by ``sep`` once one has two digits."""
+    return (sep if p and max(p) > 9 else "").join(map(str, p))
+
+
 def is_king(p: Sequence[int]) -> bool:
     """True when all adjacent entries differ by more than 1 (vacuous for n <= 1).
 
@@ -263,6 +268,8 @@ def tally_subtree(n: int, first: int, forbid_last: int) -> list[int]:
 
 
 def _count_by_walk(n: int, king_class: KingClass) -> int:
+    if n < 0:
+        raise ValueError("n must be nonnegative")
     if n == 0:
         return 1
     firsts, last = class_ends(n, king_class)
@@ -325,7 +332,8 @@ def count_kings(n: int, method: str = "recurrence") -> int:
 
 
 def count_class(n: int, king_class: KingClass, method: str = "enumerate") -> int:
-    """Cardinality of a restricted class at length n (``gf`` or ``enumerate``)."""
+    """Cardinality of a class at length n: ALL by any method of
+    :func:`count_kings`, a restricted class by ``gf`` or ``enumerate`` only."""
     kc = KingClass(king_class)
     if kc is KingClass.ALL:
         return count_kings(n, method)
@@ -335,4 +343,7 @@ def count_class(n: int, king_class: KingClass, method: str = "enumerate") -> int
         from .gfs import class_series
 
         return class_series(kc, n).coeff(n).evaluate(0)
-    raise ValueError(f"method {method!r} does not support restricted classes")
+    raise ValueError(
+        f"method {method!r} counts only the unrestricted class; "
+        "gf and enumerate count restricted classes"
+    )

@@ -23,7 +23,7 @@ from itertools import accumulate, combinations
 from operator import or_
 from typing import Iterable, Sequence
 
-from .kings import Perm, is_permutation
+from .kings import Perm, is_permutation, perm_text
 
 Box = tuple[int, int]
 
@@ -149,7 +149,7 @@ def catalog_pattern(ident: str | int) -> MeshPattern:
 
 # ---------------------------------------------------------------------------
 # Text format:  pattern := "mesh(" k ";" tau ";" boxes ")" | "nr:" ident
-#               tau     := digit+ | int (";" int)*
+#               tau     := digit+ | int (";" int)*, or nothing when k = 0
 #               boxes   := "{" [box ("," box)*] "}" ;  box := "(" int "," int ")"
 # Whitespace is ignored everywhere.
 # ---------------------------------------------------------------------------
@@ -157,10 +157,7 @@ def catalog_pattern(ident: str | int) -> MeshPattern:
 
 def render_pattern(p: MeshPattern) -> str:
     k = p.length
-    if k and max(p.tau) > 9:
-        tau = ";".join(str(v) for v in p.tau)
-    else:
-        tau = "".join(str(v) for v in p.tau)
+    tau = perm_text(p.tau, ";")
     boxes = ",".join(f"({i},{j})" for i, j in sorted(p.shaded))
     return f"mesh({k};{tau};{{{boxes}}})"
 
@@ -235,6 +232,8 @@ def _parse_tau(s: _Scanner, k: int) -> tuple[int, ...]:
     # The digit-string form and the ";"-separated form share the ";" that also
     # precedes the boxes, so look ahead: values run until the ";" followed by "{".
     start = s.pos
+    if k == 0 and s.peek() == ";":
+        return ()  # the empty pattern renders with an empty tau
     first = s.integer()
     values = [first]
     while True:

@@ -36,7 +36,7 @@ from .kings import (
     enumerate_kings,
     tally_subtree,
 )
-from .mesh import CompiledPatterns, MeshPattern, occurrence_counts, render_pattern
+from .mesh import CompiledPatterns, MeshPattern, occurrence_counts, parse_pattern, render_pattern
 from .series import UPoly, parse_upoly
 
 
@@ -64,8 +64,6 @@ class DistributionTable:
 
     @staticmethod
     def from_json_dict(data: dict) -> "DistributionTable":
-        from .mesh import parse_pattern
-
         rows = [None] * len(data["rows"])
         for item in data["rows"]:
             rows[item["n"]] = parse_upoly(item["coeff"])

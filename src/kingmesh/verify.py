@@ -32,10 +32,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass
+from functools import partial
 from itertools import permutations as _all_perms
 from typing import Callable, Iterable, Sequence
 
-from .kings import KingClass, count_kings, is_king
+from .kings import KingClass, count_kings, is_king, perm_text
 from .mesh import (
     KING_CROSS_DOWN,
     KING_CROSS_UP,
@@ -54,6 +55,7 @@ from .gfs import (
     class_series,
     distribution_series,
     king_series,
+    series_by_name,
     strong_point_avoiders,
     strong_point_series,
 )
@@ -293,7 +295,7 @@ def _check_king_characterization() -> CheckReport:
             got = avoids(KING_CROSS_UP, p) and avoids(KING_CROSS_DOWN, p)
             if expected != got:
                 return CheckReport(
-                    "kingchar", subject, FAIL, Witness(n, str(expected), "".join(map(str, p)))
+                    "kingchar", subject, FAIL, Witness(n, str(expected), perm_text(p, " "))
                 )
     return CheckReport("kingchar", subject, PASS)
 
@@ -307,12 +309,11 @@ def _check_pinned_series(
     return _compare(check_id, subject, [("pinned expansion", pinned, series.coeffs, FAIL)])
 
 
-# the pinned rows that golden:<key> compares with one computed series each
+# the pinned rows that golden:<key> compares with the series named key
 _GOLDEN = (
-    ("B", "pinned expansion of the S-class counts", lambda w: class_series(KingClass.S, w)),
-    ("C", "pinned expansion of the SL-class counts", lambda w: class_series(KingClass.SL, w)),
-    ("Atu", "pinned expansion of the strong-point distribution",
-     lambda w: strong_point_series(KingClass.ALL, w)),
+    ("B", "pinned expansion of the S-class counts"),
+    ("C", "pinned expansion of the SL-class counts"),
+    ("Atu", "pinned expansion of the strong-point distribution"),
 )
 
 
@@ -415,8 +416,8 @@ def verify_all(
         _check_counts_methods(kings),
         _check_class_counts(kings),
         _check_king_characterization(),
-        *(_check_pinned_series(f"golden:{key}", subject, build, key, order)
-          for key, subject, build in _GOLDEN),
+        *(_check_pinned_series(f"golden:{key}", subject, partial(series_by_name, key), key, order)
+          for key, subject in _GOLDEN),
         *(verify_theorem(i, order, n_max, jobs, oracle_rows=rows[i]) for i in SOLVED),
         *(_check_strong_point_class(kc, kings, order) for kc in _STRONG_POINT_CLASSES),
         _check_strong_point_sets(kings, order),

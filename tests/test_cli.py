@@ -1,6 +1,8 @@
 """Command-line interface: subcommands, exit codes, stable JSON."""
 
+import hashlib
 import json
+import re
 
 import pytest
 
@@ -36,6 +38,20 @@ class TestCount:
         code, _, err = run(capsys, "count", "--n", "5", "--class", "s", "--method", "rec")
         assert code == 2
         assert "class" in err
+
+    def test_restricted_class_message_comes_from_the_library(self, capsys):
+        code, out, err = run(capsys, "count", "--n", "5", "--class", "ls", "--method", "explicit")
+        assert code == 2 and out == ""
+        assert err == (
+            "error: method 'explicit' counts only the unrestricted class; "
+            "gf and enumerate count restricted classes\n"
+        )
+
+    @pytest.mark.parametrize("king_class", ["all", "s", "sl"])
+    def test_negative_length_is_usage_error(self, capsys, king_class):
+        code, out, err = run(capsys, "count", "--n", "-1", "--class", king_class, "--method", "enum")
+        assert code == 2 and out == ""
+        assert err == "error: n must be nonnegative\n"
 
     @pytest.mark.parametrize("fmt", ["table", "json"])
     def test_count_past_the_int_digit_limit(self, capsys, fmt):
@@ -87,6 +103,18 @@ class TestDist:
         assert code == 0
         table = DistributionTable.from_json_dict(json.loads(out))
         assert str(table.row(5)) == "12+2u"
+
+    def test_empty_pattern_text_round_trips(self, capsys):
+        from kingmesh.mesh import MeshPattern
+        from kingmesh.oracle import DistributionTable
+
+        text = "mesh(0;;{(0,0)})"
+        code, out, err = run(capsys, "dist", "--pattern", text, "--n-max", "3", "--format", "json")
+        assert code == 0, err
+        table = DistributionTable.from_json_dict(json.loads(out))
+        assert table.pattern == MeshPattern((), frozenset({(0, 0)}))
+        # the one empty occurrence survives only in the empty host
+        assert [str(r) for r in table.rows] == ["u", "1", "0", "0"]
 
     def test_malformed_pattern_is_usage_error(self, capsys):
         code, _, err = run(capsys, "dist", "--pattern", "mesh(2;12;{(3,0)})", "--n-max", "4")
@@ -224,3 +252,51 @@ class TestUsage:
 
     def test_no_args(self, capsys):
         assert run(capsys)[0] == 2
+
+
+# Exit code and sha256 of stdout for commands covering every subcommand in both
+# formats, pinned from the output of the if-chain CLI that preceded the parser
+# table: the table must not change a byte.
+CONTRACT = [
+    ("count --n 6", 0, "4393447bd3c1d55ea7f97417ecb1b36a691ccaacaaf2ebd21c59a5acf825fb7b"),
+    ("count --n 6 --format json", 0, "c0b92dd2588e9ef341359b2a5a600852e3099a7a2b3ff484c3ed61bc3b2d2f2d"),
+    ("count --n 7 --class sl --method gf", 0, "792376c209f338959be4cf00c54dbf82662b90516082e23106faec4c43c69e49"),
+    ("count --n 7 --class ls --format json", 0, "6a3d44932fbd824061975999a821ab2f28d70e74642f331ec529c2cc9a0366b2"),
+    ("count --n 5 --class s --method rec", 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("list --n 6", 0, "3ceb278e77f122b0a6e8a520f14fa15de2635dd0373b9446c4c13970ac592b5f"),
+    ("list --n 6 --class ls --format json", 0, "9fd3696f588097b652735f7e35ef8eaaa9218843b05518b4fa4660640aff515f"),
+    ("dist --pattern nr:16 --n-max 6", 0, "8a9e16f070889b257adcdb7dc6ed9d1411703c06beba56cd7367f5d40c71a610"),
+    ("dist --pattern nr:63 --n-max 6 --format json", 0, "18726aa5d98edaeffb0812678cad9fa42b5684faf28a999cc1720cbf162754eb"),
+    ("dist --all --n-max 5", 0, "3c27e1f30751eae1344207e571ada10e5984ae8ca06dfa3ca85bbc584e82efe1"),
+    ("series --name Ctu --order 8", 0, "a0562598a0ac8fe0d0263451d6e33fcdc19faf22f256f66ceea371f3634cc7b7"),
+    ("series --name E:16 --order 8 --format json", 0, "99acfa9020a62158d73160fffee7866dee121f1e3b10c23150a9b969f80059e7"),
+    ("verify --all --order 8 --n-max 4", 0, "41a5f7f4a9ef80ce5d9051fbcd5abd028223e3b03dcfc9987992d286dbcf89e4"),
+    ("verify --theorem 16 --order 8 --n-max 5 --format json", 0, "55f3ae758c437bc42ab4c9872885806924d54273b234c4e20781e02254ff2645"),
+]
+
+
+@pytest.mark.parametrize("argv, code, digest", CONTRACT, ids=[c[0] for c in CONTRACT])
+def test_contract_output_is_pinned(capsys, monkeypatch, argv, code, digest):
+    monkeypatch.delenv("KINGMESH_JOBS", raising=False)
+    got, out, err = run(capsys, *argv.split())
+    assert got == code, err
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "command, options",
+    [
+        ("count", ["--n", "--class", "--method", "--format"]),
+        ("list", ["--n", "--class", "--format"]),
+        ("dist", ["--pattern", "--all", "--n-max", "--class", "--jobs", "--allow-large", "--format"]),
+        ("series", ["--name", "--order", "--format"]),
+        ("verify", ["--theorem", "--equation", "--all", "--order", "--n-max", "--jobs", "--format"]),
+    ],
+)
+def test_subcommand_help_lists_its_options(capsys, command, options):
+    code, out, _ = run(capsys, command, "--help")
+    assert code == 0
+    usage = out.split("\n\n")[0]
+    # every option appears in the usage line, in this order
+    positions = [re.search(re.escape(option) + r"(?![\w-])", usage).start() for option in options]
+    assert positions == sorted(positions), usage

@@ -159,6 +159,22 @@ def test_count_rejects_bad_input():
         count_class(5, KingClass.S, "recurrence")
 
 
+@pytest.mark.parametrize("kc", list(KingClass))
+def test_count_class_rejects_negative_length(kc):
+    with pytest.raises(ValueError, match="n must be nonnegative"):
+        count_class(-1, kc, "enumerate")
+
+
+@pytest.mark.parametrize("method", ["recurrence", "explicit"])
+def test_restricted_class_error_names_the_methods_that_count_it(method):
+    with pytest.raises(ValueError) as info:
+        count_class(5, KingClass.SL, method)
+    assert str(info.value) == (
+        f"method {method!r} counts only the unrestricted class; "
+        "gf and enumerate count restricted classes"
+    )
+
+
 @given(st.integers(min_value=0, max_value=7))
 @settings(deadline=None)
 def test_enumeration_size_matches_recurrence(n):

@@ -87,6 +87,18 @@ def _complemented_pattern(p: MeshPattern) -> MeshPattern:
     return MeshPattern(complement(p.tau), frozenset((i, k - j) for i, j in p.shaded))
 
 
+def _inverse(perm) -> tuple[int, ...]:
+    inv = [0] * len(perm)
+    for pos, value in enumerate(perm, 1):
+        inv[value - 1] = pos
+    return tuple(inv)
+
+
+def _inverted_pattern(p: MeshPattern) -> MeshPattern:
+    # the diagonal reflection swaps positions with values, so box (i, j) goes to (j, i)
+    return MeshPattern(_inverse(p.tau), frozenset((j, i) for i, j in p.shaded))
+
+
 class TestCatalog:
     def test_shape(self):
         entries = catalog()
@@ -141,6 +153,12 @@ class TestParser:
         assert parse_pattern("mesh( 2 ; 12 ; { (0,1) , (1,0) } )") == MeshPattern(
             (1, 2), frozenset({(0, 1), (1, 0)})
         )
+
+    def test_empty_pattern_round_trip(self):
+        # the length-0 pattern renders with an empty tau, "mesh(0;;{...})"
+        for shaded in (frozenset(), frozenset({(0, 0)})):
+            p = MeshPattern((), shaded)
+            assert parse_pattern(render_pattern(p)) == p
 
     def test_empty_box_set(self):
         assert parse_pattern("mesh(2;12;{})") == MeshPattern((1, 2), frozenset())
@@ -274,6 +292,11 @@ class TestCounting:
         )
         assert count_occurrences(p, complement(host)) == count_occurrences(
             _complemented_pattern(p), host
+        )
+        # the inverse exchanges the position bands with the value bands, which
+        # the region masks of the counting kernels keep apart
+        assert count_occurrences(p, _inverse(host)) == count_occurrences(
+            _inverted_pattern(p), host
         )
 
     def test_each_pattern_compiled_once(self, monkeypatch):
