@@ -1,16 +1,18 @@
 """Closed-form generating functions for king-permutation statistics.
 
 Everything here is an exact truncated series (see :mod:`kingmesh.series`).
-Three families are exposed:
+Every closed form is built from six primitives: the counting series A, B, C
+of the classes ALL, S/L and SL/LS, and their strong-point distributions Atu,
+Btu, Ctu.  They are fields of one ``Terms`` per truncation order, which
+:func:`terms` keeps, and ``_CLASS_SERIES`` says which of them each class
+reads.  On top of them sit
 
-* ``class_series``            -- plain counts of a restricted class, in t;
-* ``strong_point_series``     -- counts refined by the number of strong
-                                 points (occurrences of the length-1 catalog
-                                 patterns X / X'), in t and u;
-* ``avoidance_series`` /
-  ``distribution_series``     -- per catalog pattern: the number of class
-                                 members with zero occurrences, respectively
-                                 the full occurrence distribution marked by u.
+* ``class_series`` / ``strong_point_series`` -- a class's counting series in
+  t, and its counts refined by the number of strong points (occurrences of
+  the length-1 catalog patterns X / X'), marked by u;
+* ``avoidance_series`` / ``distribution_series`` -- per catalog pattern: the
+  number of class members with zero occurrences, respectively the full
+  occurrence distribution marked by u.
 
 The closed forms exist only for the solved catalog entries, and ``SOLVED``
 holds all that is known about each of them in one record; the open entries
@@ -32,18 +34,30 @@ BASE_NAMES = ("A", "B", "C", "Atu", "Btu", "Ctu")
 
 class Terms:
     """The series the closed forms are built from, at one truncation order:
-    1, t, u, ut and 1 + t, and, each built on first use, the class series
-    A, B, C, the strong-point distributions Atu, Btu, Ctu, the strong-point
-    avoiders S, and the denominators q = 1 + t + tA of S and
-    qu = 1 + t(1 + u + ut + (1 - u)A) of the strong-point distributions."""
+    1, t, u, ut and 1 + t, and, each built on first use from the others, A,
+    B, C, Atu, Btu, Ctu, the strong-point avoiders S, and the denominators
+    q = 1 + t + tA of S and qu = 1 + t(1 + u + ut + (1 - u)A) of the
+    strong-point distributions.  :func:`terms` keeps one per order."""
 
-    a = cached_property(lambda r: king_series(r.order))
-    b = cached_property(lambda r: class_series(KingClass.S, r.order))
-    c = cached_property(lambda r: class_series(KingClass.SL, r.order))
-    atu = cached_property(lambda r: strong_point_series(KingClass.ALL, r.order))
-    btu = cached_property(lambda r: strong_point_series(KingClass.S, r.order))
-    ctu = cached_property(lambda r: strong_point_series(KingClass.SL, r.order))
-    s = cached_property(lambda r: strong_point_avoiders(r.order))
+    @cached_property
+    def a(self) -> Series:
+        # sum of n! t^n (1-t)^n / (1+t)^n; term n is divisible by t^n, so
+        # summing n = 0..order is exact at the truncation order
+        step = (self.one - self.t) / self.opt * self.t
+        total = term = self.one
+        for n in range(1, self.order + 1):
+            term = term * step * n
+            if term.is_zero():
+                break
+            total = total + term
+        return total
+
+    b = cached_property(lambda r: r.a / r.opt)
+    c = cached_property(lambda r: r.t / r.opt + r.a / (r.opt * r.opt))
+    atu = cached_property(lambda r: (r.one + r.ut) * r.opt * r.a / r.qu)
+    btu = cached_property(lambda r: r.opt * r.a / r.qu)
+    ctu = cached_property(lambda r: r.ut / (r.one + r.ut) + r.opt * r.a / ((r.one + r.ut) * r.qu))
+    s = cached_property(lambda r: r.opt * r.a / r.q)
     q = cached_property(lambda r: r.one + r.t + r.t * r.a)
     qu = cached_property(lambda r: r.one + r.t * (r.one + r.u + r.ut + (r.one - r.u) * r.a))
 
@@ -56,64 +70,47 @@ class Terms:
         self.opt = self.one + self.t
 
 
-@lru_cache(maxsize=None)
+terms = lru_cache(maxsize=None)(Terms)
+
+# The series each class reads: its counting series is the field named here,
+# its strong-point distribution the same name followed by "tu".  S and L
+# share one series because reverse-complement swaps them, SL and LS because
+# complement does (and maps X onto X', so LS is measured with X').
+_CLASS_SERIES = {
+    KingClass.ALL: "a", KingClass.S: "b", KingClass.L: "b", KingClass.SL: "c", KingClass.LS: "c"
+}
+
+
 def king_series(order: int) -> Series:
-    """Counting series of king permutations: sum of n! t^n (1-t)^n / (1+t)^n.
-
-    Term n is divisible by t^n, so summing n = 0..order is exact at the
-    truncation order.
-    """
-    r = Terms(order)
-    step = (r.one - r.t) / r.opt * r.t
-    total = r.one
-    term = r.one
-    for n in range(1, order + 1):
-        term = term * step * n
-        if term.is_zero():
-            break
-        total = total + term
-    return total
+    """Counting series of king permutations: sum of n! t^n (1-t)^n / (1+t)^n."""
+    return terms(order).a
 
 
-@lru_cache(maxsize=None)
 def class_series(king_class: KingClass, order: int) -> Series:
-    """Counting series of a restricted king class.
+    """Counting series of a restricted king class, read from the class table.
 
-    ALL is :func:`king_series`; S and L share one series (reverse-complement
-    swaps them), as do SL and LS (complement swaps them).
+    >>> class_series(KingClass.LS, 7) == class_series(KingClass.SL, 7)
+    True
+    >>> [row.evaluate(0) for row in class_series("ls", 7).coeffs]
+    [1, 0, 0, 0, 2, 10, 68, 500]
     """
-    kc = KingClass(king_class)
-    r = Terms(order)
-    if kc is KingClass.ALL:
-        return r.a
-    if kc in (KingClass.S, KingClass.L):
-        return r.a / r.opt
-    return r.t / r.opt + r.a / (r.opt * r.opt)
+    return getattr(terms(order), _CLASS_SERIES[KingClass(king_class)])
 
 
-@lru_cache(maxsize=None)
 def strong_point_series(king_class: KingClass, order: int) -> Series:
     """Distribution of strong points over a class, marked by u.
 
     Over the full class this is simultaneously the distribution of X and of
     X'; over S/L it is the distribution of X; over SL that of X and over LS
-    that of X' (the symmetry that maps the classes onto each other also maps
-    one length-1 pattern to the other).
+    that of X'.
     """
-    kc = KingClass(king_class)
-    r = Terms(order)
-    if kc is KingClass.ALL:
-        return (r.one + r.ut) * r.opt * r.a / r.qu
-    if kc in (KingClass.S, KingClass.L):
-        return r.opt * r.a / r.qu
-    return r.ut / (r.one + r.ut) + r.opt * r.a / ((r.one + r.ut) * r.qu)
+    return getattr(terms(order), _CLASS_SERIES[KingClass(king_class)] + "tu")
 
 
 def strong_point_avoiders(order: int) -> Series:
     """Series of king permutations with no strong point at all; identical for
     every one of the five classes."""
-    r = Terms(order)
-    return r.opt * r.a / r.q
+    return terms(order).s
 
 
 def _halved_king_counts(order: int) -> list[int]:
@@ -218,14 +215,14 @@ def _dist_63(r: Terms, p: Series, e: Series) -> Series:
 def _restricted(estar: Series, e: Series) -> Series:
     # E*, eliminated from the main identity at the order it keeps, must
     # satisfy E* = t + ut (E - 1 - E*)
-    w = Terms(estar.order)
+    w = terms(estar.order)
     return estar - (w.t + w.ut * (e.truncated(w.order) - w.one - estar))
 
 
 def _star_63(r: Terms, p: Series, e: Series) -> Series:
     x = (e - p).div_t(1)
     y = (p - r.one).div_t(1)
-    w = Terms(x.order)
+    w = terms(x.order)
     return _restricted(w.t + (x / (y * w.opt)).mul_t(1), e)
 
 
@@ -375,7 +372,7 @@ def avoidance_series(ident: str, order: int) -> Series:
     ident = str(ident)
     if ident not in SOLVED:
         raise ValueError(f"no closed avoidance form for pattern {ident!r}")
-    return SOLVED[ident].avoidance(Terms(order))
+    return SOLVED[ident].avoidance(terms(order))
 
 
 @lru_cache(maxsize=None)
@@ -389,7 +386,7 @@ def distribution_series(ident: str, order: int) -> Series:
     ident = str(ident)
     if ident not in SOLVED:
         raise ValueError(f"no closed distribution form for pattern {ident!r}")
-    return SOLVED[ident].distribution(Terms(order))
+    return SOLVED[ident].distribution(terms(order))
 
 
 def series_by_name(name: str, order: int) -> Series:
@@ -402,7 +399,7 @@ def series_by_name(name: str, order: int) -> Series:
     distribution series.
     """
     if name in BASE_NAMES:
-        return getattr(Terms(order), name.lower())
+        return getattr(terms(order), name.lower())
     if name.startswith("P:"):
         return avoidance_series(name[2:], order)
     if name.startswith("E:"):

@@ -268,8 +268,6 @@ def tally_subtree(n: int, first: int, forbid_last: int) -> list[int]:
 
 
 def _count_by_walk(n: int, king_class: KingClass) -> int:
-    if n < 0:
-        raise ValueError("n must be nonnegative")
     if n == 0:
         return 1
     firsts, last = class_ends(n, king_class)
@@ -334,6 +332,8 @@ def count_kings(n: int, method: str = "recurrence") -> int:
 def count_class(n: int, king_class: KingClass, method: str = "enumerate") -> int:
     """Cardinality of a class at length n: ALL by any method of
     :func:`count_kings`, a restricted class by ``gf`` or ``enumerate`` only."""
+    if n < 0:
+        raise ValueError("n must be nonnegative")
     kc = KingClass(king_class)
     if kc is KingClass.ALL:
         return count_kings(n, method)

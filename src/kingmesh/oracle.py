@@ -66,7 +66,10 @@ class DistributionTable:
     def from_json_dict(data: dict) -> "DistributionTable":
         rows = [None] * len(data["rows"])
         for item in data["rows"]:
-            rows[item["n"]] = parse_upoly(item["coeff"])
+            n = item["n"]
+            if not 0 <= n < len(rows):
+                raise ValueError(f"row n={n} outside 0..{len(rows) - 1} in distribution table")
+            rows[n] = parse_upoly(item["coeff"])
         if any(r is None for r in rows):
             raise ValueError("missing row in distribution table")
         return DistributionTable(

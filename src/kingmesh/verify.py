@@ -58,6 +58,7 @@ from .gfs import (
     series_by_name,
     strong_point_avoiders,
     strong_point_series,
+    terms,
 )
 from .series import Series, UPoly, parse_upoly
 
@@ -162,7 +163,7 @@ class EquationSpec:
 def _spec(
     eq_id: str, subject: str, residual: Callable[[Terms], Series], margin: int = 0
 ) -> EquationSpec:
-    return EquationSpec(eq_id, subject, lambda w: residual(Terms(w)), margin)
+    return EquationSpec(eq_id, subject, lambda w: residual(terms(w)), margin)
 
 
 _IDENTITY_SUBJECTS = {

@@ -1,5 +1,6 @@
 """Closed-form series builders against pinned expansions and identities."""
 
+from collections import Counter
 from dataclasses import replace
 
 import pytest
@@ -17,6 +18,7 @@ from kingmesh.gfs import (
     strong_point_series,
 )
 from kingmesh.series import Series, UPoly, parse_upoly
+from kingmesh.verify import EQUATIONS, verify_equation
 
 KING_COUNTS = [1, 1, 0, 0, 2, 14, 90, 646, 5242, 47622, 479306, 5296790, 63779034]
 
@@ -208,3 +210,30 @@ def test_avoidance_and_distribution_routes_are_independent(monkeypatch, refused,
     finally:
         avoidance_series.cache_clear()
         distribution_series.cache_clear()
+
+
+def test_one_terms_per_order(monkeypatch):
+    # every series name and every equation at one order share the Terms of
+    # each order they reach (the star identities reach one order further)
+    built = Counter()
+    init = gfs_mod.Terms.__init__
+
+    def counting_init(self, order):
+        built[order] += 1
+        init(self, order)
+
+    caches = (gfs_mod.terms, avoidance_series, distribution_series)
+    monkeypatch.setattr(gfs_mod.Terms, "__init__", counting_init)
+    for cached in caches:
+        cached.cache_clear()
+    try:
+        names = [*gfs_mod.BASE_NAMES, *(f"{kind}:{i}" for i in SOLVED_IDS for kind in "PE")]
+        assert len(names) == 50 and len(EQUATIONS) == 35
+        for name in names:
+            series_by_name(name, 17)
+        for eq_id in EQUATIONS:
+            assert verify_equation(eq_id, 17).status == "PASS", eq_id
+    finally:
+        for cached in caches:
+            cached.cache_clear()
+    assert built == {17: 1, 18: 1}

@@ -159,10 +159,11 @@ def test_count_rejects_bad_input():
         count_class(5, KingClass.S, "recurrence")
 
 
+@pytest.mark.parametrize("method", ["enumerate", "gf"])
 @pytest.mark.parametrize("kc", list(KingClass))
-def test_count_class_rejects_negative_length(kc):
+def test_count_class_rejects_negative_length(kc, method):
     with pytest.raises(ValueError, match="n must be nonnegative"):
-        count_class(-1, kc, "enumerate")
+        count_class(-1, kc, method)
 
 
 @pytest.mark.parametrize("method", ["recurrence", "explicit"])

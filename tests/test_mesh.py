@@ -99,6 +99,49 @@ def _inverted_pattern(p: MeshPattern) -> MeshPattern:
     return MeshPattern(_inverse(p.tau), frozenset((j, i) for i, j in p.shaded))
 
 
+def _shading_lemma_boxes(p: MeshPattern):
+    """The boxes (i, tau(i)) north-east of a point of p that the Shading Lemma
+    lets one shade without changing the avoiders (Hilmarsson et al.,
+    *Wilf-classification of mesh patterns of short length*, EJC 22(4), 2015,
+    Lemma 11)."""
+    k, shaded = p.length, p.shaded
+    for i, j in enumerate(p.tau, 1):
+        if (i, j) in shaded or (i - 1, j - 1) in shaded:
+            continue
+        if (i, j - 1) in shaded and (i - 1, j) in shaded:
+            continue
+        # a box beside the point's row or column shaded only if its
+        # neighbour across the point's line is shaded too
+        if any((m, j - 1) in shaded and (m, j) not in shaded
+               for m in range(k + 1) if m not in (i - 1, i)):
+            continue
+        if any((i - 1, m) in shaded and (i, m) not in shaded
+               for m in range(k + 1) if m not in (j - 1, j)):
+            continue
+        yield i, j
+
+
+# patterns of length 1..3 with each box shaded about half the time, so that
+# the lemma's conditions on neighbouring boxes are often in play
+_half_shaded_patterns = st.integers(1, 3).flatmap(
+    lambda k: st.builds(
+        lambda tau, mask: MeshPattern(
+            tau, frozenset(divmod(b, k + 1) for b in range((k + 1) ** 2) if mask >> b & 1)
+        ),
+        st.permutations(range(1, k + 1)),
+        st.integers(0, (1 << (k + 1) ** 2) - 1),
+    )
+)
+
+# the symmetries that carry the north-east box of a point to the other three
+_CORNER_FLIPS = (
+    lambda p: p,
+    _reversed_pattern,
+    _complemented_pattern,
+    lambda p: _reversed_pattern(_complemented_pattern(p)),
+)
+
+
 class TestCatalog:
     def test_shape(self):
         entries = catalog()
@@ -298,6 +341,18 @@ class TestCounting:
         assert count_occurrences(p, _inverse(host)) == count_occurrences(
             _inverted_pattern(p), host
         )
+
+    @given(_half_shaded_patterns, st.lists(_hosts, min_size=10, max_size=10))
+    @settings(max_examples=150, deadline=None)
+    def test_shading_lemma_coincidences(self, p, hosts):
+        # each flip is an involution: it takes a box the lemma allows in the
+        # flipped pattern back to the matching box beside a point of p
+        for flip in _CORNER_FLIPS:
+            q = flip(p)
+            for box in _shading_lemma_boxes(q):
+                bigger = flip(MeshPattern(q.tau, q.shaded | {box}))
+                for host in hosts:
+                    assert avoids(p, host) == avoids(bigger, host), (bigger, host)
 
     def test_each_pattern_compiled_once(self, monkeypatch):
         compiled = Counter()

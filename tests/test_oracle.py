@@ -120,6 +120,14 @@ def test_json_round_trip():
     assert DistributionTable.from_json_dict(t.to_json_dict()) == t
 
 
+@pytest.mark.parametrize("bad_n", [-1, 7, 12])
+def test_json_row_outside_the_table_is_rejected(bad_n):
+    data = distribution_table(catalog_pattern("63"), 6, KingClass.ALL).to_json_dict()
+    data["rows"][-1]["n"] = bad_n
+    with pytest.raises(ValueError, match=f"row n={bad_n} outside 0..6"):
+        DistributionTable.from_json_dict(data)
+
+
 def test_mass_equals_class_count(catalog_sweep_9):
     for ident, table in catalog_sweep_9.items():
         for n in range(10):
