@@ -67,8 +67,8 @@ class DistributionTable:
         rows = [None] * len(data["rows"])
         for item in data["rows"]:
             n = item["n"]
-            if not 0 <= n < len(rows):
-                raise ValueError(f"row n={n} outside 0..{len(rows) - 1} in distribution table")
+            if type(n) is not int or not 0 <= n < len(rows):
+                raise ValueError(f"row n={n!r} outside 0..{len(rows) - 1} in distribution table")
             rows[n] = parse_upoly(item["coeff"])
         if any(r is None for r in rows):
             raise ValueError("missing row in distribution table")
