@@ -159,8 +159,11 @@ def test_count_rejects_bad_input():
         count_class(5, KingClass.S, "recurrence")
 
 
-@pytest.mark.parametrize("method", ["enumerate", "gf"])
-@pytest.mark.parametrize("kc", list(KingClass))
+# the enumerate cases keep the plain class ids
+@pytest.mark.parametrize("kc, method", [
+    *(pytest.param(kc, "enumerate", id=kc.value) for kc in KingClass),
+    *(pytest.param(kc, "gf", id=f"{kc.value}-gf") for kc in KingClass),
+])
 def test_count_class_rejects_negative_length(kc, method):
     with pytest.raises(ValueError, match="n must be nonnegative"):
         count_class(-1, kc, method)
