@@ -46,6 +46,18 @@ def _jobs(args) -> int:
     return jobs
 
 
+# The longest lengths run without --allow-large: counting patterns costs
+# several times more per host than walking or listing the members.
+PATTERN_N_LIMIT, WALK_N_LIMIT = 10, 11
+
+
+def _check_size(args, option: str, n: int, limit: int) -> None:
+    """The one factorial guard: a longer run needs --allow-large."""
+    if n > limit and not args.allow_large:
+        raise ValueError(f"{option} above {limit} enumerates millions of permutations; "
+                         "pass --allow-large to confirm")
+
+
 def _emit_json(payload) -> None:
     print(json.dumps(payload, sort_keys=True))
 
@@ -54,6 +66,8 @@ def _cmd_count(args) -> int:
     # count_class rejects the methods that cannot count a restricted class
     kc = KingClass(args.king_class)
     method = COUNT_METHODS[args.method or ("rec" if kc is KingClass.ALL else "enum")]
+    if method == "enumerate":
+        _check_size(args, "--n", args.n, WALK_N_LIMIT)
     value = count_class(args.n, kc, method)
     if args.format == "json":
         _emit_json({"n": args.n, "class": kc.value, "method": method, "count": value})
@@ -63,6 +77,7 @@ def _cmd_count(args) -> int:
 
 
 def _cmd_list(args) -> int:
+    _check_size(args, "--n", args.n, WALK_N_LIMIT)
     for p in enumerate_kings(args.n, KingClass(args.king_class)):
         print(json.dumps(list(p)) if args.format == "json" else perm_text(p, " ") or "()")
     return 0
@@ -71,11 +86,7 @@ def _cmd_list(args) -> int:
 def _cmd_dist(args) -> int:
     # faults are reported in this order: the size opt-in, the worker count,
     # then the pattern text
-    if args.n_max > 10 and not args.allow_large:
-        raise ValueError(
-            "--n-max above 10 enumerates millions of permutations; "
-            "pass --allow-large to confirm"
-        )
+    _check_size(args, "--n-max", args.n_max, PATTERN_N_LIMIT)
     kc = KingClass(args.king_class)
     jobs = _jobs(args)
     patterns = [e.pattern for e in catalog()] if args.all else [parse_pattern(args.pattern)]
@@ -108,6 +119,8 @@ def _cmd_series(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    if not args.equation:  # an equation check enumerates nothing
+        _check_size(args, "--n-max", args.n_max, PATTERN_N_LIMIT)
     jobs = _jobs(args)
     if args.theorem:
         reports = [verify_theorem(args.theorem, args.order, args.n_max, jobs)]
@@ -153,7 +166,8 @@ def _build_parser() -> argparse.ArgumentParser:
     allow_large = _parent(
         "--allow-large",
         action="store_true",
-        help="permit --n-max above 10 (enumeration grows factorially)",
+        help=f"permit lengths above {PATTERN_N_LIMIT} ({WALK_N_LIMIT} for count and list; "
+        "enumeration grows factorially)",
     )
     fmt = _parent(
         "--format", choices=("table", "json"), default="table", help="output mode (default: table)"
@@ -187,12 +201,14 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name, summary, handler, parents in (
-        ("count", "count class members of one length", _cmd_count, [n, king_class, method, fmt]),
-        ("list", "stream class members, one per line", _cmd_list, [n, king_class, fmt]),
+        ("count", "count class members of one length", _cmd_count,
+         [n, king_class, method, allow_large, fmt]),
+        ("list", "stream class members, one per line", _cmd_list,
+         [n, king_class, allow_large, fmt]),
         ("dist", "exhaustive occurrence distribution table", _cmd_dist,
          [dist, king_class, jobs, allow_large, fmt]),
         ("series", "closed-form series expansion", _cmd_series, [series, fmt]),
-        ("verify", "run cross-checks", _cmd_verify, [verify, jobs, fmt]),
+        ("verify", "run cross-checks", _cmd_verify, [verify, jobs, allow_large, fmt]),
     ):
         sub.add_parser(name, help=summary, parents=parents).set_defaults(run=handler)
     return parser

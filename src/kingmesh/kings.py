@@ -161,10 +161,6 @@ def enumerate_kings(
     firsts, last = class_ends(n, king_class)
     if first_values is not None:
         firsts = sorted(set(firsts) & set(first_values))
-    if n == 1:
-        if firsts and last != 1:
-            yield (1,)
-        return
     for first in firsts:
         yield from _subtree(n, first, last)
 
@@ -178,38 +174,21 @@ def class_ends(n: int, king_class: KingClass) -> tuple[list[int], int]:
 
 
 def _subtree(n: int, first: int, forbid_last: int) -> Iterator[Perm]:
-    # Iterative DFS; a recursive generator would pay one yield hop per level.
-    seq = [0] * n
-    seq[0] = first
-    rems = [[v for v in range(1, n + 1) if v != first]]
-    idxs = [0]
-    last = n - 1
-    while rems:
-        d = len(rems)  # position being filled
-        r = rems[-1]
-        i = idxs[-1]
-        prev = seq[d - 1]
-        size = len(r)
-        while i < size:
-            v = r[i]
-            dd = v - prev
-            if (dd > 1 or dd < -1) and (d != last or v != forbid_last):
-                break
-            i += 1
-        if i == size:
-            rems.pop()
-            idxs.pop()
-            if idxs:
-                idxs[-1] += 1
-            continue
-        seq[d] = r[i]
-        if d == last:
-            yield tuple(seq)
-            idxs[-1] = i + 1
-        else:
-            idxs[-1] = i
-            rems.append(r[:i] + r[i + 1 :])
-            idxs.append(0)
+    seq = [first]
+
+    def extend(rest: list[int]) -> Iterator[Perm]:
+        if not rest:
+            if seq[-1] != forbid_last:
+                yield tuple(seq)
+            return
+        prev = seq[-1]
+        for i, v in enumerate(rest):
+            if abs(v - prev) > 1:
+                seq.append(v)
+                yield from extend(rest[:i] + rest[i + 1 :])
+                seq.pop()
+
+    return extend([v for v in range(1, n + 1) if v != first])
 
 
 def tally_subtree(n: int, first: int, forbid_last: int) -> list[int]:

@@ -19,8 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import accumulate, combinations
-from operator import or_
+from itertools import combinations
 from typing import Iterable, Sequence
 
 from .kings import Perm, is_permutation, perm_text
@@ -280,30 +279,44 @@ def _parse_boxes(s: _Scanner, k: int) -> list[Box]:
 # ---------------------------------------------------------------------------
 # Occurrence counting.
 #
-# A host of length n is held as n+1 prefix bitsets: pre[p] has bit v set for
-# each value v at one of the first p positions (both count from 1).  The
-# region strictly between positions lo < hi and strictly between values
+# A host of length n is read left to right with prefix bitsets: pre[p] has bit
+# v set for each value v at one of the first p positions (both count from 1).
+# The region strictly between positions lo < hi and strictly between values
 # a < b is nonempty exactly when its column band pre[hi-1] ^ pre[lo] meets its
 # value band, the bits a+1 .. b-1, which is (1 << b) - (2 << a).  A
 # candidate's region mask has bit i*(k+1)+j set when the region of box (i, j)
 # is nonempty, and a pattern is satisfied when that mask misses its shaded
 # mask.
+#
+# Every region of a candidate of length 1 or 2 is known once its last entry v
+# is placed at position d: the values still to come are full ^ pre[d] ^ 1 << v,
+# in whatever order.  So a host's counts are the sum of the hits of the
+# candidates ending at each position (`ending_at`), and the census adds each
+# node's hits once for all the hosts below it.  Other candidates are scanned
+# on the whole host (`whole`).
+#
+# The counts of all the patterns travel as one integer, pattern idx's in the
+# FIELD bits from bit FIELD * idx: a count, at most the number of candidates
+# tested one by one, stays far below 2^64, so no field carries into the next.
 # ---------------------------------------------------------------------------
 
-
-def _prefix_bits(perm: Sequence[int]) -> list[int]:
-    return list(accumulate([1 << v for v in perm], or_, initial=0))
+FIELD = 64
 
 
-def _hit_table(members: Sequence[tuple[int, int]], k: int) -> list[list[int]]:
-    """table[mask] lists the pattern indices whose shaded mask misses mask."""
+def packed_count(packed: int, idx: int) -> int:
+    """The count of pattern idx in packed counts."""
+    return packed >> FIELD * idx & (1 << FIELD) - 1
+
+
+def _hit_table(members: Sequence[tuple[int, int]], k: int) -> list[int]:
+    """table[mask] sums the units of the (unit, shaded mask) members mask satisfies."""
     top = (1 << (k + 1) ** 2) - 1
-    table: list[list[int]] = [[] for _ in range(top + 1)]
-    for idx, shaded in members:
+    table = [0] * (top + 1)
+    for unit, shaded in members:
         free = top ^ shaded
         sub = free
         while True:  # every submask of the unshaded boxes
-            table[sub].append(idx)
+            table[sub] += unit
             if not sub:
                 break
             sub = (sub - 1) & free
@@ -313,125 +326,113 @@ def _hit_table(members: Sequence[tuple[int, int]], k: int) -> list[list[int]]:
 class CompiledPatterns:
     """Patterns prepared once for any number of hosts.
 
-    The patterns are grouped by ``tau``.  Each group keeps its members as
-    (index, shaded mask) pairs and, for k <= 2, a hit table from each of the
-    2^((k+1)^2) region masks to the indices of the patterns it satisfies.
-    ``len()`` is the number of patterns.
+    The patterns are grouped by ``tau``, each member as its (unit, shaded
+    mask) pair, where the unit adds one to its count.  A group of length
+    k <= 2 becomes a hit table from each of the 2^((k+1)^2) region masks to
+    the packed hits of the patterns it satisfies (``single``, and ``up`` and
+    ``down`` for pairs); the others stay in ``generic``.  ``len()`` is the
+    number of patterns.
     """
 
     def __init__(self, patterns: Iterable[MeshPattern]):
         self.patterns = tuple(patterns)
         groups: dict[Perm, list[tuple[int, int]]] = {}
         for idx, p in enumerate(self.patterns):
-            groups.setdefault(p.tau, []).append((idx, p.box_mask))
-        self.groups = tuple(
-            (tau, members, _hit_table(members, len(tau)) if len(tau) <= 2 else None)
-            for tau, members in groups.items()
-        )
+            groups.setdefault(p.tau, []).append((1 << FIELD * idx, p.box_mask))
+        tables = {tau: _hit_table(members, len(tau))
+                  for tau, members in groups.items() if len(tau) in (1, 2)}
+        self.single, self.up, self.down = map(tables.get, [(1,), (1, 2), (2, 1)])
+        self.generic = [(tau, members) for tau, members in groups.items() if tau not in tables]
 
     def __len__(self) -> int:
         return len(self.patterns)
+
+    def ending_at(self, seq: Sequence[int], pre: Sequence[int], d: int, full: int) -> int:
+        """The packed hits of every candidate of length 1 or 2 whose last
+        entry is seq[d], given pre[0..d] and ``full``, the set of all values."""
+        v = seq[d]
+        bit = 1 << v
+        before = pre[d]
+        after = full ^ before ^ bit
+        below, above = bit - 1, -(bit << 1)
+        hits = 0
+        if self.single:
+            hits = self.single[
+                (1 if before & below else 0) | (2 if before & above else 0)
+                | (4 if after & below else 0) | (8 if after & above else 0)
+            ]
+        up, down = self.up, self.down
+        if up or down:
+            for i in range(d):  # the pair of entries i and d
+                x = seq[i]
+                if x < v:
+                    if up is None:
+                        continue
+                    table, lo, mid, hi = up, (1 << x) - 1, bit - (2 << x), above
+                else:
+                    if down is None:
+                        continue
+                    table, lo, mid, hi = down, below, (1 << x) - (bit << 1), -(2 << x)
+                c0 = pre[i]
+                c1 = before ^ pre[i + 1]
+                hits += table[
+                    (1 if c0 & lo else 0) | (2 if c0 & mid else 0) | (4 if c0 & hi else 0)
+                    | (8 if c1 & lo else 0) | (16 if c1 & mid else 0) | (32 if c1 & hi else 0)
+                    | (64 if after & lo else 0) | (128 if after & mid else 0)
+                    | (256 if after & hi else 0)
+                ]
+        return hits
+
+    def whole(self, seq: Sequence[int], pre: Sequence[int]) -> int:
+        """The packed hits of the other candidates, the empty one included,
+        given the whole host and all n+1 of its prefix bitsets: each choice of
+        k positions ordered as tau gets a region mask, tested on every member."""
+        n = len(seq)
+        hits = 0
+        for tau, members in self.generic:
+            k = len(tau)
+            by_value = sorted(range(k), key=tau.__getitem__)
+            for qs in combinations(range(n), k):
+                rs = [seq[qs[t]] for t in by_value]
+                if rs != sorted(rs):
+                    continue
+                bands = [(1 << b) - (2 << a) for a, b in zip([0, *rs], [*rs, n + 1])]
+                mask = 0
+                bit = 1
+                lo = 0
+                for hi in (*qs, n):
+                    column = pre[hi] ^ pre[lo]
+                    for band in bands:
+                        if column & band:
+                            mask |= bit
+                        bit <<= 1
+                    lo = hi + 1
+                for unit, shaded in members:
+                    if not mask & shaded:
+                        hits += unit
+        return hits
 
 
 def occurrence_counts(
     patterns: CompiledPatterns | Sequence[MeshPattern], perm: Sequence[int]
 ) -> list[int]:
-    """Occurrence counts of several patterns in one pass over the host.
+    """Occurrence counts of several patterns in one pass over the host, a
+    permutation of 1..n, read left to right.
 
     Pass a :class:`CompiledPatterns` when counting on many hosts, so that the
-    patterns are grouped and tabulated once.  Candidates of length <= 2 are
-    counted by tight loops that look each region mask up in the hit table;
-    longer ones go through the generic candidate scan.
+    patterns are grouped and tabulated once.
     """
     if not isinstance(patterns, CompiledPatterns):
         patterns = CompiledPatterns(patterns)
-    counts = [0] * len(patterns.patterns)
-    pre = _prefix_bits(perm)
-    for tau, members, hits in patterns.groups:
-        k = len(tau)
-        if k == 0:
-            # the single empty candidate; its one region is the whole plot
-            for idx in hits[1 if perm else 0]:
-                counts[idx] += 1
-        elif k == 1:
-            _count_singles(perm, pre, hits, counts)
-        elif k == 2:
-            _count_pairs(perm, pre, tau == (1, 2), hits, counts)
-        else:
-            _count_generic(perm, pre, tau, members, counts)
-    return counts
-
-
-def _count_singles(perm, pre, hits, counts) -> None:
-    full = pre[-1]
-    for pos, a in enumerate(perm):
-        lo = (1 << a) - 1
-        hi = -(2 << a)
-        before = pre[pos]
-        after = full ^ pre[pos + 1]
-        mask = (
-            (1 if before & lo else 0) | (2 if before & hi else 0)
-            | (4 if after & lo else 0) | (8 if after & hi else 0)
-        )
-        for idx in hits[mask]:
-            counts[idx] += 1
-
-
-def _count_pairs(perm, pre, increasing: bool, hits, counts) -> None:
-    # Many pairs of one host share a region mask, so the masks are tallied
-    # first and the hit table is applied once per distinct mask.
     n = len(perm)
-    full = pre[n]
-    tally: dict[int, int] = {}
-    get = tally.get
-    for i in range(n - 1):
-        x = perm[i]
-        c0 = pre[i]
-        through_i = pre[i + 1]
-        for j in range(i + 1, n):
-            y = perm[j]
-            if (y > x) != increasing:
-                continue
-            a, b = (x, y) if x < y else (y, x)
-            lo = (1 << a) - 1
-            mid = (1 << b) - (2 << a)
-            hi = -(2 << b)
-            c1 = pre[j] ^ through_i
-            c2 = full ^ pre[j + 1]
-            mask = (
-                (1 if c0 & lo else 0) | (2 if c0 & mid else 0) | (4 if c0 & hi else 0)
-                | (8 if c1 & lo else 0) | (16 if c1 & mid else 0) | (32 if c1 & hi else 0)
-                | (64 if c2 & lo else 0) | (128 if c2 & mid else 0) | (256 if c2 & hi else 0)
-            )
-            tally[mask] = get(mask, 0) + 1
-    for mask, times in tally.items():
-        for idx in hits[mask]:
-            counts[idx] += times
-
-
-def _count_generic(perm, pre, tau, members, counts) -> None:
-    # each choice of k positions ordered as tau gets a region mask, tested on every member
-    n = len(perm)
-    k = len(tau)
-    by_value = sorted(range(k), key=tau.__getitem__)
-    for qs in combinations(range(n), k):
-        rs = [perm[qs[t]] for t in by_value]
-        if rs != sorted(rs):
-            continue
-        bands = [(1 << b) - (2 << a) for a, b in zip([0, *rs], [*rs, n + 1])]
-        mask = 0
-        bit = 1
-        lo = 0
-        for hi in (*qs, n):
-            column = pre[hi] ^ pre[lo]
-            for band in bands:
-                if column & band:
-                    mask |= bit
-                bit <<= 1
-            lo = hi + 1
-        for idx, shaded in members:
-            if not mask & shaded:
-                counts[idx] += 1
+    full = (2 << n) - 2
+    pre = [0] * (n + 1)
+    packed = 0
+    for d, v in enumerate(perm):
+        packed += patterns.ending_at(perm, pre, d, full)
+        pre[d + 1] = pre[d] | 1 << v
+    packed += patterns.whole(perm, pre)
+    return [packed_count(packed, idx) for idx in range(len(patterns))]
 
 
 # patterns that count_occurrences and avoids keep compiled: the catalog and both

@@ -8,11 +8,11 @@ arithmetic.
 
 Its one kernel is a *census*: one pass over a class per length that tallies
 every host under its endpoint type.  Each class is a union of endpoint types,
-so a census of all kings yields every class's size and distributions.  A
-length that counts no pattern needs only those tallies, so its hosts are not
-streamed: :func:`kingmesh.kings.tally_subtree` walks the same backtracking
-tree below each first value and returns how many hosts end on each kind of
-last entry, without building one.
+so a census of all kings yields every class's size and distributions.  Below
+each first value it walks the backtracking tree, building no host: each node
+adds the hits of the candidates ending at its position to the counts it passes
+down, once for all the hosts below it.  A length that counts no pattern needs
+only :func:`kingmesh.kings.tally_subtree`.
 
 Enumeration can fan out over the choice of the first element; each worker owns
 the subtree below one first value and the partial tallies are added, so the
@@ -23,9 +23,8 @@ from __future__ import annotations
 
 import math
 import multiprocessing
+from collections import Counter
 from dataclasses import dataclass
-from itertools import accumulate
-from operator import add
 from typing import Sequence
 
 from .kings import (
@@ -33,10 +32,9 @@ from .kings import (
     KingClass,
     class_ends,
     endpoint_flags,
-    enumerate_kings,
     tally_subtree,
 )
-from .mesh import CompiledPatterns, MeshPattern, occurrence_counts, parse_pattern, render_pattern
+from .mesh import CompiledPatterns, MeshPattern, packed_count, parse_pattern, render_pattern
 from .series import UPoly, parse_upoly
 
 
@@ -83,35 +81,75 @@ class DistributionTable:
 # the endpoint flags of kings.py; a class is the union of the types whose
 # flags it does not forbid.
 _CLASS_TYPES = {
-    kc: [t for t in range(16) if not (t >> 2 & first or t & 3 & last)]
+    kc: {t for t in range(16) if not (t >> 2 & first or t & 3 & last)}
     for kc, (first, last) in CLASS_FORBIDS.items()
 }
 
 
-def _tally(task) -> list[int]:
-    """One length's tally below one first value.  Entry t counts the hosts of
-    endpoint type t.  The block of type t starts at 16 + t * stride and holds
-    the patterns' vectors one after another: how many of those hosts have
-    exactly c occurrences."""
+def _tally(task) -> dict[int, int]:
+    """One length's tally below one first value: how many hosts there are of
+    each key ``packed << 4 | t``, where t is the host's endpoint type and
+    ``packed`` its counts of the patterns (see :func:`packed_count`)."""
     patterns, n, king_class, first = task
-    widths = [math.comb(n, p.length) + 1 for p in patterns]
-    stride = sum(widths)
-    flags = [endpoint_flags(v, n) for v in range(n + 1)]
-    counts = [0] * (16 + 16 * stride)
-    if n and not patterns:  # a host costs only its tally: count, do not build
-        firsts, last = class_ends(n, king_class)
-        if first in firsts:
-            counts[4 * flags[first] : 4 * flags[first] + 4] = tally_subtree(n, first, last)
-        return counts
-    starts = list(accumulate(widths, initial=16))[:-1]
-    by_type = [[t * stride + start for start in starts] for t in range(16)]
     compiled = CompiledPatterns(patterns)
-    for perm in enumerate_kings(n, king_class, (first,)):
-        t = 4 * flags[perm[0]] + flags[perm[-1]] if n else 0
-        counts[t] += 1
-        for start, c in zip(by_type[t], occurrence_counts(compiled, perm)):
-            counts[start + c] += 1
-    return counts
+    if not n:  # the empty host, of type 0
+        return {compiled.whole((), [0]) << 4: 1}
+    firsts, last = class_ends(n, king_class)
+    if first not in firsts:
+        return {}
+    head = 4 * endpoint_flags(first, n)
+    if not patterns:  # a host costs only its tally: count, do not build
+        return {head | f: hosts for f, hosts in enumerate(tally_subtree(n, first, last))}
+    return _walk(compiled, n, first, last, head)
+
+
+def _walk(compiled: CompiledPatterns, n: int, first: int, forbid_last: int, head: int):
+    """Tally, as ``_tally`` does, the king permutations of 1..n (n >= 1) that
+    begin with ``first`` (of type ``head``) and do not end with ``forbid_last``.
+    Each node adds the hits of the candidates ending at its position to the
+    counts it passes down; longer candidates are counted at each leaf.  Like
+    ``tally_subtree``, the walk reuses no subtree and tests every adjacent pair
+    of every host."""
+    flags = [endpoint_flags(v, n) for v in range(n + 1)]
+    far = [[abs(a - b) > 1 for b in range(n + 1)] for a in range(n + 1)]
+    full = (2 << n) - 2
+    seq = [first] * n
+    pre = [0, 1 << first] + [0] * (n - 1)
+    ending_at = compiled.ending_at
+    whole = compiled.whole if compiled.generic else None
+    leaves: dict[int, int] = {}
+    get = leaves.get
+
+    def leaf(packed: int) -> None:
+        if whole:
+            packed += whole(seq, pre)
+        key = packed << 4 | head | flags[seq[-1]]
+        leaves[key] = get(key, 0) + 1
+
+    def walk(d: int, rest: list[int], packed: int) -> None:
+        # place position d, after seq[d - 1], from the values not yet placed
+        if not rest:  # n = 1
+            if seq[d - 1] != forbid_last:
+                leaf(packed)
+            return
+        before = pre[d]
+        fp = far[seq[d - 1]]
+        if len(rest) == 2:  # the last two entries, inline
+            a, b = rest
+            for v, w in ((a, b), (b, a)):
+                if fp[v] and far[v][w] and w != forbid_last:
+                    seq[d], seq[d + 1] = v, w
+                    pre[d + 1], pre[d + 2] = before | 1 << v, full
+                    leaf(packed + ending_at(seq, pre, d, full) + ending_at(seq, pre, d + 1, full))
+            return
+        for i, v in enumerate(rest):
+            if fp[v]:
+                seq[d] = v
+                pre[d + 1] = before | 1 << v
+                walk(d + 1, rest[:i] + rest[i + 1 :], packed + ending_at(seq, pre, d, full))
+
+    walk(1, [v for v in range(1, n + 1) if v != first], ending_at(seq, pre, 0, full))
+    return leaves
 
 
 @dataclass(frozen=True)
@@ -122,22 +160,24 @@ class Census:
 
     patterns: tuple[MeshPattern, ...]
     pattern_n_max: int
-    tallies: tuple[list[int], ...]
+    tallies: tuple[dict[int, int], ...]
 
     def size(self, n: int, king_class: KingClass) -> int:
         """Number of class members of length n."""
-        return sum(self.tallies[n][t] for t in _CLASS_TYPES[KingClass(king_class)])
+        types = _CLASS_TYPES[KingClass(king_class)]
+        return sum(hosts for key, hosts in self.tallies[n].items() if key & 15 in types)
 
     def table(self, pattern: MeshPattern, king_class: KingClass) -> DistributionTable:
         """The pattern's distribution rows over the class."""
         kc = KingClass(king_class)
-        idx = self.patterns.index(pattern)
+        types, idx = _CLASS_TYPES[kc], self.patterns.index(pattern)
         rows = []
         for n, tally in enumerate(self.tallies[: self.pattern_n_max + 1]):
-            widths = [math.comb(n, p.length) + 1 for p in self.patterns]
-            start, stride = 16 + sum(widths[:idx]), sum(widths)
-            starts = [start + t * stride for t in _CLASS_TYPES[kc]]
-            rows.append(UPoly(sum(tally[s + c] for s in starts) for c in range(widths[idx])))
+            row = [0] * (math.comb(n, pattern.length) + 1)
+            for key, hosts in tally.items():
+                if key & 15 in types:
+                    row[packed_count(key >> 4, idx)] += hosts
+            rows.append(UPoly(row))
         return DistributionTable(pattern, kc, tuple(rows))
 
 
@@ -170,9 +210,9 @@ def census(
             parts = pool.map(_tally, tasks, chunksize=1)
     else:
         parts = map(_tally, tasks)
-    tallies: list = [None] * (n_max + 1)
+    tallies = [Counter() for _ in range(n_max + 1)]
     for (_, n, _, _), part in zip(tasks, parts):
-        tallies[n] = part if tallies[n] is None else list(map(add, tallies[n], part))
+        tallies[n].update(part)
     return Census(patterns, pattern_n_max, tuple(tallies))
 
 
@@ -204,9 +244,10 @@ def distribution_tables(
     """Batched tables from one census of the class: each length is enumerated
     once for all the patterns, and each table sums its class's endpoint types.
 
-    Occurrence counting, not enumeration, takes most of the time: over 80 %
-    of the catalog sweep to n = 9.  A batch shares each host's set-up and
-    compiles the patterns once per worker task, but every pattern still costs.
+    Occurrence counting takes most of the time, though the walk finds the
+    hits of each candidate once for all the hosts that share it.  A batch
+    shares the walk and compiles the patterns once per worker task, but every
+    pattern still costs.
     """
     result = census(patterns, n_max, king_class, jobs)
     return [result.table(p, king_class) for p in result.patterns]

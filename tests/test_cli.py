@@ -6,6 +6,7 @@ import re
 
 import pytest
 
+from kingmesh import cli
 from kingmesh.cli import main
 from kingmesh.kings import count_kings
 from kingmesh.series import Series
@@ -241,6 +242,82 @@ class TestVerify:
         )
         assert code == 0
         assert "0 failures" in out
+
+
+class TestFactorialGuard:
+    # every command that enumerates asks before a length past the limit; the
+    # enumerating calls are stubbed to fail, so a missing guard fails at once
+    # instead of starting a run of hours
+    @pytest.fixture(autouse=True)
+    def no_enumeration(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("enumeration started past the guard")
+
+        for name in ("count_class", "enumerate_kings", "distribution_tables",
+                     "verify_all", "verify_theorem"):
+            monkeypatch.setattr(cli, name, refuse)
+
+    @pytest.mark.parametrize(
+        "argv, option, limit",
+        [
+            ("count --method enum --n 14", "--n", 11),
+            ("count --n 14 --class s", "--n", 11),  # enum is the default for a class
+            ("list --n 14", "--n", 11),
+            ("list --n 12 --class sl --format json", "--n", 11),
+            ("dist --pattern nr:16 --n-max 11", "--n-max", 10),
+            ("verify --n-max 12", "--n-max", 10),
+            ("verify --all --n-max 11 --jobs 2", "--n-max", 10),
+            ("verify --theorem X --n-max 12", "--n-max", 10),
+        ],
+    )
+    def test_large_run_needs_opt_in(self, capsys, argv, option, limit):
+        code, out, err = run(capsys, *argv.split())
+        assert code == 2 and out == ""
+        assert err == (
+            f"error: {option} above {limit} enumerates millions of permutations; "
+            "pass --allow-large to confirm\n"
+        )
+
+    @pytest.mark.parametrize(
+        "command, limit",
+        [("count --method enum --n", "WALK_N_LIMIT"), ("list --n", "WALK_N_LIMIT"),
+         ("dist --pattern nr:X --n-max", "PATTERN_N_LIMIT"),
+         ("verify --theorem X --n-max", "PATTERN_N_LIMIT")],
+    )
+    def test_allow_large_lets_the_run_start(self, capsys, monkeypatch, command, limit):
+        monkeypatch.setattr(cli, limit, 4)
+        assert run(capsys, *command.split(), "5")[0] == 2
+        with pytest.raises(AssertionError, match="past the guard"):
+            run(capsys, *command.split(), "5", "--allow-large")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "count --method enum --n 11",  # walked, not built: one of the end-to-end runs
+        "count --n 14",
+        "count --n 14 --class s --method gf",
+        "verify --equation EQ_B --n-max 12 --order 5",
+    ],
+)
+def test_runs_within_the_guard_need_no_opt_in(capsys, argv):
+    code, out, err = run(capsys, *argv.split())
+    assert code == 0 and err == "", err
+    if "enum" in argv:
+        assert int(out) == count_kings(11) == 5_296_790
+
+
+def test_catalog_census_through_ten_is_pinned(capsys, monkeypatch):
+    # every catalog pattern over all kings through n = 10, with two workers,
+    # pinned from the output of the streaming census that preceded the walk
+    monkeypatch.delenv("KINGMESH_JOBS", raising=False)
+    argv = "dist --all --n-max 10 --jobs 2 --format json".split()
+    code, out, err = run(capsys, *argv)
+    assert code == 0, err
+    assert len(out.encode()) == 13_572
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "ca842242cdbf3d2ec4ab3db68e2f0eee82ef0e07d75aaa83e2af85929da09723"
+    )
 
 
 class TestUsage:

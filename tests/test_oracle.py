@@ -1,10 +1,14 @@
 """Exhaustive distributions against the closed forms and across worker counts."""
 
 import re
+from collections import Counter
+from itertools import combinations, permutations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from kingmesh.kings import KingClass, count_class, count_kings
+from kingmesh.kings import KingClass, count_class, count_kings, in_class
 from kingmesh.mesh import MeshPattern, catalog, catalog_pattern
 from kingmesh.oracle import (
     DistributionTable,
@@ -162,3 +166,56 @@ def test_census_names_the_bad_pattern_range():
         census([catalog_pattern("X")], 5, pattern_n_max=7)
     with pytest.raises(ValueError, match="^n_max must be nonnegative$"):
         census([catalog_pattern("X")], -1)
+
+
+def _occurrences_by_definition(pattern: MeshPattern, host) -> int:
+    """Count the occurrences straight from the definition: every choice of
+    positions ordered as tau whose shaded regions hold no entry of the host."""
+    n, k = len(host), pattern.length
+    total = 0
+    for qs in combinations(range(1, n + 1), k):
+        values = [host[q - 1] for q in qs]
+        ranked = sorted(values)
+        if tuple(ranked.index(v) + 1 for v in values) != pattern.tau:
+            continue
+        cols, rows = (0, *qs, n + 1), (0, *ranked, n + 1)
+        if not any(
+            cols[i] < q < cols[i + 1] and rows[j] < host[q - 1] < rows[j + 1]
+            for i, j in pattern.shaded
+            for q in range(1, n + 1)
+        ):
+            total += 1
+    return total
+
+
+_any_pattern = (
+    st.integers(0, 3)
+    .flatmap(lambda k: st.permutations(range(1, k + 1)))
+    .map(tuple)
+    .flatmap(
+        lambda tau: st.sets(st.tuples(st.integers(0, len(tau)), st.integers(0, len(tau))))
+        .map(lambda shaded: MeshPattern(tau, frozenset(shaded)))
+    )
+)
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+@given(st.lists(_any_pattern, min_size=1, max_size=4, unique=True))
+@settings(max_examples=6, deadline=None)
+def test_census_against_the_definition(jobs, patterns):
+    # the walked census, of ALL and of each class, against every permutation
+    # filtered by class membership and counted by the definition
+    hosts = [p for n in range(8) for p in permutations(range(1, n + 1))]
+    counts = {host: [_occurrences_by_definition(p, host) for p in patterns]
+              for host in hosts if in_class(host)}
+    kings = census(patterns, 7, KingClass.ALL, jobs)
+    for kc in KingClass:
+        members = [host for host in counts if in_class(host, kc)]
+        own = census(patterns, 7, kc, jobs)
+        for idx, p in enumerate(patterns):
+            expected = []
+            for n in range(8):
+                hist = Counter(counts[host][idx] for host in members if len(host) == n)
+                expected.append(UPoly(hist[c] for c in range(max(hist, default=0) + 1)))
+            assert kings.table(p, kc).rows == tuple(expected), (kc, p)
+            assert own.table(p, kc).rows == tuple(expected), (kc, p)

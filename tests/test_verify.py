@@ -7,7 +7,7 @@ import pytest
 
 import kingmesh.kings as kings_mod
 import kingmesh.oracle as oracle_mod
-from kingmesh.gfs import class_series
+from kingmesh.gfs import class_series, terms
 from kingmesh.kings import KingClass
 from kingmesh.mesh import OPEN_IDS, SOLVED_IDS, catalog_pattern
 from kingmesh.oracle import Census, census, distribution_table
@@ -127,32 +127,32 @@ def test_report_dict_round_trip():
 def test_verify_all_small_run(monkeypatch):
     # a small full run passes, repeats byte-identically, and sorts by id
     a = verify_all(order=8, n_max=4)
-    # the second run counts the king permutations it draws, streamed where
-    # patterns are counted and walked past n_max: each length through the
-    # counting range n = 11 exactly once, below each first value once
+    # the second run counts the king permutations it draws, walked with the
+    # patterns counted through n_max and only tallied past it: each length
+    # through the counting range n = 11 exactly once, below each first value once
     hosts = 0
     tasks = []
-    subtree, walk = kings_mod._subtree, oracle_mod.tally_subtree
+    walk, tally = oracle_mod._walk, oracle_mod.tally_subtree
 
-    def counting_subtree(n, first, forbid_last):
+    def counting_walk(compiled, n, first, forbid_last, head):
         nonlocal hosts
         tasks.append((n, first))
-        for perm in subtree(n, first, forbid_last):
-            hosts += 1
-            yield perm
+        leaves = walk(compiled, n, first, forbid_last, head)
+        hosts += sum(leaves.values())
+        return leaves
 
-    def counting_walk(n, first, forbid_last):
+    def counting_tally(n, first, forbid_last):
         nonlocal hosts
         tasks.append((n, first))
-        tally = walk(n, first, forbid_last)
-        hosts += sum(tally)
-        return tally
+        hosts_by_flags = tally(n, first, forbid_last)
+        hosts += sum(hosts_by_flags)
+        return hosts_by_flags
 
-    monkeypatch.setattr(kings_mod, "_subtree", counting_subtree)
-    monkeypatch.setattr(oracle_mod, "tally_subtree", counting_walk)
+    monkeypatch.setattr(oracle_mod, "_walk", counting_walk)
+    monkeypatch.setattr(oracle_mod, "tally_subtree", counting_tally)
     b = verify_all(order=8, n_max=4)
-    assert hosts == sum(KING_COUNTS[2:12]) == 5_829_712
-    assert sorted(tasks) == [(n, f) for n in range(2, 12) for f in range(1, n + 1)]
+    assert hosts == sum(KING_COUNTS[1:12]) == 5_829_713
+    assert sorted(tasks) == [(n, f) for n in range(1, 12) for f in range(1, n + 1)]
     assert reports_to_json(a) == reports_to_json(b)
     # the report as the code before the shared census produced it
     assert hashlib.sha256(reports_to_json(a).encode()).hexdigest() == (
@@ -336,6 +336,13 @@ def test_counts_methods_names_the_method_that_is_off(monkeypatch, sizes_census):
     assert (report.witness.n, report.witness.expected, report.witness.actual) == (
         7, str(KING_COUNTS[7]), str(KING_COUNTS[7] + 1)
     )
+
+
+def test_counts_methods_cache_one_order_of_terms(sizes_census):
+    # the gf leg reads all twelve lengths from one series, not one order each
+    terms.cache_clear()
+    assert _check_counts_methods(sizes_census).status == PASS
+    assert terms.cache_info().currsize == 1
 
 
 def test_class_counts_name_the_class_that_is_off(sizes_census):
