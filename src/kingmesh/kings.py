@@ -162,7 +162,7 @@ def enumerate_kings(
     if first_values is not None:
         firsts = sorted(set(firsts) & set(first_values))
     for first in firsts:
-        yield from _subtree(n, first, last)
+        yield from _subtree((first,), [v for v in range(1, n + 1) if v != first], last)
 
 
 def class_ends(n: int, king_class: KingClass) -> tuple[list[int], int]:
@@ -173,22 +173,14 @@ def class_ends(n: int, king_class: KingClass) -> tuple[list[int], int]:
     return firsts, 1 if forbid_last & SMALLEST else n if forbid_last & LARGEST else 0
 
 
-def _subtree(n: int, first: int, forbid_last: int) -> Iterator[Perm]:
-    seq = [first]
-
-    def extend(rest: list[int]) -> Iterator[Perm]:
-        if not rest:
-            if seq[-1] != forbid_last:
-                yield tuple(seq)
-            return
-        prev = seq[-1]
-        for i, v in enumerate(rest):
-            if abs(v - prev) > 1:
-                seq.append(v)
-                yield from extend(rest[:i] + rest[i + 1 :])
-                seq.pop()
-
-    return extend([v for v in range(1, n + 1) if v != first])
+def _subtree(prefix: Perm, rest: list[int], forbid_last: int) -> Iterator[Perm]:
+    # the members that begin with prefix and continue with the values in rest
+    prev = prefix[-1]
+    if not rest and prev != forbid_last:
+        yield prefix
+    for i, v in enumerate(rest):
+        if v - prev > 1 or prev - v > 1:
+            yield from _subtree(prefix + (v,), rest[:i] + rest[i + 1 :], forbid_last)
 
 
 def tally_subtree(n: int, first: int, forbid_last: int) -> list[int]:

@@ -296,16 +296,14 @@ def _parse_boxes(s: _Scanner, k: int) -> list[Box]:
 # on the whole host (`whole`).
 #
 # The counts of all the patterns travel as one integer, pattern idx's in the
-# FIELD bits from bit FIELD * idx: a count, at most the number of candidates
-# tested one by one, stays far below 2^64, so no field carries into the next.
+# `field` bits from bit field * idx.  The default 64 bits hold any count of
+# candidates tested one by one; a census, whose lengths are known, passes fewer.
 # ---------------------------------------------------------------------------
 
-FIELD = 64
 
-
-def packed_count(packed: int, idx: int) -> int:
+def packed_count(packed: int, idx: int, field: int) -> int:
     """The count of pattern idx in packed counts."""
-    return packed >> FIELD * idx & (1 << FIELD) - 1
+    return packed >> field * idx & (1 << field) - 1
 
 
 def _hit_table(members: Sequence[tuple[int, int]], k: int) -> list[int]:
@@ -334,11 +332,11 @@ class CompiledPatterns:
     number of patterns.
     """
 
-    def __init__(self, patterns: Iterable[MeshPattern]):
-        self.patterns = tuple(patterns)
+    def __init__(self, patterns: Iterable[MeshPattern], field: int = 64):
+        self.patterns, self.field = tuple(patterns), field
         groups: dict[Perm, list[tuple[int, int]]] = {}
         for idx, p in enumerate(self.patterns):
-            groups.setdefault(p.tau, []).append((1 << FIELD * idx, p.box_mask))
+            groups.setdefault(p.tau, []).append((1 << field * idx, p.box_mask))
         tables = {tau: _hit_table(members, len(tau))
                   for tau, members in groups.items() if len(tau) in (1, 2)}
         self.single, self.up, self.down = map(tables.get, [(1,), (1, 2), (2, 1)])
@@ -432,7 +430,7 @@ def occurrence_counts(
         packed += patterns.ending_at(perm, pre, d, full)
         pre[d + 1] = pre[d] | 1 << v
     packed += patterns.whole(perm, pre)
-    return [packed_count(packed, idx) for idx in range(len(patterns))]
+    return [packed_count(packed, idx, patterns.field) for idx in range(len(patterns))]
 
 
 # patterns that count_occurrences and avoids keep compiled: the catalog and both

@@ -86,12 +86,17 @@ _CLASS_TYPES = {
 }
 
 
+def _field(patterns: Sequence[MeshPattern], n: int) -> int:
+    """The bits of one count in a census key at length n, enough for C(n, k)."""
+    return max([math.comb(n, p.length) for p in patterns], default=0).bit_length()
+
+
 def _tally(task) -> dict[int, int]:
     """One length's tally below one first value: how many hosts there are of
     each key ``packed << 4 | t``, where t is the host's endpoint type and
     ``packed`` its counts of the patterns (see :func:`packed_count`)."""
     patterns, n, king_class, first = task
-    compiled = CompiledPatterns(patterns)
+    compiled = CompiledPatterns(patterns, _field(patterns, n))
     if not n:  # the empty host, of type 0
         return {compiled.whole((), [0]) << 4: 1}
     firsts, last = class_ends(n, king_class)
@@ -173,10 +178,10 @@ class Census:
         types, idx = _CLASS_TYPES[kc], self.patterns.index(pattern)
         rows = []
         for n, tally in enumerate(self.tallies[: self.pattern_n_max + 1]):
-            row = [0] * (math.comb(n, pattern.length) + 1)
+            row, field = [0] * (math.comb(n, pattern.length) + 1), _field(self.patterns, n)
             for key, hosts in tally.items():
                 if key & 15 in types:
-                    row[packed_count(key >> 4, idx)] += hosts
+                    row[packed_count(key >> 4, idx, field)] += hosts
             rows.append(UPoly(row))
         return DistributionTable(pattern, kc, tuple(rows))
 
