@@ -94,7 +94,7 @@ def _field(patterns: Sequence[MeshPattern], n: int) -> int:
 def _tally(task) -> dict[int, int]:
     """One length's tally below one first value: how many hosts there are of
     each key ``packed << 4 | t``, where t is the host's endpoint type and
-    ``packed`` its counts of the patterns (see :func:`packed_count`)."""
+    ``packed`` its pattern counts in fields of ``_field(patterns, n)`` bits."""
     patterns, n, king_class, first = task
     compiled = CompiledPatterns(patterns, _field(patterns, n))
     if not n:  # the empty host, of type 0
@@ -112,7 +112,7 @@ def _walk(compiled: CompiledPatterns, n: int, first: int, forbid_last: int, head
     """Tally, as ``_tally`` does, the king permutations of 1..n (n >= 1) that
     begin with ``first`` (of type ``head``) and do not end with ``forbid_last``.
     Each node adds the hits of the candidates ending at its position to the
-    counts it passes down; longer candidates are counted at each leaf.  Like
+    counts it passes down; the other candidates are counted at each leaf.  Like
     ``tally_subtree``, the walk reuses no subtree and tests every adjacent pair
     of every host."""
     flags = [endpoint_flags(v, n) for v in range(n + 1)]
