@@ -4,8 +4,11 @@ A permutation (one-line notation, values 1..n) is a *king permutation* when
 every two adjacent entries differ by more than one, like non-attacking kings
 placed on adjacent columns of a board.  This module provides the symmetry
 operations, membership tests, a streaming backtracking enumerator, a counting
-walk that tallies the members below one first value without building them,
-and four independent ways of counting.
+walk that tallies the kings below one first value without building them, and
+four independent ways of counting.  Every restricted class forbids only some
+first and last entries, so one table, ``CLASS_TYPES``, says which endpoint
+types each class holds; the walks know no class, and the table decides which
+of the kings they reach are members.
 
 >>> is_king((2, 4, 1, 3))
 True
@@ -19,7 +22,7 @@ from __future__ import annotations
 
 import math
 from enum import Enum
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 Perm = tuple[int, ...]
 
@@ -36,7 +39,8 @@ class KingClass(str, Enum):
 
     The empty permutation belongs to every class; the one-element permutation
     belongs only to ALL (it begins with its smallest and ends with its largest
-    element at once).
+    element at once).  ``CLASS_TYPES`` states these conditions as the endpoint
+    types each class holds.
     """
 
     ALL = "all"
@@ -124,69 +128,59 @@ CLASS_FORBIDS = {
     KingClass.LS: (LARGEST, SMALLEST),
 }
 
+# A permutation's endpoint type is 4 * flags(first entry) + flags(last entry),
+# and 0 for the empty one.  This table is the one rule of class membership:
+# a class holds exactly the types whose flags it does not forbid.
+CLASS_TYPES = {
+    kc: frozenset(t for t in range(16) if not (t >> 2 & first or t & 3 & last))
+    for kc, (first, last) in CLASS_FORBIDS.items()
+}
+
 
 def endpoint_flags(value: int, n: int) -> int:
     """The endpoint flags of an entry ``value`` of a permutation of 1..n."""
     return SMALLEST * (value == 1) | LARGEST * (value == n)
 
 
+def endpoint_type(p: Sequence[int]) -> int:
+    """The endpoint type of a permutation (see ``CLASS_TYPES``)."""
+    n = len(p)
+    return 4 * endpoint_flags(p[0], n) | endpoint_flags(p[-1], n) if p else 0
+
+
 def in_class(p: Sequence[int], king_class: KingClass = KingClass.ALL) -> bool:
     """Membership of p in a restricted king class (see :class:`KingClass`)."""
-    if not is_king(p):
-        return False
-    if not p:
-        return True
-    first, last = CLASS_FORBIDS[KingClass(king_class)]
-    n = len(p)
-    return not (endpoint_flags(p[0], n) & first or endpoint_flags(p[-1], n) & last)
+    return is_king(p) and endpoint_type(p) in CLASS_TYPES[KingClass(king_class)]
 
 
-def enumerate_kings(
-    n: int,
-    king_class: KingClass = KingClass.ALL,
-    first_values: Iterable[int] | None = None,
-) -> Iterator[Perm]:
+def enumerate_kings(n: int, king_class: KingClass = KingClass.ALL) -> Iterator[Perm]:
     """Yield each member of the class exactly once, in no promised order.
 
     Backtracking over the choice of the next value, pruning any prefix whose
-    last two entries differ by at most one.  ``first_values`` restricts the
-    value placed in position 1, which lets independent workers own disjoint
-    subtrees; the union over all first values is the full class.
+    last two entries differ by at most one, yields every king of length n;
+    those whose endpoint type the class holds pass.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    if n == 0:
-        yield ()
-        return
-    firsts, last = class_ends(n, king_class)
-    if first_values is not None:
-        firsts = sorted(set(firsts) & set(first_values))
-    for first in firsts:
-        yield from _subtree((first,), [v for v in range(1, n + 1) if v != first], last)
+    types = CLASS_TYPES[KingClass(king_class)]
+    return (p for p in _subtree((), list(range(1, n + 1))) if endpoint_type(p) in types)
 
 
-def class_ends(n: int, king_class: KingClass) -> tuple[list[int], int]:
-    """The values a class member of length n >= 1 may begin with, ascending,
-    and the one value it may not end with, or 0, which matches no value."""
-    forbid_first, forbid_last = CLASS_FORBIDS[KingClass(king_class)]
-    firsts = [v for v in range(1, n + 1) if not endpoint_flags(v, n) & forbid_first]
-    return firsts, 1 if forbid_last & SMALLEST else n if forbid_last & LARGEST else 0
-
-
-def _subtree(prefix: Perm, rest: list[int], forbid_last: int) -> Iterator[Perm]:
-    # the members that begin with prefix and continue with the values in rest
-    prev = prefix[-1]
-    if not rest and prev != forbid_last:
+def _subtree(prefix: Perm, rest: list[int]) -> Iterator[Perm]:
+    # the kings that begin with prefix and continue with the values in rest
+    prev = prefix[-1] if prefix else -1  # any value may follow the empty prefix
+    if not rest:
         yield prefix
     for i, v in enumerate(rest):
         if v - prev > 1 or prev - v > 1:
-            yield from _subtree(prefix + (v,), rest[:i] + rest[i + 1 :], forbid_last)
+            yield from _subtree(prefix + (v,), rest[:i] + rest[i + 1 :])
 
 
-def tally_subtree(n: int, first: int, forbid_last: int) -> list[int]:
-    """Count the king permutations of 1..n (n >= 1) that begin with ``first``
-    and do not end with ``forbid_last`` (0 forbids nothing): entry f of the
-    result is how many of them end on an entry with endpoint flags f.
+def tally_subtree(n: int, first: int) -> list[int]:
+    """Count the king permutations of 1..n (n >= 1) that begin with
+    ``first``: entry f of the result is how many of them end on an entry with
+    endpoint flags f.  Which of them a class holds is read from
+    ``CLASS_TYPES`` afterwards.
 
     The same exhaustive backtracking as the stream below one first value: no
     subtree's count is reused or derived by symmetry, and every adjacent pair
@@ -212,26 +206,26 @@ def tally_subtree(n: int, first: int, forbid_last: int) -> list[int]:
                 fw = far[w]
                 xy, xz, yz = far[x][y], far[x][z], far[y][z]
                 if fw[x]:
-                    if xy and yz and z != forbid_last:
+                    if xy and yz:
                         tally[flags[z]] += 1
-                    if xz and yz and y != forbid_last:
+                    if xz and yz:
                         tally[flags[y]] += 1
                 if fw[y]:
-                    if xy and xz and z != forbid_last:
+                    if xy and xz:
                         tally[flags[z]] += 1
-                    if yz and xz and x != forbid_last:
+                    if yz and xz:
                         tally[flags[x]] += 1
                 if fw[z]:
-                    if xz and xy and y != forbid_last:
+                    if xz and xy:
                         tally[flags[y]] += 1
-                    if yz and xy and x != forbid_last:
+                    if yz and xy:
                         tally[flags[x]] += 1
         elif rest:
             fp = far[prev]
             for i, v in enumerate(rest):
                 if fp[v]:
                     walk(v, rest[:i] + rest[i + 1 :])
-        elif prev != forbid_last:  # only for n <= 4, which start below four values
+        else:  # only for n <= 4, which start below four values
             tally[flags[prev]] += 1
 
     walk(first, [v for v in range(1, n + 1) if v != first])
@@ -239,10 +233,15 @@ def tally_subtree(n: int, first: int, forbid_last: int) -> list[int]:
 
 
 def _count_by_walk(n: int, king_class: KingClass) -> int:
-    if n == 0:
+    if n == 0:  # the empty permutation, of type 0
         return 1
-    firsts, last = class_ends(n, king_class)
-    return sum(sum(tally_subtree(n, first, last)) for first in firsts)
+    types = CLASS_TYPES[KingClass(king_class)]
+    return sum(
+        hosts
+        for first in range(1, n + 1)
+        for f, hosts in enumerate(tally_subtree(n, first))
+        if 4 * endpoint_flags(first, n) | f in types
+    )
 
 
 def _count_by_recurrence(n: int) -> int:

@@ -6,11 +6,12 @@ integer polynomial.  This is the independent route against which every closed
 form in :mod:`kingmesh.gfs` is checked: the two share no code beyond integer
 arithmetic.
 
-Its one kernel is a *census*: one pass over a class per length that tallies
-every host under its endpoint type.  Each class is a union of endpoint types,
-so a census of all kings yields every class's size and distributions.  Below
-each first value it walks the backtracking tree, building no host: each node
-adds the hits of the candidates ending at its position to the counts it passes
+Its one kernel is a *census*: one pass per length that tallies every host
+under its endpoint type.  A class is the set of endpoint types that
+:data:`kingmesh.kings.CLASS_TYPES` gives it, so a census of all kings yields
+every class's size and distributions, and no walk knows the class.  Below each
+first value it walks the backtracking tree, building no host: each node adds
+the hits of the candidates ending at its position to the counts it passes
 down, once for all the hosts below it.  A length that counts no pattern needs
 only :func:`kingmesh.kings.tally_subtree`.
 
@@ -27,13 +28,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
 
-from .kings import (
-    CLASS_FORBIDS,
-    KingClass,
-    class_ends,
-    endpoint_flags,
-    tally_subtree,
-)
+from .kings import CLASS_TYPES, KingClass, endpoint_flags, tally_subtree
 from .mesh import CompiledPatterns, MeshPattern, packed_count, parse_pattern, render_pattern
 from .series import UPoly, parse_upoly
 
@@ -77,15 +72,6 @@ class DistributionTable:
         )
 
 
-# A host's endpoint type is 4 * flags(first entry) + flags(last entry), with
-# the endpoint flags of kings.py; a class is the union of the types whose
-# flags it does not forbid.
-_CLASS_TYPES = {
-    kc: {t for t in range(16) if not (t >> 2 & first or t & 3 & last)}
-    for kc, (first, last) in CLASS_FORBIDS.items()
-}
-
-
 def _field(patterns: Sequence[MeshPattern], n: int) -> int:
     """The bits of one count in a census key at length n, enough for C(n, k)."""
     return max([math.comb(n, p.length) for p in patterns], default=0).bit_length()
@@ -95,57 +81,58 @@ def _tally(task) -> dict[int, int]:
     """One length's tally below one first value: how many hosts there are of
     each key ``packed << 4 | t``, where t is the host's endpoint type and
     ``packed`` its pattern counts in fields of ``_field(patterns, n)`` bits."""
-    patterns, n, king_class, first = task
+    patterns, n, first = task
     compiled = CompiledPatterns(patterns, _field(patterns, n))
     if not n:  # the empty host, of type 0
         return {compiled.whole((), [0]) << 4: 1}
-    firsts, last = class_ends(n, king_class)
-    if first not in firsts:
-        return {}
-    head = 4 * endpoint_flags(first, n)
     if not patterns:  # a host costs only its tally: count, do not build
-        return {head | f: hosts for f, hosts in enumerate(tally_subtree(n, first, last))}
-    return _walk(compiled, n, first, last, head)
+        head = 4 * endpoint_flags(first, n)
+        return {head | f: hosts for f, hosts in enumerate(tally_subtree(n, first))}
+    return _walk(compiled, n, first)
 
 
-def _walk(compiled: CompiledPatterns, n: int, first: int, forbid_last: int, head: int):
-    """Tally, as ``_tally`` does, the king permutations of 1..n (n >= 1) that
-    begin with ``first`` (of type ``head``) and do not end with ``forbid_last``.
-    Each node adds the hits of the candidates ending at its position to the
-    counts it passes down; the other candidates are counted at each leaf.  Like
-    ``tally_subtree``, the walk reuses no subtree and tests every adjacent pair
-    of every host."""
-    flags = [endpoint_flags(v, n) for v in range(n + 1)]
+def _walk(compiled: CompiledPatterns, n: int, first: int):
+    """Tally, as ``_tally`` does, every king permutation of 1..n (n >= 1) that
+    begins with ``first``, whatever its class.  Each node adds the hits of the
+    candidates ending at its position to the counts it passes down; the other
+    candidates are counted at each leaf.  Like ``tally_subtree``, the walk
+    reuses no subtree and tests every adjacent pair of every host."""
+    head = 4 * endpoint_flags(first, n)
+    type_by_last = [head | endpoint_flags(v, n) for v in range(n + 1)]
     far = [[abs(a - b) > 1 for b in range(n + 1)] for a in range(n + 1)]
     full = (2 << n) - 2
     seq = [first] * n
     pre = [0, 1 << first] + [0] * (n - 1)
+    pre[n] = full  # all n values precede position n, whatever the order
     ending_at = compiled.ending_at
     whole = compiled.whole if compiled.generic else None
     leaves: dict[int, int] = {}
     get = leaves.get
 
-    def leaf(packed: int) -> None:
+    def leaf(packed: int) -> None:  # the host of n = 1; longer ones end in the tail below
         if whole:
             packed += whole(seq, pre)
-        key = packed << 4 | head | flags[seq[-1]]
+        key = packed << 4 | type_by_last[seq[-1]]
         leaves[key] = get(key, 0) + 1
 
     def walk(d: int, rest: list[int], packed: int) -> None:
         # place position d, after seq[d - 1], from the values not yet placed
         if not rest:  # n = 1
-            if seq[d - 1] != forbid_last:
-                leaf(packed)
+            leaf(packed)
             return
         before = pre[d]
         fp = far[seq[d - 1]]
-        if len(rest) == 2:  # the last two entries, inline
+        if len(rest) == 2:  # the last two entries and their leaf, inline
             a, b = rest
             for v, w in ((a, b), (b, a)):
-                if fp[v] and far[v][w] and w != forbid_last:
+                if fp[v] and far[v][w]:
                     seq[d], seq[d + 1] = v, w
-                    pre[d + 1], pre[d + 2] = before | 1 << v, full
-                    leaf(packed + ending_at(seq, pre, d, full) + ending_at(seq, pre, d + 1, full))
+                    pre[d + 1] = before | 1 << v
+                    key = packed + ending_at(seq, pre, d, full) + ending_at(seq, pre, d + 1, full)
+                    if whole:
+                        key += whole(seq, pre)
+                    key = key << 4 | type_by_last[w]
+                    leaves[key] = get(key, 0) + 1
             return
         for i, v in enumerate(rest):
             if fp[v]:
@@ -161,21 +148,28 @@ def _walk(compiled: CompiledPatterns, n: int, first: int, forbid_last: int, head
 class Census:
     """The tallies of one pass over a king class, one per length, with the
     patterns counted through ``pattern_n_max``.  A census of ALL answers for
-    every class; one of a restricted class counts only its own members."""
+    every class; one of a restricted class skips the first values the class
+    forbids, so it answers for that class alone."""
 
     patterns: tuple[MeshPattern, ...]
     pattern_n_max: int
     tallies: tuple[dict[int, int], ...]
 
     def size(self, n: int, king_class: KingClass) -> int:
-        """Number of class members of length n."""
-        types = _CLASS_TYPES[KingClass(king_class)]
+        """Number of class members of length n: the hosts of the types the
+        class holds.
+
+        >>> kings = census((), 5)
+        >>> kings.size(5, KingClass.ALL), kings.size(5, "sl")
+        (14, 10)
+        """
+        types = CLASS_TYPES[KingClass(king_class)]
         return sum(hosts for key, hosts in self.tallies[n].items() if key & 15 in types)
 
     def table(self, pattern: MeshPattern, king_class: KingClass) -> DistributionTable:
         """The pattern's distribution rows over the class."""
         kc = KingClass(king_class)
-        types, idx = _CLASS_TYPES[kc], self.patterns.index(pattern)
+        types, idx = CLASS_TYPES[kc], self.patterns.index(pattern)
         rows = []
         for n, tally in enumerate(self.tallies[: self.pattern_n_max + 1]):
             row, field = [0] * (math.comb(n, pattern.length) + 1), _field(self.patterns, n)
@@ -193,10 +187,11 @@ def census(
     jobs: int = 1,
     pattern_n_max: int | None = None,
 ) -> Census:
-    """Enumerate the class members of each length 0..n_max once, tallying
-    them by endpoint type and counting the patterns through ``pattern_n_max``
-    (default ``n_max``).  The work is split by length and first value; with
-    ``jobs > 1`` one pool of workers takes it, the longest lengths first.
+    """Enumerate the kings of each length 0..n_max once, tallying them by
+    endpoint type and counting the patterns through ``pattern_n_max``
+    (default ``n_max``).  The work is split by length and by the first values
+    the class allows; with ``jobs > 1`` one pool of workers takes it, the
+    longest lengths first.
     """
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
@@ -204,11 +199,13 @@ def census(
         pattern_n_max = n_max
     if not 0 <= pattern_n_max <= n_max:
         raise ValueError(f"pattern_n_max must lie in 0..n_max = {n_max}, got {pattern_n_max}")
-    patterns, kc = tuple(patterns), KingClass(king_class)
+    patterns = tuple(patterns)
+    heads = {t >> 2 for t in CLASS_TYPES[KingClass(king_class)]}  # flags a member may begin with
     tasks = [
-        (patterns if n <= pattern_n_max else (), n, kc, first)
+        (patterns if n <= pattern_n_max else (), n, first)
         for n in range(n_max, -1, -1)
-        for first in range(1, max(n, 1) + 1)  # the empty host takes any first value
+        for first in range(1, max(n, 1) + 1)  # the empty host, of type 0, takes any first value
+        if not n or endpoint_flags(first, n) in heads
     ]
     if jobs > 1 and n_max >= 2:
         with multiprocessing.Pool(min(jobs, n_max)) as pool:
@@ -216,7 +213,7 @@ def census(
     else:
         parts = map(_tally, tasks)
     tallies = [Counter() for _ in range(n_max + 1)]
-    for (_, n, _, _), part in zip(tasks, parts):
+    for (_, n, _), part in zip(tasks, parts):
         tallies[n].update(part)
     return Census(patterns, pattern_n_max, tuple(tallies))
 

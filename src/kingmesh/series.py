@@ -15,6 +15,15 @@ from __future__ import annotations
 from typing import Iterable
 
 
+class NotDivisibleError(ValueError):
+    """Raised by an exact division that leaves a remainder: the t^power
+    coefficient ``coefficient`` is not a multiple of ``divisor``."""
+
+    def __init__(self, power: int, coefficient: "UPoly", divisor: str):
+        self.power, self.coefficient, self.divisor = power, coefficient, divisor
+        super().__init__(f"t^{power} coefficient {coefficient} is not divisible by {divisor}")
+
+
 class NonUnitConstantTermError(ArithmeticError):
     """Raised when dividing by a series whose t^0 coefficient is not +-1.
 
@@ -302,9 +311,8 @@ class Series:
             raise IndexError(f"coefficient t^{n} outside truncation order {self._order}")
         return self._c[n]
 
-    def is_zero(self, through: int | None = None) -> bool:
-        upto = self._order if through is None else min(through, self._order)
-        return all(c.is_zero for c in self._c[: upto + 1])
+    def is_zero(self) -> bool:
+        return all(c.is_zero for c in self._c)
 
     # -- ring operations ----------------------------------------------------
 
@@ -424,12 +432,16 @@ class Series:
             return self
         if power > self._order:
             raise ValueError("cannot divide past the truncation order")
-        if any(not c.is_zero for c in self._c[:power]):
-            raise ValueError(f"series is not divisible by t^{power}")
+        for n, c in enumerate(self._c[:power]):
+            if not c.is_zero:
+                raise NotDivisibleError(n, c, f"t^{power}")
         return Series(self._order - power, self._c[power:])
 
     def div_u(self) -> "Series":
         """Exact division of every coefficient by u."""
+        for n, c in enumerate(self._c):
+            if c.coeff(0):
+                raise NotDivisibleError(n, c, "u")
         return Series(self._order, (c.shift(-1) for c in self._c))
 
     def scale_u(self, power: int) -> "Series":

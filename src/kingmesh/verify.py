@@ -24,8 +24,9 @@ witness (its n, expected and actual value), and the subject names that leg.
 In a leg named ``X vs Y``, X is the actual side and Y the expected one: the
 census row, or the closed form under a substitution, is judged against the
 closed form it should equal.
-Only ``kingchar``, whose witness is a permutation, and the sign test of
-``mass:*`` decide on their own.
+Only ``kingchar``, whose witness is a permutation, the sign test of
+``mass:*`` and an equation whose construction cannot divide exactly decide
+on their own.
 """
 
 from __future__ import annotations
@@ -60,7 +61,7 @@ from .gfs import (
     strong_point_series,
     terms,
 )
-from .series import Series, UPoly, parse_upoly
+from .series import NotDivisibleError, Series, UPoly, parse_upoly
 
 PASS = "PASS"
 FAIL = "FAIL"
@@ -216,14 +217,20 @@ EQUATIONS: dict[str, EquationSpec] = {s.eq_id: s for s in _equation_specs()}
 
 def verify_equation(eq_id: str, order: int = DEFAULT_ORDER) -> CheckReport:
     """Build both sides of a registered identity and require a zero residual
-    through the given order."""
+    through the given order.  An exact division inside the construction that
+    leaves a remainder fails the check; the witness is the coefficient."""
     spec = EQUATIONS.get(eq_id)
     if spec is None:
         known = ", ".join(sorted(EQUATIONS))
         raise KeyError(f"unknown equation {eq_id!r}; registered: {known}")
-    residual = spec.build(order + spec.margin).coeffs
+    check_id = f"equation:{eq_id}"
+    try:
+        residual = spec.build(order + spec.margin).coeffs
+    except NotDivisibleError as exc:
+        witness = Witness(exc.power, f"a multiple of {exc.divisor}", str(exc.coefficient))
+        return CheckReport(check_id, f"{spec.subject} (division by {exc.divisor})", FAIL, witness)
     zeros = (UPoly(),) * (order + 1)
-    return _compare(f"equation:{eq_id}", spec.subject, [("residual", zeros, residual, FAIL)])
+    return _compare(check_id, spec.subject, [("residual", zeros, residual, FAIL)])
 
 
 # ---------------------------------------------------------------------------

@@ -3,12 +3,14 @@ import doctest
 import kingmesh.gfs
 import kingmesh.kings
 import kingmesh.mesh
+import kingmesh.oracle
 import kingmesh.series
 import kingmesh.verify
 
 
 def test_docstring_examples():
-    for module in (kingmesh.gfs, kingmesh.kings, kingmesh.mesh, kingmesh.series, kingmesh.verify):
+    modules = (kingmesh.gfs, kingmesh.kings, kingmesh.mesh, kingmesh.oracle, kingmesh.series, kingmesh.verify)
+    for module in modules:
         result = doctest.testmod(module, verbose=False)
         assert result.failed == 0, module.__name__
         assert result.attempted > 0, module.__name__

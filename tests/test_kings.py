@@ -1,12 +1,14 @@
 """King permutations: predicates, symmetries, enumeration, counting."""
 
+from itertools import permutations
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kingmesh.kings import (
+    CLASS_TYPES,
     KingClass,
-    class_ends,
     complement,
     count_class,
     count_kings,
@@ -85,13 +87,30 @@ def test_enumerate_matches_filtering():
             }
 
 
-def test_enumerate_first_values_partition():
-    n = 6
-    whole = sorted(enumerate_kings(n))
-    parts = []
-    for first in range(1, n + 1):
-        parts.extend(enumerate_kings(n, first_values=[first]))
-    assert sorted(parts) == whole
+# The end conditions of each class as the KingClass docstring states them.
+LITERAL_ENDS = {
+    KingClass.ALL: lambda p, n: True,
+    KingClass.S: lambda p, n: p[0] != 1,
+    KingClass.L: lambda p, n: p[-1] != n,
+    KingClass.SL: lambda p, n: p[0] != 1 and p[-1] != n,
+    KingClass.LS: lambda p, n: p[0] != n and p[-1] != 1,
+}
+
+
+@pytest.mark.parametrize("kc", list(KingClass))
+def test_class_rule_matches_its_literal_definition(kc):
+    # every route reads one endpoint-type table; here each is held against
+    # the definition written out over all permutations, adjacency included
+    members = census((), 7)
+    for n in range(8):
+        literal = [
+            p for p in permutations(range(1, n + 1))
+            if all(abs(a - b) > 1 for a, b in zip(p, p[1:])) and (not p or LITERAL_ENDS[kc](p, n))
+        ]
+        assert sorted(enumerate_kings(n, kc)) == literal, n
+        assert [p for p in permutations(range(1, n + 1)) if in_class(p, kc)] == literal, n
+        assert count_class(n, kc, "enumerate") == len(literal), n
+        assert members.size(n, kc) == len(literal), n
 
 
 def test_class_sizes_at_5():
@@ -192,16 +211,20 @@ def test_unknown_method_lists_the_four_methods():
 
 @pytest.mark.parametrize("kc", list(KingClass))
 def test_tally_subtree_matches_the_stream(kc):
-    # the counting walk against the streamed members, one first value at a
-    # time: n <= 4 takes the walk's plain path, longer lengths its inline tail
-    for n in range(10):
-        firsts, last = class_ends(n, kc)
+    # the counting walk against the streamed class members, grouped by first
+    # value and end flags: n <= 4 takes the walk's plain path, longer lengths
+    # its inline tail; the walk counts every king, the class reads its types
+    for n in range(1, 10):
+        streamed = {first: [0, 0, 0, 0] for first in range(1, n + 1)}
+        for p in enumerate_kings(n, kc):
+            streamed[p[0]][endpoint_flags(p[-1], n)] += 1
         for first in range(1, n + 1):
-            streamed = [0, 0, 0, 0]
-            for p in enumerate_kings(n, kc, first_values=[first]):
-                streamed[endpoint_flags(p[-1], n)] += 1
-            walked = tally_subtree(n, first, last) if first in firsts else [0, 0, 0, 0]
-            assert walked == streamed, (n, first)
+            head = 4 * endpoint_flags(first, n)
+            walked = [
+                hosts if head | f in CLASS_TYPES[kc] else 0
+                for f, hosts in enumerate(tally_subtree(n, first))
+            ]
+            assert walked == streamed[first], (n, first)
 
 
 def test_census_without_patterns_counts_every_length():

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import kingmesh.oracle as oracle_mod
 from kingmesh.kings import KingClass, count_class, count_kings, in_class
 from kingmesh.mesh import MeshPattern, catalog, catalog_pattern
 from kingmesh.oracle import (
@@ -112,6 +113,15 @@ def test_census_counts_patterns_through_their_own_range():
             assert short.table(p, kc).rows == full.table(p, kc).rows[:6]
     with pytest.raises(ValueError):
         census(pats, 4, pattern_n_max=5)
+
+
+def test_restricted_census_walks_only_the_first_values_its_class_allows(monkeypatch):
+    # no walk knows the class; an SL census leaves out first value 1, which
+    # begins no endpoint type of SL, and so the whole length n = 1
+    walked = []
+    monkeypatch.setattr(oracle_mod, "_walk", lambda compiled, n, first: walked.append((n, first)) or {})
+    census([catalog_pattern("X")], 10, KingClass.SL)
+    assert sorted(walked) == [(n, first) for n in range(2, 11) for first in range(2, n + 1)]
 
 
 def test_repeated_runs_identical():

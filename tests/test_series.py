@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from kingmesh.series import (
     NonUnitConstantTermError,
+    NotDivisibleError,
     Series,
     UPoly,
     format_upoly,
@@ -262,6 +263,19 @@ class TestSeries:
         assert s.div_u() == Series(2, [UPoly(), UPoly((3,)), UPoly((1, 2))])
         with pytest.raises(ValueError):
             Series.one(2).div_u()
+
+    def test_failed_division_names_the_power_and_coefficient(self):
+        with pytest.raises(NotDivisibleError) as info:
+            Series(3, [UPoly(), UPoly((0, 3)), UPoly((-5, 0, 2))]).div_u()
+        assert (info.value.power, info.value.coefficient, info.value.divisor) == (
+            2, UPoly((-5, 0, 2)), "u",
+        )
+        assert str(info.value) == "t^2 coefficient -5+2u^2 is not divisible by u"
+        with pytest.raises(NotDivisibleError) as info:
+            Series.from_ints(4, (0, 7, 1)).div_t(2)
+        assert (info.value.power, info.value.coefficient, info.value.divisor) == (
+            1, UPoly((7,)), "t^2",
+        )
 
     def test_scale_u(self):
         s = Series.from_ints(2, (1, 2))

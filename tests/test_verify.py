@@ -1,12 +1,16 @@
 """The cross-check battery: passing checks, fault isolation, report plumbing."""
 
 import hashlib
+import io
+from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import replace
 
 import pytest
 
+import kingmesh.gfs as gfs_mod
 import kingmesh.kings as kings_mod
 import kingmesh.oracle as oracle_mod
+from kingmesh import cli
 from kingmesh.gfs import class_series, terms
 from kingmesh.kings import KingClass
 from kingmesh.mesh import OPEN_IDS, SOLVED_IDS, catalog_pattern
@@ -60,8 +64,34 @@ def test_equation_detects_perturbation():
     order = 12
     residual = spec.build(order + spec.margin)
     perturbed = residual + Series.t(residual.order)
-    assert residual.is_zero(through=order)
-    assert not perturbed.is_zero(through=order)
+    assert residual.truncated(order).is_zero()
+    assert not perturbed.truncated(order).is_zero()
+
+
+def test_undividable_residual_is_a_fail(monkeypatch):
+    # a u-free fault in E:64 leaves the STAR construction a coefficient that
+    # div_u cannot divide: the check fails with that coefficient as witness,
+    # and the battery reports every check the fault reaches instead of aborting
+    record = gfs_mod.SOLVED["64"]
+    faulty = replace(record, distribution=lambda r: record.distribution(r) + Series.term(r.order, 5, tpow=6))
+    monkeypatch.setitem(gfs_mod.SOLVED, "64", faulty)
+    gfs_mod.distribution_series.cache_clear()
+    try:
+        star = verify_equation("EQ_P64_STAR")
+        assert star.status == FAIL
+        assert star.witness == Witness(6, "a multiple of u", "-5+2u^2")
+        assert verify_equation("EQ_P64_DIST").status == FAIL
+        assert verify_equation("EQ_P64_AV").status == PASS
+        assert verify_theorem("64", order=12, n_max=7).status == FAIL
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = cli.main(["verify", "--all", "--order", "12", "--n-max", "7"])
+    finally:
+        gfs_mod.distribution_series.cache_clear()
+    assert code == 1
+    assert "error:" not in err.getvalue() + out.getvalue()
+    failed = {line.split()[1] for line in out.getvalue().splitlines() if line.startswith(FAIL)}
+    assert failed == {"equation:EQ_P64_STAR", "equation:EQ_P64_DIST", "theorem:64"}
 
 
 def test_unknown_equation_rejected():
@@ -134,17 +164,17 @@ def test_verify_all_small_run(monkeypatch):
     tasks = []
     walk, tally = oracle_mod._walk, oracle_mod.tally_subtree
 
-    def counting_walk(compiled, n, first, forbid_last, head):
+    def counting_walk(compiled, n, first):
         nonlocal hosts
         tasks.append((n, first))
-        leaves = walk(compiled, n, first, forbid_last, head)
+        leaves = walk(compiled, n, first)
         hosts += sum(leaves.values())
         return leaves
 
-    def counting_tally(n, first, forbid_last):
+    def counting_tally(n, first):
         nonlocal hosts
         tasks.append((n, first))
-        hosts_by_flags = tally(n, first, forbid_last)
+        hosts_by_flags = tally(n, first)
         hosts += sum(hosts_by_flags)
         return hosts_by_flags
 
