@@ -182,12 +182,13 @@ def _distribution_16(r: Terms) -> Series:
     h = (a - one - t) / r.q
     total = (one + t) * running
     for i in range(1, order + 1):
-        running = running * h.subst_ut(i)
+        # term i is t^i (1 + u^i t) running, so running is needed only
+        # through t^(order - i), and 1 + u^i t multiplies it as a shift
+        running = running.truncated(order - i) * h.truncated(order - i).subst_ut(i)
         if running.is_zero():
             break
-        factor = one + Series.term(order, tpow=1, upow=i)
-        term = (factor * running).mul_t(i).scale_u(math.comb(i, 2))
-        total = total + term
+        term = (running + running.mul_t(1).scale_u(i)).scale_u(math.comb(i, 2))
+        total = total + Series(order, (UPoly(),) * i + term.coeffs)
     return total
 
 

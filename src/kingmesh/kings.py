@@ -154,7 +154,7 @@ def in_class(p: Sequence[int], king_class: KingClass = KingClass.ALL) -> bool:
 
 
 def enumerate_kings(n: int, king_class: KingClass = KingClass.ALL) -> Iterator[Perm]:
-    """Yield each member of the class exactly once, in no promised order.
+    """Yield each member of the class exactly once, in lexicographic order.
 
     Backtracking over the choice of the next value, pruning any prefix whose
     last two entries differ by at most one, yields every king of length n;
@@ -163,17 +163,35 @@ def enumerate_kings(n: int, king_class: KingClass = KingClass.ALL) -> Iterator[P
     if n < 0:
         raise ValueError("n must be nonnegative")
     types = CLASS_TYPES[KingClass(king_class)]
-    return (p for p in _subtree((), list(range(1, n + 1))) if endpoint_type(p) in types)
+    return (p for p in _kings(n) if endpoint_type(p) in types)
 
 
-def _subtree(prefix: Perm, rest: list[int]) -> Iterator[Perm]:
-    # the kings that begin with prefix and continue with the values in rest
-    prev = prefix[-1] if prefix else -1  # any value may follow the empty prefix
-    if not rest:
-        yield prefix
-    for i, v in enumerate(rest):
-        if v - prev > 1 or prev - v > 1:
-            yield from _subtree(prefix + (v,), rest[:i] + rest[i + 1 :])
+def _kings(n: int) -> Iterator[Perm]:
+    # One depth-first walk over an explicit stack of (prefix, its last entry,
+    # the values not yet placed); each king is yielded where it is completed.
+    # The children of a prefix are pushed largest value first, so the smallest
+    # is popped first, and the stack never holds more than about n^2 / 2 prefixes.
+    far = [[abs(a - b) > 1 for b in range(n + 1)] for a in range(n + 1)]
+    far[0] = [True] * (n + 1)  # any value may follow the empty prefix
+    stack = [((), 0, tuple(range(1, n + 1)))]
+    pop, push = stack.pop, stack.append
+    while stack:
+        prefix, last, rest = pop()
+        fl = far[last]
+        if len(rest) == 2:  # the last two entries, inline
+            a, b = rest
+            if far[a][b]:
+                if fl[a]:
+                    yield prefix + (a, b)
+                if fl[b]:
+                    yield prefix + (b, a)
+        elif rest:
+            for i in range(len(rest) - 1, -1, -1):
+                v = rest[i]
+                if fl[v]:
+                    push((prefix + (v,), v, rest[:i] + rest[i + 1 :]))
+        else:  # n <= 1
+            yield prefix
 
 
 def tally_subtree(n: int, first: int) -> list[int]:
@@ -187,7 +205,7 @@ def tally_subtree(n: int, first: int) -> list[int]:
     of every member counted is tested, so the count stays an enumeration,
     independent of the closed forms.  But no member is built or yielded,
     which makes it several times faster where only the number matters.  The
-    last four entries are placed inline, saving the calls that outnumber all
+    last five entries are placed inline, saving the calls that outnumber all
     others.
     """
     flags = [endpoint_flags(v, n) for v in range(n + 1)]
@@ -195,40 +213,45 @@ def tally_subtree(n: int, first: int) -> list[int]:
     far = [[abs(a - b) > 1 for b in range(n + 1)] for a in range(n + 1)]
     tally = [0, 0, 0, 0]
 
-    def walk(prev: int, rest: list[int]) -> None:
-        if len(rest) == 4:
-            a, b, c, d = rest
-            fp = far[prev]
-            for w, x, y, z in ((a, b, c, d), (b, a, c, d), (c, a, b, d), (d, a, b, c)):
-                if not fp[w]:
+    def walk(fp: list[bool], rest: list[int]) -> None:
+        # place the values in rest after an entry whose row of far is fp
+        if len(rest) == 5:
+            a, b, c, d, e = rest
+            for v, r, s, t, u in ((a, b, c, d, e), (b, a, c, d, e), (c, a, b, d, e),
+                                  (d, a, b, c, e), (e, a, b, c, d)):
+                if not fp[v]:
                     continue
-                # w follows prev; then the six orders of x, y, z
-                fw = far[w]
-                xy, xz, yz = far[x][y], far[x][z], far[y][z]
-                if fw[x]:
-                    if xy and yz:
-                        tally[flags[z]] += 1
-                    if xz and yz:
-                        tally[flags[y]] += 1
-                if fw[y]:
-                    if xy and xz:
-                        tally[flags[z]] += 1
-                    if yz and xz:
-                        tally[flags[x]] += 1
-                if fw[z]:
-                    if xz and xy:
-                        tally[flags[y]] += 1
-                    if yz and xy:
-                        tally[flags[x]] += 1
-        elif rest:
-            fp = far[prev]
+                fv = far[v]
+                for w, x, y, z in ((r, s, t, u), (s, r, t, u), (t, r, s, u), (u, r, s, t)):
+                    if not fv[w]:
+                        continue
+                    # w follows v; then the six orders of x, y, z
+                    fw = far[w]
+                    xy, xz, yz = far[x][y], far[x][z], far[y][z]
+                    if fw[x]:
+                        if xy and yz:
+                            tally[flags[z]] += 1
+                        if xz and yz:
+                            tally[flags[y]] += 1
+                    if fw[y]:
+                        if xy and xz:
+                            tally[flags[z]] += 1
+                        if yz and xz:
+                            tally[flags[x]] += 1
+                    if fw[z]:
+                        if xz and xy:
+                            tally[flags[y]] += 1
+                        if yz and xy:
+                            tally[flags[x]] += 1
+        elif len(rest) > 1:
             for i, v in enumerate(rest):
                 if fp[v]:
-                    walk(v, rest[:i] + rest[i + 1 :])
-        else:  # only for n <= 4, which start below four values
-            tally[flags[prev]] += 1
+                    walk(far[v], rest[:i] + rest[i + 1 :])
+        elif fp[rest[0]]:  # the last entry of a king of n <= 4
+            tally[flags[rest[0]]] += 1
 
-    walk(first, [v for v in range(1, n + 1) if v != first])
+    # the first entry is placed like the others, from a row that allows only it
+    walk([v == first for v in range(n + 1)], list(range(1, n + 1)))
     return tally
 
 

@@ -32,17 +32,17 @@ on their own.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass
 from functools import partial
-from itertools import permutations as _all_perms
 from typing import Callable, Iterable, Sequence
 
-from .kings import KingClass, count_kings, is_king, perm_text
+from .kings import KingClass, Perm, count_kings, is_king, perm_text
 from .mesh import (
     KING_CROSS_DOWN,
     KING_CROSS_UP,
     OPEN_IDS,
-    avoids,
+    CompiledPatterns,
     catalog,
     catalog_pattern,
 )
@@ -298,15 +298,63 @@ def _check_class_counts(kings: Census) -> CheckReport:
 
 def _check_king_characterization() -> CheckReport:
     subject = f"kings = avoiders of the two adjacency patterns for n <= {KINGCHAR_N_MAX}"
+    # each cross's count gets a field wide enough for the C(n, 2) pairs of n <= 8
+    crosses = CompiledPatterns(
+        (KING_CROSS_UP, KING_CROSS_DOWN), math.comb(KINGCHAR_N_MAX, 2).bit_length()
+    )
     for n in range(KINGCHAR_N_MAX + 1):
-        for p in _all_perms(range(1, n + 1)):
-            expected = is_king(p)
-            got = avoids(KING_CROSS_UP, p) and avoids(KING_CROSS_DOWN, p)
-            if expected != got:
-                return CheckReport(
-                    "kingchar", subject, FAIL, Witness(n, str(expected), perm_text(p, " "))
-                )
+        mismatch = _first_king_mismatch(crosses, n)
+        if mismatch:
+            p, expected = mismatch
+            return CheckReport(
+                "kingchar", subject, FAIL, Witness(n, str(expected), perm_text(p, " "))
+            )
     return CheckReport("kingchar", subject, PASS)
+
+
+def _first_king_mismatch(crosses: CompiledPatterns, n: int) -> tuple[Perm, bool] | None:
+    """The first permutation of 1..n, in lexicographic order, on which
+    ``is_king`` disagrees with "no hit of either cross", with its ``is_king``
+    value; None when they agree on all n! of them.
+
+    One depth-first walk, ascending values first, over every permutation: no
+    branch is pruned.  Each node adds the crosses' hits ending at its position
+    to the count it passes down, once for every permutation below it, so
+    shared prefixes are scanned once."""
+    ending_at = crosses.ending_at
+    full = (2 << n) - 2
+    seq = [0] * n
+    pre = [0] * (n + 1)
+
+    def leaf(hits: int) -> tuple[Perm, bool] | None:
+        p = tuple(seq)
+        king = is_king(p)
+        return None if king == (hits == 0) else (p, king)
+
+    def walk(d: int, rest: list[int], packed: int) -> tuple[Perm, bool] | None:
+        # place position d from the values not yet placed
+        before = pre[d]
+        if len(rest) == 2:  # the last two entries, inline
+            a, b = rest
+            for v, w in ((a, b), (b, a)):
+                seq[d], seq[d + 1] = v, w
+                pre[d + 1] = before | 1 << v
+                hits = packed + ending_at(seq, pre, d, full) + ending_at(seq, pre, d + 1, full)
+                found = leaf(hits)
+                if found:
+                    return found
+            return None
+        if not rest:  # n <= 1
+            return leaf(packed)
+        for i, v in enumerate(rest):
+            seq[d] = v
+            pre[d + 1] = before | 1 << v
+            found = walk(d + 1, rest[:i] + rest[i + 1 :], packed + ending_at(seq, pre, d, full))
+            if found:
+                return found
+        return None
+
+    return walk(0, list(range(1, n + 1)), 0)
 
 
 def _check_pinned_series(

@@ -212,8 +212,9 @@ def test_unknown_method_lists_the_four_methods():
 @pytest.mark.parametrize("kc", list(KingClass))
 def test_tally_subtree_matches_the_stream(kc):
     # the counting walk against the streamed class members, grouped by first
-    # value and end flags: n <= 4 takes the walk's plain path, longer lengths
-    # its inline tail; the walk counts every king, the class reads its types
+    # value and end flags: n <= 4 takes the walk's plain path, n = 5 starts in
+    # its five-entry tail and n = 6, 7 just above it; the walk counts every
+    # king, the class reads its types
     for n in range(1, 10):
         streamed = {first: [0, 0, 0, 0] for first in range(1, n + 1)}
         for p in enumerate_kings(n, kc):
@@ -225,6 +226,17 @@ def test_tally_subtree_matches_the_stream(kc):
                 for f, hosts in enumerate(tally_subtree(n, first))
             ]
             assert walked == streamed[first], (n, first)
+
+
+@pytest.mark.parametrize("kc", list(KingClass))
+def test_enumerate_kings_runs_in_lexicographic_order(kc):
+    # the stream's order, not only its members: list and the tests read it
+    for n in range(9):
+        literal = [
+            p for p in permutations(range(1, n + 1))
+            if all(abs(a - b) > 1 for a, b in zip(p, p[1:])) and (not p or LITERAL_ENDS[kc](p, n))
+        ]
+        assert list(enumerate_kings(n, kc)) == literal, n
 
 
 def test_census_without_patterns_counts_every_length():

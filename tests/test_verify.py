@@ -2,18 +2,29 @@
 
 import hashlib
 import io
+import math
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import replace
+from itertools import permutations
 
 import pytest
 
 import kingmesh.gfs as gfs_mod
 import kingmesh.kings as kings_mod
 import kingmesh.oracle as oracle_mod
+import kingmesh.verify as verify_mod
 from kingmesh import cli
 from kingmesh.gfs import class_series, terms
-from kingmesh.kings import KingClass
-from kingmesh.mesh import OPEN_IDS, SOLVED_IDS, catalog_pattern
+from kingmesh.kings import KingClass, perm_text
+from kingmesh.mesh import (
+    KING_CROSS_DOWN,
+    KING_CROSS_UP,
+    OPEN_IDS,
+    SOLVED_IDS,
+    CompiledPatterns,
+    avoids,
+    catalog_pattern,
+)
 from kingmesh.oracle import Census, census, distribution_table
 from kingmesh.series import Series, UPoly, format_upoly, parse_upoly
 from kingmesh.verify import (
@@ -27,10 +38,12 @@ from kingmesh.verify import (
     Witness,
     _check_class_counts,
     _check_counts_methods,
+    _check_king_characterization,
     _check_open_mass,
     _check_pinned_series,
     _check_strong_point_class,
     _check_strong_point_sets,
+    _first_king_mismatch,
     report_from_dict,
     report_to_dict,
     reports_from_json,
@@ -431,3 +444,68 @@ def test_strong_point_oracle_leg_expects_the_closed_form():
     assert report.status == FAIL
     assert report.subject.endswith("(oracle vs series)")
     assert (report.witness.n, report.witness.expected, report.witness.actual) == (6, "68", "69")
+
+
+def test_kingchar_compares_every_permutation(monkeypatch):
+    # no branch is pruned: each of the sum of n! for n <= 8 permutations is a leaf
+    calls = 0
+    is_king = verify_mod.is_king
+
+    def counting_is_king(p):
+        nonlocal calls
+        calls += 1
+        return is_king(p)
+
+    monkeypatch.setattr(verify_mod, "is_king", counting_is_king)
+    assert _check_king_characterization().status == PASS
+    assert calls == sum(math.factorial(n) for n in range(9)) == 46_234
+
+
+def _first_mismatch_by_reference() -> Witness | None:
+    # the claim written out: every permutation, one by one, through avoids
+    for n in range(verify_mod.KINGCHAR_N_MAX + 1):
+        for p in permutations(range(1, n + 1)):
+            expected = verify_mod.is_king(p)
+            if expected != (avoids(KING_CROSS_UP, p) and avoids(KING_CROSS_DOWN, p)):
+                return Witness(n, str(expected), perm_text(p, " "))
+    return None
+
+
+def _too_strict_is_king(monkeypatch):
+    # a king of five or more entries that begins with 2 is called no king;
+    # the first two, 24135 and 24153, differ only in their last two entries
+    is_king = verify_mod.is_king
+    monkeypatch.setattr(
+        verify_mod, "is_king", lambda p: is_king(p) and not (len(p) >= 5 and p[0] == 2)
+    )
+
+
+def _spurious_kernel_hit(monkeypatch):
+    ending_at = CompiledPatterns.ending_at
+
+    def faulty(self, seq, pre, d, full):
+        # reads only the prefix through d, as the kernel does
+        spurious = d == 6 and seq[0] == 2 and seq[d] - seq[d - 1] == 3
+        return ending_at(self, seq, pre, d, full) + spurious
+
+    monkeypatch.setattr(CompiledPatterns, "ending_at", faulty)
+
+
+@pytest.mark.parametrize("plant", [_too_strict_is_king, _spurious_kernel_hit])
+def test_kingchar_witness_is_the_first_mismatch(monkeypatch, plant):
+    plant(monkeypatch)
+    report = _check_king_characterization()
+    assert report.status == FAIL
+    assert report.witness == _first_mismatch_by_reference()
+    assert report.witness is not None
+
+
+def test_kingchar_passes_on_the_empty_and_one_element_permutations(monkeypatch):
+    # both are kings and hold no pair, so each is one agreeing leaf
+    seen = []
+    is_king = verify_mod.is_king
+    monkeypatch.setattr(verify_mod, "is_king", lambda p: seen.append(p) or is_king(p))
+    crosses = CompiledPatterns((KING_CROSS_UP, KING_CROSS_DOWN), 1)
+    assert _first_king_mismatch(crosses, 0) is None
+    assert _first_king_mismatch(crosses, 1) is None
+    assert seen == [(), (1,)]
