@@ -292,8 +292,10 @@ def _parse_boxes(s: _Scanner, k: int) -> list[Box]:
 # is placed at position d: the values still to come are full ^ pre[d] ^ 1 << v,
 # in whatever order.  So a host's counts are the sum of the hits of the
 # candidates ending at each position (`ending_at`), and the census adds each
-# node's hits once for all the hosts below it.  Other candidates are scanned
-# on the whole host (`whole`).
+# node's hits once for all the hosts below it: those of a single, which depend
+# only on v and the set pre[d] (`single_hits`), from a table built once per
+# length (`single_table`), and those of the pairs from their loop (`pair_hits`).
+# Other candidates are scanned on the whole host (`whole`).
 #
 # The counts of all the patterns travel as one integer, pattern idx's in the
 # `field` bits from bit field * idx.  The default 64 bits hold any count of
@@ -329,10 +331,11 @@ class CompiledPatterns:
     k <= 2 becomes a hit table from each of the 2^((k+1)^2) region masks to
     the packed hits of the patterns it satisfies (``single``, and ``up`` and
     ``down`` for pairs); the others stay in ``generic``.  ``len()`` is the
-    number of patterns.
+    number of patterns.  Compiled for hosts of length ``n``, they also hold
+    ``singles``, the ``single_table`` of that length.
     """
 
-    def __init__(self, patterns: Iterable[MeshPattern], field: int = 64):
+    def __init__(self, patterns: Iterable[MeshPattern], field: int = 64, n: int | None = None):
         self.patterns, self.field = tuple(patterns), field
         groups: dict[Perm, list[tuple[int, int]]] = {}
         for idx, p in enumerate(self.patterns):
@@ -341,6 +344,7 @@ class CompiledPatterns:
                   for tau, members in groups.items() if len(tau) in (1, 2)}
         self.single, self.up, self.down = map(tables.get, [(1,), (1, 2), (2, 1)])
         self.generic = [(tau, members) for tau, members in groups.items() if tau not in tables]
+        self.singles = None if n is None else self.single_table(n)
 
     def __len__(self) -> int:
         return len(self.patterns)
@@ -348,17 +352,40 @@ class CompiledPatterns:
     def ending_at(self, seq: Sequence[int], pre: Sequence[int], d: int, full: int) -> int:
         """The packed hits of every candidate of length 1 or 2 whose last
         entry is seq[d], given pre[0..d] and ``full``, the set of all values."""
+        return self.single_hits(seq[d], pre[d], full) + self.pair_hits(seq, pre, d, full)
+
+    def single_hits(self, v: int, before: int, full: int) -> int:
+        """The packed hits of the candidate of length 1 at value v, given the
+        set ``before`` of the values placed before it and ``full``."""
+        if not self.single:
+            return 0
+        bit = 1 << v
+        after = full ^ before ^ bit
+        below, above = bit - 1, -(bit << 1)
+        return self.single[
+            (1 if before & below else 0) | (2 if before & above else 0)
+            | (4 if after & below else 0) | (8 if after & above else 0)
+        ]
+
+    def single_table(self, n: int) -> list[list[int]]:
+        """``single_hits`` at length n as table[v][before], for every value v
+        of 1..n and every set ``before`` of values; row 0 and the odd indices,
+        which would hold the value 0, stay 0."""
+        full, size = (2 << n) - 2, 2 << n
+        table = [[0] * size for _ in range(n + 1)]
+        for v in range(1, n + 1):
+            table[v][::2] = [self.single_hits(v, before, full) for before in range(0, size, 2)]
+        return table
+
+    def pair_hits(self, seq: Sequence[int], pre: Sequence[int], d: int, full: int) -> int:
+        """The packed hits of every candidate of length 2 whose last entry is
+        seq[d], given pre[0..d] and ``full``."""
         v = seq[d]
         bit = 1 << v
         before = pre[d]
         after = full ^ before ^ bit
         below, above = bit - 1, -(bit << 1)
         hits = 0
-        if self.single:
-            hits = self.single[
-                (1 if before & below else 0) | (2 if before & above else 0)
-                | (4 if after & below else 0) | (8 if after & above else 0)
-            ]
         up, down = self.up, self.down
         if up or down:
             for i in range(d):  # the pair of entries i and d

@@ -12,8 +12,9 @@ under its endpoint type.  A class is the set of endpoint types that
 every class's size and distributions, and no walk knows the class.  Below each
 first value it walks the backtracking tree, building no host: each node adds
 the hits of the candidates ending at its position to the counts it passes
-down, once for all the hosts below it.  A length that counts no pattern needs
-only :func:`kingmesh.kings.tally_subtree`.
+down, once for all the hosts below it.  Those of the length-1 candidates come
+from a table of the kernel's rule, built once per length in each process.  A
+length that counts no pattern needs only :func:`kingmesh.kings.tally_subtree`.
 
 Enumeration can fan out over the choice of the first element; each worker owns
 the subtree below one first value and the partial tallies are added, so the
@@ -26,6 +27,7 @@ import math
 import multiprocessing
 from collections import Counter
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
 
 from .kings import CLASS_TYPES, KingClass, endpoint_flags, tally_subtree
@@ -82,21 +84,28 @@ def _tally(task) -> dict[int, int]:
     each key ``packed << 4 | t``, where t is the host's endpoint type and
     ``packed`` its pattern counts in fields of ``_field(patterns, n)`` bits."""
     patterns, n, first = task
-    compiled = CompiledPatterns(patterns, _field(patterns, n))
     if not n:  # the empty host, of type 0
-        return {compiled.whole((), [0]) << 4: 1}
+        return {CompiledPatterns(patterns, _field(patterns, 0)).whole((), [0]) << 4: 1}
     if not patterns:  # a host costs only its tally: count, do not build
         head = 4 * endpoint_flags(first, n)
         return {head | f: hosts for f, hosts in enumerate(tally_subtree(n, first))}
-    return _walk(compiled, n, first)
+    return _walk(_compiled(patterns, n), n, first)
+
+
+@lru_cache(maxsize=1)  # tasks run longest first, so a length's tasks follow each other
+def _compiled(patterns: tuple[MeshPattern, ...], n: int) -> CompiledPatterns:
+    """The patterns compiled for length n, once per length in each process."""
+    return CompiledPatterns(patterns, _field(patterns, n), n)
 
 
 def _walk(compiled: CompiledPatterns, n: int, first: int):
     """Tally, as ``_tally`` does, every king permutation of 1..n (n >= 1) that
     begins with ``first``, whatever its class.  Each node adds the hits of the
-    candidates ending at its position to the counts it passes down; the other
-    candidates are counted at each leaf.  Like ``tally_subtree``, the walk
-    reuses no subtree and tests every adjacent pair of every host."""
+    candidates ending at its position to the counts it passes down, the
+    single's from ``compiled.singles[v][before]`` and the pairs' from
+    ``pair_hits``; the other candidates are counted at each leaf.  Like
+    ``tally_subtree``, the walk reuses no subtree and tests every adjacent pair
+    of every host."""
     head = 4 * endpoint_flags(first, n)
     type_by_last = [head | endpoint_flags(v, n) for v in range(n + 1)]
     far = [[abs(a - b) > 1 for b in range(n + 1)] for a in range(n + 1)]
@@ -104,7 +113,8 @@ def _walk(compiled: CompiledPatterns, n: int, first: int):
     seq = [first] * n
     pre = [0, 1 << first] + [0] * (n - 1)
     pre[n] = full  # all n values precede position n, whatever the order
-    ending_at = compiled.ending_at
+    singles = compiled.singles
+    pairs = compiled.pair_hits if compiled.up or compiled.down else None
     whole = compiled.whole if compiled.generic else None
     leaves: dict[int, int] = {}
     get = leaves.get
@@ -127,8 +137,10 @@ def _walk(compiled: CompiledPatterns, n: int, first: int):
             for v, w in ((a, b), (b, a)):
                 if fp[v] and far[v][w]:
                     seq[d], seq[d + 1] = v, w
-                    pre[d + 1] = before | 1 << v
-                    key = packed + ending_at(seq, pre, d, full) + ending_at(seq, pre, d + 1, full)
+                    pre[d + 1] = with_v = before | 1 << v
+                    key = packed + singles[v][before] + singles[w][with_v]
+                    if pairs:
+                        key += pairs(seq, pre, d, full) + pairs(seq, pre, d + 1, full)
                     if whole:
                         key += whole(seq, pre)
                     key = key << 4 | type_by_last[w]
@@ -138,9 +150,10 @@ def _walk(compiled: CompiledPatterns, n: int, first: int):
             if fp[v]:
                 seq[d] = v
                 pre[d + 1] = before | 1 << v
-                walk(d + 1, rest[:i] + rest[i + 1 :], packed + ending_at(seq, pre, d, full))
+                hits = packed + singles[v][before] + (pairs(seq, pre, d, full) if pairs else 0)
+                walk(d + 1, rest[:i] + rest[i + 1 :], hits)
 
-    walk(1, [v for v in range(1, n + 1) if v != first], ending_at(seq, pre, 0, full))
+    walk(1, [v for v in range(1, n + 1) if v != first], singles[first][0])
     return leaves
 
 
@@ -248,8 +261,8 @@ def distribution_tables(
 
     Occurrence counting takes most of the time, though the walk finds the
     hits of each candidate once for all the hosts that share it.  A batch
-    shares the walk and compiles the patterns once per worker task, but every
-    pattern still costs.
+    shares the walk and compiles the patterns once per length in each
+    process, but every pattern still costs.
     """
     result = census(patterns, n_max, king_class, jobs)
     return [result.table(p, king_class) for p in result.patterns]

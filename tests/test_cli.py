@@ -320,6 +320,26 @@ def test_catalog_census_through_ten_is_pinned(capsys, monkeypatch):
     )
 
 
+@pytest.mark.parametrize(
+    "pattern, king_class, digest",
+    [
+        ("nr:X", "sl", "3555fb879dc9f66f370c05f8e218f980d6c2c340df017825c812d6ab0aa70b9e"),
+        ("nr:X'", "ls", "be8d32ba5009ce95797321bce16aad765446130f2eff0a27de86f751ae5a76fd"),
+    ],
+)
+def test_strong_point_census_through_ten_is_pinned(
+    capsys, monkeypatch, pattern, king_class, digest
+):
+    # the strong points over their classes through n = 10, with two workers,
+    # pinned from the output of the walk that called the kernel at every node
+    monkeypatch.delenv("KINGMESH_JOBS", raising=False)
+    argv = f"dist --pattern {pattern} --class {king_class} --n-max 10 --jobs 2 --format json"
+    code, out, err = run(capsys, *argv.split())
+    assert code == 0, err
+    assert len(out.encode()) == 352
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 class TestUsage:
     def test_unknown_subcommand(self, capsys):
         assert run(capsys, "frobnicate")[0] == 2

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import kingmesh.oracle as oracle_mod
 from kingmesh.kings import KingClass, count_class, count_kings, in_class
-from kingmesh.mesh import MeshPattern, catalog, catalog_pattern
+from kingmesh.mesh import CompiledPatterns, MeshPattern, catalog, catalog_pattern
 from kingmesh.oracle import (
     DistributionTable,
     census,
@@ -209,23 +209,71 @@ _any_pattern = (
 )
 
 
+def _kings_by_definition(patterns, n_max):
+    """Every king of length <= n_max, from all permutations filtered by class
+    membership, with its counts of the patterns by the definition."""
+    hosts = [p for n in range(n_max + 1) for p in permutations(range(1, n + 1))]
+    return {host: [_occurrences_by_definition(p, host) for p in patterns]
+            for host in hosts if in_class(host)}
+
+
+def _assert_census_matches(counts, patterns, n_max, jobs):
+    """The census of ALL and that of each class, against the counts."""
+    kings = census(patterns, n_max, KingClass.ALL, jobs)
+    for kc in KingClass:
+        members = [host for host in counts if in_class(host, kc)]
+        own = census(patterns, n_max, kc, jobs)
+        for idx, p in enumerate(patterns):
+            expected = []
+            for n in range(n_max + 1):
+                hist = Counter(counts[host][idx] for host in members if len(host) == n)
+                expected.append(UPoly(hist[c] for c in range(max(hist, default=0) + 1)))
+            assert kings.table(p, kc).rows == tuple(expected), (kc, p)
+            assert own.table(p, kc).rows == tuple(expected), (kc, p)
+
+
 @pytest.mark.parametrize("jobs", [1, 2])
 @given(st.lists(_any_pattern, min_size=1, max_size=4, unique=True))
 @settings(max_examples=6, deadline=None)
 def test_census_against_the_definition(jobs, patterns):
     # the walked census, of ALL and of each class, against every permutation
     # filtered by class membership and counted by the definition
-    hosts = [p for n in range(8) for p in permutations(range(1, n + 1))]
-    counts = {host: [_occurrences_by_definition(p, host) for p in patterns]
-              for host in hosts if in_class(host)}
-    kings = census(patterns, 7, KingClass.ALL, jobs)
-    for kc in KingClass:
-        members = [host for host in counts if in_class(host, kc)]
-        own = census(patterns, 7, kc, jobs)
-        for idx, p in enumerate(patterns):
-            expected = []
-            for n in range(8):
-                hist = Counter(counts[host][idx] for host in members if len(host) == n)
-                expected.append(UPoly(hist[c] for c in range(max(hist, default=0) + 1)))
-            assert kings.table(p, kc).rows == tuple(expected), (kc, p)
-            assert own.table(p, kc).rows == tuple(expected), (kc, p)
+    _assert_census_matches(_kings_by_definition(patterns, 7), patterns, 7, jobs)
+
+
+# every shading of the single, and two pairs of each tau beside them
+_SINGLES = [
+    MeshPattern((1,), frozenset(shaded))
+    for r in range(5)
+    for shaded in combinations([(0, 0), (0, 1), (1, 0), (1, 1)], r)
+]
+_PAIRS = [
+    MeshPattern((1, 2), frozenset()),
+    MeshPattern((1, 2), frozenset({(0, 0), (1, 1), (2, 2)})),
+    MeshPattern((2, 1), frozenset({(1, 1)})),
+    MeshPattern((2, 1), frozenset({(0, 2), (1, 0), (2, 1)})),
+]
+
+
+@pytest.fixture(scope="module")
+def singles_and_pairs_by_definition():
+    return _kings_by_definition(_SINGLES + _PAIRS, 8)
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("with_pairs", [False, True], ids=["singles", "singles_and_pairs"])
+def test_single_table_against_the_definition(singles_and_pairs_by_definition, jobs, with_pairs):
+    # the singles alone take their hits from the table only; with the pairs,
+    # each node adds the table's hits and the pair loop's
+    patterns = _SINGLES + _PAIRS if with_pairs else _SINGLES
+    _assert_census_matches(singles_and_pairs_by_definition, patterns, 8, jobs)
+
+
+def test_single_table_is_built_once_per_length(monkeypatch):
+    built = []
+    build = CompiledPatterns.single_table
+    monkeypatch.setattr(CompiledPatterns, "single_table",
+                        lambda self, n: built.append(n) or build(self, n))
+    oracle_mod._compiled.cache_clear()
+    census([e.pattern for e in catalog()], 8, jobs=1)
+    assert sorted(built) == list(range(1, 9))
