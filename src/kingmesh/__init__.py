@@ -41,7 +41,7 @@ from .gfs import (
     series_by_name,
     strong_point_series,
 )
-from .oracle import DistributionTable, distribution, distribution_table, distribution_tables
+from .oracle import DistributionTable, distribution_table, distribution_tables
 from .verify import CheckReport, verify_all, verify_equation, verify_theorem
 
 __version__ = "0.1.0"
@@ -66,7 +66,6 @@ __all__ = [
     "count_class",
     "count_kings",
     "count_occurrences",
-    "distribution",
     "distribution_series",
     "distribution_table",
     "distribution_tables",

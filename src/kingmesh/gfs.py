@@ -27,7 +27,7 @@ from functools import cached_property, lru_cache
 from typing import Callable
 
 from .kings import KingClass
-from .series import Series, UPoly
+from .series import NotDivisibleError, Series, UPoly
 
 BASE_NAMES = ("A", "B", "C", "Atu", "Btu", "Ctu")
 
@@ -119,7 +119,7 @@ def _halved_king_counts(order: int) -> list[int]:
     for n in range(2, order + 1):
         count = a.coeff(n).evaluate(0)
         if count % 2:
-            raise AssertionError(f"king count at n={n} is odd: {count}")
+            raise NotDivisibleError(n, count, "2")
         halves.append(count // 2)
     return halves[: order + 1]
 
@@ -161,7 +161,7 @@ def _avoidance_10(r: Terms) -> Series:
     # Exactly half the class of each length n >= 2 avoids; the pattern
     # needs the outer elements increasing and reversal flips that.
     rows = [1, 1] + _halved_king_counts(r.order)[2:]
-    return Series.from_ints(r.order, rows[: r.order + 1])
+    return Series(r.order, rows[: r.order + 1])
 
 
 def _distribution_10(r: Terms) -> Series:
@@ -190,6 +190,16 @@ def _distribution_16(r: Terms) -> Series:
         term = (running + running.mul_t(1).scale_u(i)).scale_u(math.comb(i, 2))
         total = total + Series(order, (UPoly(),) * i + term.coeffs)
     return total
+
+
+def _dist_16(r: Terms, p: Series, e: Series) -> Series:
+    # E* from the STAR recurrence E* = t(E(ut) - E*(ut)), one coefficient at
+    # a time (E*_0 = 0, E*_n = u^(n-1) (E_(n-1) - E*_(n-1))), so that E does
+    # not cancel as it would with E* eliminated through the main identity
+    estar = [UPoly()]
+    for n in range(1, r.order + 1):
+        estar.append((e.coeff(n - 1) - estar[-1]).shift(n - 1))
+    return e - (p + (Series(r.order, estar) - r.t) * r.s)
 
 
 def _star_16(r: Terms, p: Series, e: Series) -> Series:
@@ -242,14 +252,16 @@ SOLVED: dict[str, SolvedPattern] = {
     # no king permutation contains 11, 14, 30, 34, 36 or 45
     "11": SolvedPattern(A_ROW, lambda r: r.a, lambda r: r.a),
     "12": SolvedPattern(
-        ("1", "1", "0", "0", "2", "12+2u^4", "78+12u^5", "568+78u^6", "4674+568u^7"),
+        ("1", "1", "0", "0", "2", "12+2u^4", "78+12u^5", "568+78u^6", "4674+568u^7",
+         "42948+4674u^8", "436358+42948u^9"),
         lambda r: r.t + r.a / r.opt,
         lambda r: r.a / r.opt + (r.a.subst_ut(1) / (r.one + r.ut)).mul_t(1),
         av=lambda r, p, e: p - (r.a - r.t * (r.b - r.one)),
         dist=lambda r, p, e: e - (p + (r.b.subst_ut(1) - r.one).mul_t(1)),
     ),
     "13": SolvedPattern(
-        ("1", "1", "0", "0", "2", "14", "88+2u", "636+10u", "5174+68u"),
+        ("1", "1", "0", "0", "2", "14", "88+2u", "636+10u", "5174+68u", "47122+500u",
+         "475132+4174u"),
         lambda r: r.t * r.t / r.opt + (r.one + 2 * r.t) * r.a / (r.opt * r.opt),
         lambda r: (r.t * r.t * (r.one - r.u)) / r.opt
             + (r.one + 2 * r.t + r.u * r.t * r.t) * r.a / (r.opt * r.opt),
@@ -258,15 +270,17 @@ SOLVED: dict[str, SolvedPattern] = {
     ),
     "14": SolvedPattern(A_ROW, lambda r: r.a, lambda r: r.a),
     "16": SolvedPattern(
-        ("1", "1", "0", "0", "2", "12+2u^4", "78+12u^5", "568+78u^6", "4674+568u^7"),
+        ("1", "1", "0", "0", "2", "12+2u^4", "78+12u^5", "568+78u^6", "4674+568u^7",
+         "42944+4u^4+4674u^8", "436314+20u^4+24u^5+42944u^9+4u^13"),
         lambda r: r.opt * r.opt * r.a / r.q,
         _distribution_16,
         av=lambda r, p, e: p - (r.a - r.t * (r.b - r.one) * r.s),
-        dist=lambda r, p, e: e - (p + ((r.q / (r.opt * r.a)) * e - r.one - r.t) * r.s),
+        dist=_dist_16,
         star=_star_16,
     ),
     "17": SolvedPattern(
-        ("1", "1", "0", "0", "2", "14", "88+2u", "636+10u", "5174+68u"),
+        ("1", "1", "0", "0", "2", "14", "88+2u", "636+10u", "5174+68u", "47122+500u",
+         "475128+4178u"),
         lambda r: (r.one / r.opt + r.t * r.opt / r.q) * r.a,
         lambda r: (r.one / r.opt + r.t * r.opt / r.qu) * r.a,
         av=lambda r, p, e: p - (r.b + r.t * r.s),
@@ -318,7 +332,8 @@ SOLVED: dict[str, SolvedPattern] = {
     ),
     "30": SolvedPattern(A_ROW, lambda r: r.a, lambda r: r.a),
     "33": SolvedPattern(
-        ("1", "1", "0", "0", "2", "14", "88+2u", "636+10u", "5174+68u"),
+        ("1", "1", "0", "0", "2", "14", "88+2u", "636+10u", "5174+68u", "47122+500u",
+         "475124+4182u"),
         lambda r: r.opt * (r.one + r.t + r.t * (2 * r.one + r.t) * r.a) * r.a / (r.q * r.q),
         lambda r: r.opt * (r.one + r.t * (r.one + r.u + r.ut + (2 * r.one - r.u + r.t) * r.a))
             * r.a / (r.q * r.qu),

@@ -17,6 +17,7 @@ closed distribution results for ("solved") or only exhaustive data for
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import combinations
@@ -298,9 +299,14 @@ def _parse_boxes(s: _Scanner, k: int) -> list[Box]:
 # Other candidates are scanned on the whole host (`whole`).
 #
 # The counts of all the patterns travel as one integer, pattern idx's in the
-# `field` bits from bit field * idx.  The default 64 bits hold any count of
-# candidates tested one by one; a census, whose lengths are known, passes fewer.
+# `field` bits from bit field * idx: the `count_field` of the hosts' length when
+# it is known, else 64 bits, which hold any count of candidates tested one by one.
 # ---------------------------------------------------------------------------
+
+
+def count_field(patterns: Sequence[MeshPattern], n: int) -> int:
+    """The bits of one packed count on hosts of length n: enough for C(n, k)."""
+    return max([math.comb(n, p.length) for p in patterns], default=0).bit_length()
 
 
 def packed_count(packed: int, idx: int, field: int) -> int:
@@ -331,12 +337,13 @@ class CompiledPatterns:
     k <= 2 becomes a hit table from each of the 2^((k+1)^2) region masks to
     the packed hits of the patterns it satisfies (``single``, and ``up`` and
     ``down`` for pairs); the others stay in ``generic``.  ``len()`` is the
-    number of patterns.  Compiled for hosts of length ``n``, they also hold
-    ``singles``, the ``single_table`` of that length.
+    number of patterns.  Compiled for hosts of length ``n``, the counts take
+    its ``count_field``, and ``singles``, built on first read, is its ``single_table``.
     """
 
-    def __init__(self, patterns: Iterable[MeshPattern], field: int = 64, n: int | None = None):
-        self.patterns, self.field = tuple(patterns), field
+    def __init__(self, patterns: Iterable[MeshPattern], *, n: int | None = None):
+        self.patterns, self.n = tuple(patterns), n
+        self.field = field = 64 if n is None else count_field(self.patterns, n)
         groups: dict[Perm, list[tuple[int, int]]] = {}
         for idx, p in enumerate(self.patterns):
             groups.setdefault(p.tau, []).append((1 << field * idx, p.box_mask))
@@ -344,7 +351,8 @@ class CompiledPatterns:
                   for tau, members in groups.items() if len(tau) in (1, 2)}
         self.single, self.up, self.down = map(tables.get, [(1,), (1, 2), (2, 1)])
         self.generic = [(tau, members) for tau, members in groups.items() if tau not in tables]
-        self.singles = None if n is None else self.single_table(n)
+
+    singles = cached_property(lambda self: self.single_table(self.n))
 
     def __len__(self) -> int:
         return len(self.patterns)
@@ -460,7 +468,8 @@ def occurrence_counts(
     return [packed_count(packed, idx, patterns.field) for idx in range(len(patterns))]
 
 
-# patterns that count_occurrences and avoids keep compiled: the catalog and both
+# patterns that count_occurrences and avoids keep compiled for library callers,
+# tests and demos (no command counts through them): the catalog and both
 # crosses fit, and each hit table of k = 2 takes about 40 kB
 _COMPILED_PATTERNS_KEPT = 64
 _compiled = lru_cache(maxsize=_COMPILED_PATTERNS_KEPT)(CompiledPatterns)

@@ -31,7 +31,9 @@ from functools import lru_cache
 from typing import Sequence
 
 from .kings import CLASS_TYPES, KingClass, endpoint_flags, tally_subtree
-from .mesh import CompiledPatterns, MeshPattern, packed_count, parse_pattern, render_pattern
+from .mesh import (
+    CompiledPatterns, MeshPattern, count_field, packed_count, parse_pattern, render_pattern
+)
 from .series import UPoly, parse_upoly
 
 
@@ -74,28 +76,23 @@ class DistributionTable:
         )
 
 
-def _field(patterns: Sequence[MeshPattern], n: int) -> int:
-    """The bits of one count in a census key at length n, enough for C(n, k)."""
-    return max([math.comb(n, p.length) for p in patterns], default=0).bit_length()
-
-
 def _tally(task) -> dict[int, int]:
     """One length's tally below one first value: how many hosts there are of
     each key ``packed << 4 | t``, where t is the host's endpoint type and
-    ``packed`` its pattern counts in fields of ``_field(patterns, n)`` bits."""
+    ``packed`` its pattern counts as ``CompiledPatterns(patterns, n=n)``
+    packs them, in fields of ``count_field(patterns, n)`` bits."""
     patterns, n, first = task
     if not n:  # the empty host, of type 0
-        return {CompiledPatterns(patterns, _field(patterns, 0)).whole((), [0]) << 4: 1}
+        return {CompiledPatterns(patterns, n=0).whole((), [0]) << 4: 1}
     if not patterns:  # a host costs only its tally: count, do not build
         head = 4 * endpoint_flags(first, n)
         return {head | f: hosts for f, hosts in enumerate(tally_subtree(n, first))}
-    return _walk(_compiled(patterns, n), n, first)
+    return _walk(_compiled(patterns, n=n), n, first)
 
 
-@lru_cache(maxsize=1)  # tasks run longest first, so a length's tasks follow each other
-def _compiled(patterns: tuple[MeshPattern, ...], n: int) -> CompiledPatterns:
-    """The patterns compiled for length n, once per length in each process."""
-    return CompiledPatterns(patterns, _field(patterns, n), n)
+# The patterns compiled for length n, once per length in each process: tasks
+# run longest first, so a length's tasks follow each other.
+_compiled = lru_cache(maxsize=1)(CompiledPatterns)
 
 
 def _walk(compiled: CompiledPatterns, n: int, first: int):
@@ -185,7 +182,7 @@ class Census:
         types, idx = CLASS_TYPES[kc], self.patterns.index(pattern)
         rows = []
         for n, tally in enumerate(self.tallies[: self.pattern_n_max + 1]):
-            row, field = [0] * (math.comb(n, pattern.length) + 1), _field(self.patterns, n)
+            row, field = [0] * (math.comb(n, pattern.length) + 1), count_field(self.patterns, n)
             for key, hosts in tally.items():
                 if key & 15 in types:
                     row[packed_count(key >> 4, idx, field)] += hosts
@@ -229,16 +226,6 @@ def census(
     for (_, n, _), part in zip(tasks, parts):
         tallies[n].update(part)
     return Census(patterns, pattern_n_max, tuple(tallies))
-
-
-def distribution(
-    pattern: MeshPattern,
-    n: int,
-    king_class: KingClass = KingClass.ALL,
-    jobs: int = 1,
-) -> UPoly:
-    """Sum of u^(occurrence count) over the class members of length n."""
-    return distribution_table(pattern, n, king_class, jobs).row(n)
 
 
 def distribution_table(

@@ -24,7 +24,7 @@ class NotDivisibleError(ValueError):
         super().__init__(f"t^{power} coefficient {coefficient} is not divisible by {divisor}")
 
 
-class NonUnitConstantTermError(ArithmeticError):
+class NonUnitConstantTermError(ValueError):
     """Raised when dividing by a series whose t^0 coefficient is not +-1.
 
     Carries the offending constant coefficient so reports can show it.
@@ -48,10 +48,6 @@ class UPoly:
         while c and c[-1] == 0:
             c.pop()
         self._c = tuple(c)
-
-    @staticmethod
-    def const(value: int) -> "UPoly":
-        return UPoly((value,))
 
     @staticmethod
     def one() -> "UPoly":
@@ -292,10 +288,6 @@ class Series:
         c[tpow] = UPoly.monomial(upow, coefficient)
         return Series(order, c)
 
-    @staticmethod
-    def from_ints(order: int, values: Iterable[int]) -> "Series":
-        return Series(order, values)
-
     # -- basic access -------------------------------------------------------
 
     @property
@@ -416,7 +408,7 @@ class Series:
 
     def eval_u(self, value: int) -> "Series":
         """Evaluate every coefficient at u = value (result has constant coefficients)."""
-        return Series(self._order, (UPoly.const(c.evaluate(value)) for c in self._c))
+        return Series(self._order, (c.evaluate(value) for c in self._c))
 
     def mul_t(self, power: int) -> "Series":
         """Multiply by t**power at the same order (top coefficients fall off)."""

@@ -32,7 +32,6 @@ on their own.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import asdict, dataclass
 from functools import partial
 from typing import Callable, Iterable, Sequence
@@ -61,7 +60,7 @@ from .gfs import (
     strong_point_series,
     terms,
 )
-from .series import NotDivisibleError, Series, UPoly, parse_upoly
+from .series import NonUnitConstantTermError, NotDivisibleError, Series, UPoly, parse_upoly
 
 PASS = "PASS"
 FAIL = "FAIL"
@@ -145,26 +144,19 @@ def reference_rows(key: str) -> tuple[UPoly, ...]:
 
 
 # ---------------------------------------------------------------------------
-# Functional-equation registry.  Each builder returns the residual (lhs - rhs)
-# of one stated identity, constructed purely from closed-form series; `margin`
-# is how many truncation orders the construction consumes (division by t).
-# The class identities are written here, the per-pattern ones are read from
-# the records of the solved patterns.
+# Functional-equation registry.  Each residual (lhs - rhs) of one stated
+# identity is built from the Terms of one order, purely from closed-form
+# series; `margin` is how many truncation orders the construction consumes
+# (division by t).  The class identities are written here, the per-pattern
+# ones are read from the records of the solved patterns.
 # ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class EquationSpec:
-    eq_id: str
     subject: str
-    build: Callable[[int], Series]
+    residual: Callable[[Terms], Series]
     margin: int = 0
-
-
-def _spec(
-    eq_id: str, subject: str, residual: Callable[[Terms], Series], margin: int = 0
-) -> EquationSpec:
-    return EquationSpec(eq_id, subject, lambda w: residual(terms(w)), margin)
 
 
 _IDENTITY_SUBJECTS = {
@@ -174,61 +166,62 @@ _IDENTITY_SUBJECTS = {
 }
 
 
-def _pattern_spec(ident: str, kind: str, residual: Residual, margin: int) -> EquationSpec:
-    def of_terms(r: Terms) -> Series:
-        return residual(r, avoidance_series(ident, r.order), distribution_series(ident, r.order))
-
-    subject = f"pattern {ident}: {_IDENTITY_SUBJECTS[kind]}"
-    return _spec(f"EQ_P{ident}_{kind}", subject, of_terms, margin)
+def _pattern_residual(ident: str, residual: Residual, r: Terms) -> Series:
+    return residual(r, avoidance_series(ident, r.order), distribution_series(ident, r.order))
 
 
-def _equation_specs() -> tuple[EquationSpec, ...]:
-    specs = [
-        _spec("EQ_B", "class split: B + tB = A", lambda r: r.b + r.t * r.b - r.a),
-        _spec(
-            "EQ_C", "class recursion: C = A - t - 2t(B-1) + t^2(C-1)",
-            lambda r: r.c - (r.a - r.t - 2 * r.t * (r.b - r.one) + r.t * r.t * (r.c - r.one)),
-        ),
-        _spec(
-            "EQ_PX", "strong-point avoidance: P + tPB = A",
-            lambda r: r.s + r.t * r.s * r.b - r.a,
-        ),
-        _spec(
-            "EQ_ATU", "strong-point distribution: P + utP*Btu = Atu",
-            lambda r: r.s + r.ut * r.s * r.btu - r.atu,
-        ),
-        _spec(
-            "EQ_BTU", "strong-point split: Btu + ut*Btu = Atu",
-            lambda r: r.btu + r.ut * r.btu - r.atu,
-        ),
-        _spec(
-            "EQ_CTU", "strong-point recursion for Ctu",
-            lambda r: r.ctu
-                - (r.atu - r.ut - 2 * r.ut * (r.btu - r.one) + r.ut * r.ut * (r.ctu - r.one)),
-        ),
-    ]
-    for ident, record in SOLVED.items():
-        specs += [_pattern_spec(ident, *identity) for identity in record.identities]
-    return tuple(specs)
-
-
-EQUATIONS: dict[str, EquationSpec] = {s.eq_id: s for s in _equation_specs()}
+EQUATIONS: dict[str, EquationSpec] = {
+    "EQ_B": EquationSpec("class split: B + tB = A", lambda r: r.b + r.t * r.b - r.a),
+    "EQ_C": EquationSpec(
+        "class recursion: C = A - t - 2t(B-1) + t^2(C-1)",
+        lambda r: r.c - (r.a - r.t - 2 * r.t * (r.b - r.one) + r.t * r.t * (r.c - r.one)),
+    ),
+    "EQ_PX": EquationSpec(
+        "strong-point avoidance: P + tPB = A", lambda r: r.s + r.t * r.s * r.b - r.a
+    ),
+    "EQ_ATU": EquationSpec(
+        "strong-point distribution: P + utP*Btu = Atu",
+        lambda r: r.s + r.ut * r.s * r.btu - r.atu,
+    ),
+    "EQ_BTU": EquationSpec(
+        "strong-point split: Btu + ut*Btu = Atu", lambda r: r.btu + r.ut * r.btu - r.atu
+    ),
+    "EQ_CTU": EquationSpec(
+        "strong-point recursion for Ctu",
+        lambda r: r.ctu
+            - (r.atu - r.ut - 2 * r.ut * (r.btu - r.one) + r.ut * r.ut * (r.ctu - r.one)),
+    ),
+    **{
+        f"EQ_P{ident}_{kind}": EquationSpec(
+            f"pattern {ident}: {_IDENTITY_SUBJECTS[kind]}",
+            partial(_pattern_residual, ident, residual),
+            margin,
+        )
+        for ident, record in SOLVED.items()
+        for kind, residual, margin in record.identities
+    },
+}
 
 
 def verify_equation(eq_id: str, order: int = DEFAULT_ORDER) -> CheckReport:
     """Build both sides of a registered identity and require a zero residual
-    through the given order.  An exact division inside the construction that
-    leaves a remainder fails the check; the witness is the coefficient."""
+    through the given order.  A construction that cannot divide exactly fails
+    the check: an exact division that leaves a remainder, with the coefficient
+    as witness, or a series division by a constant term other than +1 or -1,
+    with that term as witness at n = 0."""
     spec = EQUATIONS.get(eq_id)
     if spec is None:
         known = ", ".join(sorted(EQUATIONS))
         raise KeyError(f"unknown equation {eq_id!r}; registered: {known}")
     check_id = f"equation:{eq_id}"
     try:
-        residual = spec.build(order + spec.margin).coeffs
+        residual = spec.residual(terms(order + spec.margin)).coeffs
     except NotDivisibleError as exc:
         witness = Witness(exc.power, f"a multiple of {exc.divisor}", str(exc.coefficient))
         return CheckReport(check_id, f"{spec.subject} (division by {exc.divisor})", FAIL, witness)
+    except NonUnitConstantTermError as exc:
+        witness = Witness(0, "+1 or -1", str(exc.coefficient))
+        return CheckReport(check_id, f"{spec.subject} (series division)", FAIL, witness)
     zeros = (UPoly(),) * (order + 1)
     return _compare(check_id, spec.subject, [("residual", zeros, residual, FAIL)])
 
@@ -298,10 +291,7 @@ def _check_class_counts(kings: Census) -> CheckReport:
 
 def _check_king_characterization() -> CheckReport:
     subject = f"kings = avoiders of the two adjacency patterns for n <= {KINGCHAR_N_MAX}"
-    # each cross's count gets a field wide enough for the C(n, 2) pairs of n <= 8
-    crosses = CompiledPatterns(
-        (KING_CROSS_UP, KING_CROSS_DOWN), math.comb(KINGCHAR_N_MAX, 2).bit_length()
-    )
+    crosses = CompiledPatterns((KING_CROSS_UP, KING_CROSS_DOWN), n=KINGCHAR_N_MAX)
     for n in range(KINGCHAR_N_MAX + 1):
         mismatch = _first_king_mismatch(crosses, n)
         if mismatch:

@@ -9,7 +9,6 @@ import pytest
 from kingmesh import cli
 from kingmesh.cli import main
 from kingmesh.kings import count_kings
-from kingmesh.series import Series
 
 
 def run(capsys, *argv):
@@ -213,9 +212,7 @@ class TestVerify:
         import kingmesh.verify as verify_mod
 
         spec = verify_mod.EQUATIONS["EQ_B"]
-        broken = verify_mod.EquationSpec(
-            spec.eq_id, spec.subject, lambda w: spec.build(w) + Series.t(w), spec.margin
-        )
+        broken = verify_mod.EquationSpec(spec.subject, lambda r: spec.residual(r) + r.t, spec.margin)
         monkeypatch.setitem(verify_mod.EQUATIONS, "EQ_B", broken)
         code, out, _ = run(capsys, "verify", "--equation", "EQ_B", "--order", "8")
         assert code == 1

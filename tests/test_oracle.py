@@ -14,7 +14,6 @@ from kingmesh.mesh import CompiledPatterns, MeshPattern, catalog, catalog_patter
 from kingmesh.oracle import (
     DistributionTable,
     census,
-    distribution,
     distribution_table,
     distribution_tables,
 )
@@ -23,19 +22,19 @@ from kingmesh.series import UPoly, parse_upoly
 
 
 def test_known_rows():
-    assert distribution(catalog_pattern("16"), 5) == parse_upoly("12+2u^4")
-    assert distribution(catalog_pattern("12"), 5) == parse_upoly("12+2u^4")
-    assert distribution(catalog_pattern("X"), 4) == UPoly((2,))
-    assert distribution(catalog_pattern("63"), 7) == parse_upoly("556+88u+2u^2")
+    assert distribution_table(catalog_pattern("16"), 5).row(5) == parse_upoly("12+2u^4")
+    assert distribution_table(catalog_pattern("12"), 5).row(5) == parse_upoly("12+2u^4")
+    assert distribution_table(catalog_pattern("X"), 4).row(4) == UPoly((2,))
+    assert distribution_table(catalog_pattern("63"), 7).row(7) == parse_upoly("556+88u+2u^2")
 
 
 def test_empty_length_row_is_one():
     for ident in ("X", "16", "3"):
-        assert distribution(catalog_pattern(ident), 0) == UPoly((1,))
+        assert distribution_table(catalog_pattern(ident), 0).row(0) == UPoly((1,))
 
 
 def test_open_pattern_mass():
-    row = distribution(catalog_pattern("3"), 6)
+    row = distribution_table(catalog_pattern("3"), 6).row(6)
     assert row.evaluate(1) == 90
     assert all(c >= 0 for c in row.coeffs)
 
@@ -55,7 +54,7 @@ def test_strong_point_class_tables():
     assert sl.rows == ctu.coeffs
     assert ls.rows == ctu.coeffs
     # the literal X distribution over LS is a different polynomial
-    assert distribution(catalog_pattern("X"), 5, KingClass.LS) == parse_upoly("6+4u")
+    assert distribution_table(catalog_pattern("X"), 5, KingClass.LS).row(5) == parse_upoly("6+4u")
 
 
 def test_table_type():
@@ -168,7 +167,7 @@ def test_custom_pattern():
     # decreasing pair with the middle box shaded: by hand, 2413 has the
     # occurrences {21, 41, 43} and 3142 has {31, 32, 42}, three each
     p = MeshPattern((2, 1), frozenset({(1, 1)}))
-    assert distribution(p, 4) == parse_upoly("2u^3")
+    assert distribution_table(p, 4).row(4) == parse_upoly("2u^3")
 
 
 def test_census_names_the_bad_pattern_range():
@@ -267,6 +266,42 @@ def test_single_table_against_the_definition(singles_and_pairs_by_definition, jo
     # each node adds the table's hits and the pair loop's
     patterns = _SINGLES + _PAIRS if with_pairs else _SINGLES
     _assert_census_matches(singles_and_pairs_by_definition, patterns, 8, jobs)
+
+
+def test_positional_width_is_rejected():
+    # the width is derived from the length: a second positional argument is
+    # neither read as a width nor as a length
+    with pytest.raises(TypeError):
+        CompiledPatterns([catalog_pattern("X")], 5)
+
+
+def test_width_derived_from_the_length_is_the_census_width():
+    # the bits of one count at each census length n <= 11, as the census
+    # passed them by hand: enough for C(n, k) with k the longest length
+    catalog_patterns = [e.pattern for e in catalog()]
+    singles = [catalog_pattern("X"), catalog_pattern("X'")]
+    empty = [MeshPattern((), frozenset())]
+    longer = [MeshPattern((2, 3, 1), frozenset()), catalog_pattern("16")]
+    widths = {
+        "catalog": (catalog_patterns, [0, 1, 2, 2, 3, 4, 4, 5, 5, 6, 6, 6]),
+        "singles": (singles, [0, 1, 2, 2, 3, 3, 3, 3, 4, 4, 4, 4]),
+        "empty": (empty, [1] * 12),
+        "none": ([], [0] * 12),
+        "longer": (longer, [0, 0, 1, 2, 3, 4, 5, 6, 6, 7, 7, 8]),
+    }
+    for name, (patterns, expected) in widths.items():
+        assert [CompiledPatterns(patterns, n=n).field for n in range(12)] == expected, name
+    assert CompiledPatterns(singles).field == 64
+
+
+def test_empty_host_builds_no_single_table(monkeypatch):
+    built = []
+    build = CompiledPatterns.single_table
+    monkeypatch.setattr(CompiledPatterns, "single_table",
+                        lambda self, n: built.append(n) or build(self, n))
+    oracle_mod._compiled.cache_clear()
+    assert census([e.pattern for e in catalog()], 0).size(0, KingClass.ALL) == 1
+    assert built == []
 
 
 def test_single_table_is_built_once_per_length(monkeypatch):

@@ -5,7 +5,7 @@ import io
 import math
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import replace
-from itertools import permutations
+from itertools import combinations, permutations
 
 import pytest
 
@@ -14,7 +14,7 @@ import kingmesh.kings as kings_mod
 import kingmesh.oracle as oracle_mod
 import kingmesh.verify as verify_mod
 from kingmesh import cli
-from kingmesh.gfs import class_series, terms
+from kingmesh.gfs import class_series, distribution_series, terms
 from kingmesh.kings import KingClass, perm_text
 from kingmesh.mesh import (
     KING_CROSS_DOWN,
@@ -44,6 +44,7 @@ from kingmesh.verify import (
     _check_strong_point_class,
     _check_strong_point_sets,
     _first_king_mismatch,
+    reference_rows,
     report_from_dict,
     report_to_dict,
     reports_from_json,
@@ -75,7 +76,7 @@ def test_equation_detects_perturbation():
     # shifting one side by t must produce a nonzero residual
     spec = EQUATIONS["EQ_P16_STAR"]
     order = 12
-    residual = spec.build(order + spec.margin)
+    residual = spec.residual(terms(order + spec.margin))
     perturbed = residual + Series.t(residual.order)
     assert residual.truncated(order).is_zero()
     assert not perturbed.truncated(order).is_zero()
@@ -105,6 +106,76 @@ def test_undividable_residual_is_a_fail(monkeypatch):
     assert "error:" not in err.getvalue() + out.getvalue()
     failed = {line.split()[1] for line in out.getvalue().splitlines() if line.startswith(FAIL)}
     assert failed == {"equation:EQ_P64_STAR", "equation:EQ_P64_DIST", "theorem:64"}
+
+
+@pytest.mark.parametrize("fault, actual", [
+    (lambda order: Series.term(order, 5, tpow=6), "5"),
+    (lambda order: Series.term(order, 5, tpow=6, upow=2), "5u^2"),
+], ids=["u-free", "u-marked"])
+def test_pattern_16_dist_reads_its_distribution(monkeypatch, fault, actual):
+    # a wrong coefficient of E:16 must fail the DIST identity itself, not
+    # only STAR and the theorem: E must not cancel from its residual
+    record = gfs_mod.SOLVED["16"]
+    faulty = replace(record, distribution=lambda r: record.distribution(r) + fault(r.order))
+    monkeypatch.setitem(gfs_mod.SOLVED, "16", faulty)
+    gfs_mod.distribution_series.cache_clear()
+    try:
+        dist = verify_equation("EQ_P16_DIST", order=12)
+        star = verify_equation("EQ_P16_STAR", order=12)
+        av = verify_equation("EQ_P16_AV", order=12)
+    finally:
+        gfs_mod.distribution_series.cache_clear()
+    assert dist.status == FAIL
+    assert dist.witness == Witness(6, "0", actual)
+    assert star.status == FAIL
+    assert av.status == PASS
+
+
+def test_non_unit_division_is_a_fail(monkeypatch):
+    # a denominator with constant term 2 cannot be divided by in Z[u][[t]]:
+    # the check fails with that term as witness instead of ending in a traceback
+    monkeypatch.setattr(gfs_mod.Terms, "q", property(lambda r: 2 * r.one + r.t + r.t * r.a))
+    gfs_mod.terms.cache_clear()
+    try:
+        report = verify_equation("EQ_PX", order=8)
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = cli.main(["verify", "--equation", "EQ_PX", "--order", "8"])
+    finally:
+        gfs_mod.terms.cache_clear()
+    assert report.status == FAIL
+    assert report.witness == Witness(0, "+1 or -1", "2")
+    assert code == 1 and err.getvalue() == ""
+    assert [line.split()[:2] for line in out.getvalue().splitlines() if line.startswith(FAIL)] == [
+        [FAIL, "equation:EQ_PX"]
+    ]
+
+
+def test_odd_king_count_is_an_error_line(monkeypatch):
+    # pattern 10's closed forms halve the king counts; an odd count is not
+    # divisible by 2, which the CLI reports as one error line
+    right = gfs_mod.king_series
+
+    def odd_at_9(order):
+        a = right(order)
+        if order < 9:
+            return a
+        coeffs = list(a.coeffs)
+        coeffs[9] = coeffs[9] + UPoly((1,))
+        return Series(order, coeffs)
+
+    monkeypatch.setattr(gfs_mod, "king_series", odd_at_9)
+    gfs_mod.avoidance_series.cache_clear()
+    gfs_mod.distribution_series.cache_clear()
+    try:
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = cli.main(["verify", "--theorem", "10", "--order", "12", "--n-max", "5"])
+    finally:
+        gfs_mod.avoidance_series.cache_clear()
+        gfs_mod.distribution_series.cache_clear()
+    assert code == 2 and out.getvalue() == ""
+    assert err.getvalue() == "error: t^9 coefficient 47623 is not divisible by 2\n"
 
 
 def test_unknown_equation_rejected():
@@ -317,7 +388,21 @@ def test_theorem_compares_the_whole_pinned_expansion(monkeypatch, catalog_sweep_
     rows = catalog_sweep_9["16"].rows[:6]
     report = verify_theorem("16", order=3, n_max=5, oracle_rows=rows)
     assert report.status == REFERENCE_MISMATCH
-    assert (report.witness.n, report.witness.expected) == (n, bumped) == (8, "4675+568u^7")
+    assert (report.witness.n, report.witness.expected) == (n, bumped) == (
+        10, "436315+20u^4+24u^5+42944u^9+4u^13"
+    )
+
+
+def test_pinned_rows_separate_the_closed_forms():
+    # two solved patterns whose distributions differ must differ on a row both
+    # of them pin, so that the pinned legs can tell a swap of the two apart
+    pinned = {ident: reference_rows(f"E:{ident}") for ident in SOLVED_IDS}
+    series = {ident: distribution_series(ident, 12) for ident in SOLVED_IDS}
+    for i, j in combinations(SOLVED_IDS, 2):
+        if series[i] == series[j]:
+            continue
+        shared = zip(pinned[i], pinned[j])
+        assert any(a != b for a, b in shared), (i, j)
 
 
 @pytest.mark.parametrize(
@@ -505,7 +590,7 @@ def test_kingchar_passes_on_the_empty_and_one_element_permutations(monkeypatch):
     seen = []
     is_king = verify_mod.is_king
     monkeypatch.setattr(verify_mod, "is_king", lambda p: seen.append(p) or is_king(p))
-    crosses = CompiledPatterns((KING_CROSS_UP, KING_CROSS_DOWN), 1)
+    crosses = CompiledPatterns((KING_CROSS_UP, KING_CROSS_DOWN), n=1)
     assert _first_king_mismatch(crosses, 0) is None
     assert _first_king_mismatch(crosses, 1) is None
     assert seen == [(), (1,)]
