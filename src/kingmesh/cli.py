@@ -22,14 +22,7 @@ from .kings import COUNT_METHODS, KingClass, count_class, enumerate_kings, perm_
 from .mesh import catalog, parse_pattern, render_pattern
 from .oracle import distribution_tables
 from .gfs import BASE_NAMES, series_by_name
-from .verify import (
-    DEFAULT_N_MAX,
-    DEFAULT_ORDER,
-    report_to_dict,
-    verify_all,
-    verify_equation,
-    verify_theorem,
-)
+from .verify import CHECK_IDS, DEFAULT_N_MAX, DEFAULT_ORDER, report_to_dict, run_checks
 
 def _jobs(args) -> int:
     """Worker count from ``--jobs``, else ``KINGMESH_JOBS``, else 1."""
@@ -123,11 +116,12 @@ def _cmd_verify(args) -> int:
         _check_size(args, "--n-max", args.n_max, PATTERN_N_LIMIT)
     jobs = _jobs(args)
     if args.theorem:
-        reports = [verify_theorem(args.theorem, args.order, args.n_max, jobs)]
+        check_ids = [f"theorem:{args.theorem}"]
     elif args.equation:
-        reports = [verify_equation(args.equation, args.order)]
+        check_ids = [f"equation:{args.equation}"]
     else:
-        reports = verify_all(args.order, args.n_max, jobs)
+        check_ids = CHECK_IDS
+    reports = run_checks(check_ids, args.order, args.n_max, jobs)
     fails = sum(not r.ok for r in reports)
     if args.format == "json":
         _emit_json([report_to_dict(r) for r in reports])

@@ -4,61 +4,43 @@ and pinned reference expansions.
 Three kinds of evidence are compared:
 
 * the closed-form series built by :mod:`kingmesh.gfs`;
-* the brute-force census of :mod:`kingmesh.oracle`, which `verify_all` takes
-  once for n = 0..max(11, n_max) and every check on kings reads: the class
-  sizes, and the catalog's rows over each class through n_max;
+* the brute-force census of :mod:`kingmesh.oracle`, taken once per run for
+  n = 0..max(11, n_max) and read by every check on kings: the class sizes,
+  and the catalog's rows over each class through n_max;
 * reference expansions pinned below as literal data, so that a regression in
   either computation path is caught even if both drift together.
 
-A theorem check passes when all three agree.  When the two computed routes
-agree with each other but not with the pinned text, the report says
-``REFERENCE_MISMATCH`` instead of ``FAIL``: the computation is consistent and
-the pinned row is the suspect.  Functional-equation checks build both sides of
-a stated identity from the closed forms and require the residual series to be
-identically zero.
+When the two computed routes agree with each other but not with the pinned
+text, the report says ``REFERENCE_MISMATCH`` instead of ``FAIL``: the pinned
+row is the suspect.  Functional-equation checks require the residual of a
+stated identity, built from the closed forms, to be identically zero.
 
-Every check that compares rows decides through `_compare`: it lists its legs,
-each a label, the expected rows, the actual rows and the status a mismatch
-earns.  The first row that differs, in the first leg that differs, is the
-witness (its n, expected and actual value), and the subject names that leg.
-In a leg named ``X vs Y``, X is the actual side and Y the expected one: the
-census row, or the closed form under a substitution, is judged against the
-closed form it should equal.
-Only ``kingchar``, whose witness is a permutation, the sign test of
-``mass:*`` and an equation whose construction cannot divide exactly decide
-on their own.
+The battery is one table, `_CHECKS`, from each check id to the call that runs
+it; `run_checks` looks ids up there and `verify_all` runs them all.  Every
+check goes through `_run` with its legs (a label, the expected rows, the actual
+rows, the status a mismatch earns): the first row that differs, in the first
+leg that differs, is the witness, and the subject names that leg.  In a leg
+``X vs Y``, X is the actual side.  `_run` is the only guard: an exact division
+that leaves a remainder, or a series division by a constant term other than
++1 or -1, fails the check with the coefficient as witness, and the run goes
+on.  Any other exception propagates.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass
-from functools import partial
+from functools import cached_property, partial
 from typing import Callable, Iterable, Sequence
 
-from .kings import KingClass, Perm, count_kings, is_king, perm_text
+from .kings import KingClass, count_kings, is_king, perm_text
 from .mesh import (
-    KING_CROSS_DOWN,
-    KING_CROSS_UP,
-    OPEN_IDS,
-    CompiledPatterns,
-    catalog,
-    catalog_pattern,
+    KING_CROSS_DOWN, KING_CROSS_UP, OPEN_IDS, CompiledPatterns, catalog, catalog_pattern,
 )
 from .oracle import Census, census, distribution_table
 from .gfs import (
-    A_ROW,
-    SOLVED,
-    Residual,
-    Terms,
-    avoidance_series,
-    class_series,
-    distribution_series,
-    king_series,
-    series_by_name,
-    strong_point_avoiders,
-    strong_point_series,
-    terms,
+    A_ROW, SOLVED, Residual, Terms, avoidance_series, class_series, distribution_series,
+    king_series, series_by_name, strong_point_avoiders, strong_point_series, terms,
 )
 from .series import NonUnitConstantTermError, NotDivisibleError, Series, UPoly, parse_upoly
 
@@ -94,25 +76,37 @@ class CheckReport:
         return self.status != FAIL
 
 
-# A leg: its label, the expected rows, the actual rows (row n is the value at
-# length n) and the status a mismatch earns.
+# A leg: its label, expected rows, actual rows (row n at length n), status of a mismatch.
 Leg = tuple[str, Sequence, Sequence, str]
 
 
-def _compare(check_id: str, subject: str, legs: Iterable[Leg]) -> CheckReport:
-    """Compare each leg on the rows both sides have; the first row that
-    differs, in the first leg that differs, is the witness, and the subject
-    names that leg.
+def _run(check_id: str, subject: str, check: Callable[[], list[Leg] | Witness]) -> CheckReport:
+    """Run one check behind the guard.  ``check`` returns its legs, each
+    compared on the rows both sides have, or a witness it found itself.
 
-    >>> _compare("demo", "squares", [("table", (0, 1, 4), (0, 1, 4), FAIL)])
+    >>> _run("demo", "squares", lambda: [("table", (0, 1, 4), (0, 1, 4), FAIL)])
     CheckReport(check_id='demo', subject='squares', status='PASS', witness=None)
-    >>> _compare("demo", "squares", [("table", (0, 1, 4), (0, 1, 4), FAIL),
-    ...                              ("formula", (0, 1, 4, 9), (0, 1, 5), FAIL)])
+    >>> _run("demo", "squares", lambda: [("table", (0, 1, 4), (0, 1, 4), FAIL),
+    ...                                  ("formula", (0, 1, 4, 9), (0, 1, 5), FAIL)])
     ... # doctest: +NORMALIZE_WHITESPACE
     CheckReport(check_id='demo', subject='squares (formula)', status='FAIL',
                 witness=Witness(n=2, expected='4', actual='5'))
+    >>> _run("demo", "t / t^2", lambda: Series.t(2).div_t(2))
+    ... # doctest: +NORMALIZE_WHITESPACE
+    CheckReport(check_id='demo', subject='t / t^2 (division by t^2)', status='FAIL',
+                witness=Witness(n=1, expected='a multiple of t^2', actual='1'))
     """
-    for label, expected, actual, status in legs:
+    try:
+        verdict = check()
+    except NotDivisibleError as exc:
+        witness = Witness(exc.power, f"a multiple of {exc.divisor}", str(exc.coefficient))
+        return CheckReport(check_id, f"{subject} (division by {exc.divisor})", FAIL, witness)
+    except NonUnitConstantTermError as exc:
+        witness = Witness(0, "+1 or -1", str(exc.coefficient))
+        return CheckReport(check_id, f"{subject} (series division)", FAIL, witness)
+    if isinstance(verdict, Witness):
+        return CheckReport(check_id, subject, FAIL, verdict)
+    for label, expected, actual, status in verdict:
         for n, (e, a) in enumerate(zip(expected, actual)):
             if e != a:
                 witness = Witness(n, str(e), str(a))
@@ -120,10 +114,8 @@ def _compare(check_id: str, subject: str, legs: Iterable[Leg]) -> CheckReport:
     return CheckReport(check_id, subject, PASS)
 
 
-# ---------------------------------------------------------------------------
 # Pinned reference expansions (initial coefficients, ascending powers of t):
 # the class rows, and the E: row of each solved pattern's record.
-# ---------------------------------------------------------------------------
 
 REFERENCE_EXPANSIONS: dict[str, tuple[str, ...]] = {
     "A": A_ROW + ("5296790", "63779034"),
@@ -143,15 +135,11 @@ def reference_rows(key: str) -> tuple[UPoly, ...]:
     return tuple(parse_upoly(s) for s in REFERENCE_EXPANSIONS[key])
 
 
-# ---------------------------------------------------------------------------
 # Functional-equation registry.  Each residual (lhs - rhs) of one stated
 # identity is built from the Terms of one order, purely from closed-form
 # series; `margin` is how many truncation orders the construction consumes
 # (division by t).  The class identities are written here, the per-pattern
 # ones are read from the records of the solved patterns.
-# ---------------------------------------------------------------------------
-
-
 @dataclass(frozen=True)
 class EquationSpec:
     subject: str
@@ -203,32 +191,31 @@ EQUATIONS: dict[str, EquationSpec] = {
 }
 
 
+def _validate(check_ids: Iterable[str], order: int, n_max: int = 0) -> None:
+    """Reject an unknown check id or a negative range before any check runs."""
+    unknown = next((check_id for check_id in check_ids if check_id not in _CHECKS), None)
+    if unknown is not None:
+        family, _, key = unknown.partition(":")
+        if family == "theorem":
+            raise KeyError(f"pattern {key!r} has no distribution theorem")
+        if family == "equation":
+            raise KeyError(f"unknown equation {key!r}; registered: {', '.join(sorted(EQUATIONS))}")
+        raise KeyError(f"unknown check {unknown!r}")
+    if order < 0:
+        raise ValueError("order must be nonnegative")
+    if n_max < 0:
+        raise ValueError("n_max must be nonnegative")
+
+
 def verify_equation(eq_id: str, order: int = DEFAULT_ORDER) -> CheckReport:
     """Build both sides of a registered identity and require a zero residual
-    through the given order.  A construction that cannot divide exactly fails
-    the check: an exact division that leaves a remainder, with the coefficient
-    as witness, or a series division by a constant term other than +1 or -1,
-    with that term as witness at n = 0."""
-    spec = EQUATIONS.get(eq_id)
-    if spec is None:
-        known = ", ".join(sorted(EQUATIONS))
-        raise KeyError(f"unknown equation {eq_id!r}; registered: {known}")
-    check_id = f"equation:{eq_id}"
-    try:
-        residual = spec.residual(terms(order + spec.margin)).coeffs
-    except NotDivisibleError as exc:
-        witness = Witness(exc.power, f"a multiple of {exc.divisor}", str(exc.coefficient))
-        return CheckReport(check_id, f"{spec.subject} (division by {exc.divisor})", FAIL, witness)
-    except NonUnitConstantTermError as exc:
-        witness = Witness(0, "+1 or -1", str(exc.coefficient))
-        return CheckReport(check_id, f"{spec.subject} (series division)", FAIL, witness)
+    through the given order."""
+    _validate([f"equation:{eq_id}"], order)
+    spec = EQUATIONS[eq_id]
     zeros = (UPoly(),) * (order + 1)
-    return _compare(check_id, spec.subject, [("residual", zeros, residual, FAIL)])
-
-
-# ---------------------------------------------------------------------------
-# The checks: the theorems, then the rest of the battery.
-# ---------------------------------------------------------------------------
+    return _run(f"equation:{eq_id}", spec.subject, lambda: [
+        ("residual", zeros, spec.residual(terms(order + spec.margin)).coeffs, FAIL),
+    ])
 
 
 def verify_theorem(
@@ -243,69 +230,67 @@ def verify_theorem(
     the avoidance series and at u=1 to the class counts, and the pinned
     reference expansion must match on its printed range."""
     ident = str(ident)
-    if ident not in SOLVED:
-        raise KeyError(f"pattern {ident!r} has no distribution theorem")
-    if order < 0:
-        raise ValueError("order must be nonnegative")
-    check_id = f"theorem:{ident}"
-    subject = f"pattern {ident}: distribution over king permutations"
-
+    _validate([f"theorem:{ident}"], order, n_max)
     if oracle_rows is None:
         oracle_rows = distribution_table(catalog_pattern(ident), n_max, KingClass.ALL, jobs).rows
     pinned = reference_rows(f"E:{ident}")
-    # every leg reads one series, taken to every oracle and pinned row whatever the order
-    reach = max(order, len(oracle_rows) - 1, len(pinned) - 1)
-    e = distribution_series(ident, reach)
-    return _compare(check_id, subject, [
-        ("oracle vs series", e.coeffs, oracle_rows, FAIL),
-        ("u=0 vs avoidance", avoidance_series(ident, reach).coeffs, e.eval_u(0).coeffs, FAIL),
-        ("u=1 vs counts", king_series(reach).coeffs, e.eval_u(1).coeffs, FAIL),
-        ("pinned expansion", pinned, e.coeffs, REFERENCE_MISMATCH),
-    ])
+
+    def legs() -> list[Leg]:
+        # every leg reads one series, taken to every oracle and pinned row whatever the order
+        reach = max(order, len(oracle_rows) - 1, len(pinned) - 1)
+        e = distribution_series(ident, reach)
+        return [
+            ("oracle vs series", e.coeffs, oracle_rows, FAIL),
+            ("u=0 vs avoidance", avoidance_series(ident, reach).coeffs, e.eval_u(0).coeffs, FAIL),
+            ("u=1 vs counts", king_series(reach).coeffs, e.eval_u(1).coeffs, FAIL),
+            ("pinned expansion", pinned, e.coeffs, REFERENCE_MISMATCH),
+        ]
+
+    return _run(f"theorem:{ident}", f"pattern {ident}: distribution over king permutations", legs)
 
 
 def _check_counts_methods(kings: Census) -> CheckReport:
-    ns = range(COUNTS_N_MAX + 1)
-    # past the pinned counts the recurrence stands in for them
-    expect = [KING_COUNTS[n] if n < len(KING_COUNTS) else count_kings(n) for n in ns]
-    counted = {m: [count_kings(n, m) for n in ns] for m in ("recurrence", "explicit")}
-    counted["gf"] = [c.evaluate(0) for c in king_series(COUNTS_N_MAX).coeffs]  # one Terms
-    counted["enumerate"] = [kings.size(n, KingClass.ALL) for n in ns]
-    legs = [(method, expect, values, FAIL) for method, values in counted.items()]
-    return _compare("counts:methods", f"four counting methods agree for n <= {COUNTS_N_MAX}", legs)
+    def legs() -> list[Leg]:
+        ns = range(COUNTS_N_MAX + 1)
+        # past the pinned counts the recurrence stands in for them
+        expect = [KING_COUNTS[n] if n < len(KING_COUNTS) else count_kings(n) for n in ns]
+        counted = {m: [count_kings(n, m) for n in ns] for m in ("recurrence", "explicit")}
+        counted["gf"] = [c.evaluate(0) for c in king_series(COUNTS_N_MAX).coeffs]  # one Terms
+        counted["enumerate"] = [kings.size(n, KingClass.ALL) for n in ns]
+        return [(method, expect, values, FAIL) for method, values in counted.items()]
+
+    return _run("counts:methods", f"four counting methods agree for n <= {COUNTS_N_MAX}", legs)
 
 
 def _check_class_counts(kings: Census) -> CheckReport:
+    def legs() -> list[Leg]:
+        ns = range(CLASSES_N_MAX + 1)
+        classes = (KingClass.S, KingClass.L, KingClass.SL, KingClass.LS)
+        sizes = {kc: [kings.size(n, kc) for n in ns] for kc in classes}
+        series = {kc: class_series(kc, CLASSES_N_MAX).coeffs for kc in classes}
+        # the members of ALL that begin with 1 are 1 followed by a shifted S member
+        s, a = sizes[KingClass.S], king_series(CLASSES_N_MAX).coeffs
+        legs = [(kc.value.upper(), [r.evaluate(0) for r in series[kc]], sizes[kc], FAIL)
+                for kc in classes]
+        from_a = [a[n].evaluate(0) - (s[n - 1] if n else 0) for n in ns]
+        return legs + [("S from A", from_a, s, FAIL)]
+
     subject = f"restricted-class counts match their series for n <= {CLASSES_N_MAX}"
-    ns = range(CLASSES_N_MAX + 1)
-    classes = (KingClass.S, KingClass.L, KingClass.SL, KingClass.LS)
-    sizes = {kc: [kings.size(n, kc) for n in ns] for kc in classes}
-    series = {kc: class_series(kc, CLASSES_N_MAX).coeffs for kc in classes}
-    legs = [(kc.value.upper(), [r.evaluate(0) for r in series[kc]], sizes[kc], FAIL)
-            for kc in classes]
-    # the members of ALL that begin with 1 are 1 followed by a shifted S member
-    s, a = sizes[KingClass.S], king_series(CLASSES_N_MAX).coeffs
-    legs.append(("S from A", [a[n].evaluate(0) - (s[n - 1] if n else 0) for n in ns], s, FAIL))
-    return _compare("counts:classes", subject, legs)
+    return _run("counts:classes", subject, legs)
 
 
 def _check_king_characterization() -> CheckReport:
-    subject = f"kings = avoiders of the two adjacency patterns for n <= {KINGCHAR_N_MAX}"
     crosses = CompiledPatterns((KING_CROSS_UP, KING_CROSS_DOWN), n=KINGCHAR_N_MAX)
-    for n in range(KINGCHAR_N_MAX + 1):
-        mismatch = _first_king_mismatch(crosses, n)
-        if mismatch:
-            p, expected = mismatch
-            return CheckReport(
-                "kingchar", subject, FAIL, Witness(n, str(expected), perm_text(p, " "))
-            )
-    return CheckReport("kingchar", subject, PASS)
+    mismatches = (_first_king_mismatch(crosses, n) for n in range(KINGCHAR_N_MAX + 1))
+    subject = f"kings = avoiders of the two adjacency patterns for n <= {KINGCHAR_N_MAX}"
+    # the first witness, or no legs when every length agrees
+    return _run("kingchar", subject, lambda: next(filter(None, mismatches), []))
 
 
-def _first_king_mismatch(crosses: CompiledPatterns, n: int) -> tuple[Perm, bool] | None:
+def _first_king_mismatch(crosses: CompiledPatterns, n: int) -> Witness | None:
     """The first permutation of 1..n, in lexicographic order, on which
-    ``is_king`` disagrees with "no hit of either cross", with its ``is_king``
-    value; None when they agree on all n! of them.
+    ``is_king`` disagrees with "no hit of either cross", as a witness holding
+    its ``is_king`` value; None when they agree on all n! of them.
 
     One depth-first walk, ascending values first, over every permutation: no
     branch is pruned.  Each node adds the crosses' hits ending at its position
@@ -316,12 +301,11 @@ def _first_king_mismatch(crosses: CompiledPatterns, n: int) -> tuple[Perm, bool]
     seq = [0] * n
     pre = [0] * (n + 1)
 
-    def leaf(hits: int) -> tuple[Perm, bool] | None:
-        p = tuple(seq)
-        king = is_king(p)
-        return None if king == (hits == 0) else (p, king)
+    def leaf(hits: int) -> Witness | None:
+        king = is_king(tuple(seq))
+        return None if king == (hits == 0) else Witness(n, str(king), perm_text(seq, " "))
 
-    def walk(d: int, rest: list[int], packed: int) -> tuple[Perm, bool] | None:
+    def walk(d: int, rest: list[int], packed: int) -> Witness | None:
         # place position d from the values not yet placed
         before = pre[d]
         if len(rest) == 2:  # the last two entries, inline
@@ -352,16 +336,9 @@ def _check_pinned_series(
 ) -> CheckReport:
     # the series is taken far enough to meet every pinned row, whatever the order
     pinned = reference_rows(key)
-    series = build(max(order, len(pinned) - 1))
-    return _compare(check_id, subject, [("pinned expansion", pinned, series.coeffs, FAIL)])
-
-
-# the pinned rows that golden:<key> compares with the series named key
-_GOLDEN = (
-    ("B", "pinned expansion of the S-class counts"),
-    ("C", "pinned expansion of the SL-class counts"),
-    ("Atu", "pinned expansion of the strong-point distribution"),
-)
+    return _run(check_id, subject, lambda: [
+        ("pinned expansion", pinned, build(max(order, len(pinned) - 1)).coeffs, FAIL),
+    ])
 
 
 # Each restricted class, the pattern its strong-point distribution is measured
@@ -375,22 +352,20 @@ _STRONG_POINT_CLASSES = {
 }
 
 
-def _check_strong_point_class(
-    king_class: KingClass,
-    kings: Census,
-    order: int,
-) -> CheckReport:
+def _check_strong_point_class(king_class: KingClass, kings: Census, order: int) -> CheckReport:
     pattern_id, pinned_key = _STRONG_POINT_CLASSES[king_class]
-    check_id = f"strongpoint:{king_class.value}"
-    kc_name = king_class.value.upper()
-    subject = f"strong-point distribution over class {kc_name} (pattern {pattern_id})"
     rows = kings.table(catalog_pattern(pattern_id), king_class).rows
     pinned = reference_rows(pinned_key)
-    series = strong_point_series(king_class, max(order, len(rows) - 1, len(pinned) - 1))
-    return _compare(check_id, subject, [
-        ("oracle vs series", series.coeffs, rows, FAIL),
-        ("pinned expansion", pinned, series.coeffs, REFERENCE_MISMATCH),
-    ])
+
+    def legs() -> list[Leg]:
+        series = strong_point_series(king_class, max(order, len(rows) - 1, len(pinned) - 1))
+        return [
+            ("oracle vs series", series.coeffs, rows, FAIL),
+            ("pinned expansion", pinned, series.coeffs, REFERENCE_MISMATCH),
+        ]
+
+    subject = f"strong-point distribution over class {king_class.name} (pattern {pattern_id})"
+    return _run(f"strongpoint:{king_class.value}", subject, legs)
 
 
 def _check_strong_point_sets(kings: Census, order: int) -> CheckReport:
@@ -409,16 +384,20 @@ def _check_strong_point_sets(kings: Census, order: int) -> CheckReport:
         return [row.coeff(0) for row in kings.table(catalog_pattern(pattern_id), kc).rows]
 
     full = avoiders("X", KingClass.ALL)
-    series = strong_point_avoiders(max(order, len(full) - 1)).coeffs
-    legs = [("X avoiders vs series", [p.evaluate(0) for p in series], full, FAIL)]
-    legs += [
-        (f"{pattern_id} avoiders in {kc.value.upper()}", full, avoiders(pattern_id, kc), FAIL)
-        for kc, (pattern_id, _) in _STRONG_POINT_CLASSES.items()
-    ]
+
+    def legs() -> list[Leg]:
+        series = strong_point_avoiders(max(order, len(full) - 1)).coeffs
+        return [
+            ("X avoiders vs series", [p.evaluate(0) for p in series], full, FAIL),
+            *((f"{pattern_id} avoiders in {kc.value.upper()}", full, avoiders(pattern_id, kc), FAIL)
+              for kc, (pattern_id, _) in _STRONG_POINT_CLASSES.items()),
+        ]
+
     subject = f"strong-point avoider sets coincide across classes for n <= {len(full) - 1}"
-    return _compare("strongpoint:sets", subject, legs)
+    return _run("strongpoint:sets", subject, legs)
 
 
+# The halving and mass checks build no closed form: their legs need no guard.
 def _check_halving(n_max: int, oracle_rows: Sequence[UPoly]) -> CheckReport:
     subject = f"pattern 10: half avoid, half contain exactly once (2 <= n <= {n_max})"
     rows = oracle_rows[: n_max + 1]
@@ -426,58 +405,78 @@ def _check_halving(n_max: int, oracle_rows: Sequence[UPoly]) -> CheckReport:
     # the claim starts at n = 2 (A_0 = A_1 = 1): the rows below it are expected as they are
     halves = [*rows[:2], *(UPoly((an // 2, an // 2)) for an in counts)]
     odd = [0, 0, *(an % 2 for an in counts)]
-    return _compare("halving:10", subject, [
-        ("half and half", halves, rows, FAIL),
-        ("A_n even", [0] * len(odd), odd, FAIL),
-    ])
+    legs = [("half and half", halves, rows, FAIL), ("A_n even", [0] * len(odd), odd, FAIL)]
+    return _run("halving:10", subject, lambda: legs)
 
 
 def _check_open_mass(ident: str, rows: Sequence[UPoly], n_max: int) -> CheckReport:
-    check_id = f"mass:{ident}"
     subject = f"pattern {ident}: exhaustive rows are nonnegative with total mass A_n"
     rows = rows[: n_max + 1]
-    for n, row in enumerate(rows):
-        if any(c < 0 for c in row.coeffs):
-            witness = Witness(n, "nonnegative coefficients", str(row))
-            return CheckReport(check_id, subject, FAIL, witness)
+    negative = (Witness(n, "nonnegative coefficients", str(row))
+                for n, row in enumerate(rows) if any(c < 0 for c in row.coeffs))
     counts = [count_kings(n) for n in range(n_max + 1)]
-    masses = [row.evaluate(1) for row in rows]
-    return _compare(check_id, subject, [("total mass", counts, masses, FAIL)])
+    legs = [("total mass", counts, [row.evaluate(1) for row in rows], FAIL)]
+    return _run(f"mass:{ident}", subject, lambda: next(negative, legs))  # the first negative row
+
+
+@dataclass
+class _Inputs:
+    """The arguments of one run, and the census its checks share, taken on
+    first use.  A theorem run alone (not ``shared``) counts its own pattern."""
+    order: int
+    n_max: int
+    jobs: int
+    shared: bool
+
+    @cached_property
+    def kings(self) -> Census:
+        top = max(COUNTS_N_MAX, CLASSES_N_MAX, self.n_max)
+        patterns = [e.pattern for e in catalog()]
+        return census(patterns, top, KingClass.ALL, self.jobs, pattern_n_max=self.n_max)
+
+    def rows(self, ident: str) -> tuple[UPoly, ...]:
+        return self.kings.table(catalog_pattern(ident), KingClass.ALL).rows
+
+
+# The battery: each check id and the call that runs it.  The calls name the
+# family functions when they run, not at import, so that a wrapper put on one
+# (a tracer's span, a test's stub) sees every check of its family.
+_CHECKS: dict[str, Callable[[_Inputs], CheckReport]] = {
+    "counts:methods": lambda x: _check_counts_methods(x.kings),
+    "counts:classes": lambda x: _check_class_counts(x.kings),
+    "kingchar": lambda x: _check_king_characterization(),
+    **{f"golden:{key}": lambda x, key=key, subject=subject: _check_pinned_series(
+        f"golden:{key}", f"pinned expansion of the {subject}", partial(series_by_name, key), key,
+        x.order) for key, subject in (("B", "S-class counts"), ("C", "SL-class counts"),
+                                      ("Atu", "strong-point distribution"))},
+    **{f"theorem:{i}": lambda x, i=i: verify_theorem(
+        i, x.order, x.n_max, x.jobs, x.rows(i) if x.shared else None) for i in SOLVED},
+    **{f"strongpoint:{kc.value}": lambda x, kc=kc: _check_strong_point_class(kc, x.kings, x.order)
+       for kc in _STRONG_POINT_CLASSES},
+    "strongpoint:sets": lambda x: _check_strong_point_sets(x.kings, x.order),
+    "halving:10": lambda x: _check_halving(x.n_max, x.rows("10")),
+    **{f"mass:{i}": lambda x, i=i: _check_open_mass(i, x.rows(i), x.n_max) for i in OPEN_IDS},
+    **{f"equation:{e}": lambda x, e=e: verify_equation(e, x.order) for e in EQUATIONS},
+}
+
+CHECK_IDS = tuple(sorted(_CHECKS))
+
+
+def run_checks(
+    check_ids: Sequence[str], order: int = DEFAULT_ORDER, n_max: int = DEFAULT_N_MAX, jobs: int = 1
+) -> list[CheckReport]:
+    """Run the named checks, in the order given.  Several checks share one
+    census; a check run alone takes only what it reads."""
+    _validate(check_ids, order, n_max)
+    inputs = _Inputs(order, n_max, jobs, shared=len(check_ids) > 1)
+    return [_CHECKS[check_id](inputs) for check_id in check_ids]
 
 
 def verify_all(
-    order: int = DEFAULT_ORDER,
-    n_max: int = DEFAULT_N_MAX,
-    jobs: int = 1,
+    order: int = DEFAULT_ORDER, n_max: int = DEFAULT_N_MAX, jobs: int = 1
 ) -> list[CheckReport]:
     """Run the whole battery and return the reports sorted by check id."""
-    if order < 0:
-        raise ValueError("order must be nonnegative")
-    if n_max < 0:
-        raise ValueError("n_max must be nonnegative")
-    entries = catalog()
-    top = max(COUNTS_N_MAX, CLASSES_N_MAX, n_max)
-    kings = census([e.pattern for e in entries], top, KingClass.ALL, jobs, pattern_n_max=n_max)
-    rows = {e.ident: kings.table(e.pattern, KingClass.ALL).rows for e in entries}
-    reports = [
-        _check_counts_methods(kings),
-        _check_class_counts(kings),
-        _check_king_characterization(),
-        *(_check_pinned_series(f"golden:{key}", subject, partial(series_by_name, key), key, order)
-          for key, subject in _GOLDEN),
-        *(verify_theorem(i, order, n_max, jobs, oracle_rows=rows[i]) for i in SOLVED),
-        *(_check_strong_point_class(kc, kings, order) for kc in _STRONG_POINT_CLASSES),
-        _check_strong_point_sets(kings, order),
-        _check_halving(n_max, rows["10"]),
-        *(_check_open_mass(i, rows[i], n_max) for i in OPEN_IDS),
-        *(verify_equation(eq_id, order) for eq_id in EQUATIONS),
-    ]
-    return sorted(reports, key=lambda r: r.check_id)
-
-
-# ---------------------------------------------------------------------------
-# Report serialization.
-# ---------------------------------------------------------------------------
+    return run_checks(CHECK_IDS, order, n_max, jobs)
 
 
 def report_to_dict(report: CheckReport) -> dict:

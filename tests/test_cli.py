@@ -250,8 +250,7 @@ class TestFactorialGuard:
         def refuse(*args, **kwargs):
             raise AssertionError("enumeration started past the guard")
 
-        for name in ("count_class", "enumerate_kings", "distribution_tables",
-                     "verify_all", "verify_theorem"):
+        for name in ("count_class", "enumerate_kings", "distribution_tables", "run_checks"):
             monkeypatch.setattr(cli, name, refuse)
 
     @pytest.mark.parametrize(

@@ -10,7 +10,13 @@ from hypothesis import strategies as st
 
 import kingmesh.oracle as oracle_mod
 from kingmesh.kings import KingClass, count_class, count_kings, in_class
-from kingmesh.mesh import CompiledPatterns, MeshPattern, catalog, catalog_pattern
+from kingmesh.mesh import (
+    CompiledPatterns,
+    MeshPattern,
+    catalog,
+    catalog_pattern,
+    count_occurrences,
+)
 from kingmesh.oracle import (
     DistributionTable,
     census,
@@ -312,3 +318,31 @@ def test_single_table_is_built_once_per_length(monkeypatch):
     oracle_mod._compiled.cache_clear()
     census([e.pattern for e in catalog()], 8, jobs=1)
     assert sorted(built) == list(range(1, 9))
+
+
+# The four kings of length 11 with three singleton components in their
+# direct-sum decomposition: 1 + B1 + 1 + B2 + 1 with B1, B2 in {2413, 3142}.
+_THREE_SINGLETONS_AT_11 = [
+    (1, *(1 + v for v in b1), 6, *(6 + v for v in b2), 11)
+    for b1 in ((2, 4, 1, 3), (3, 1, 4, 2))
+    for b2 in ((2, 4, 1, 3), (3, 1, 4, 2))
+]
+
+
+def test_pattern_33_counts_each_pair_of_singleton_components():
+    # an occurrence of 33 is two singleton components, so a king with f of
+    # them holds C(f, 2): three here, by the definition and by the kernel
+    p = catalog_pattern("33")
+    for host in _THREE_SINGLETONS_AT_11:
+        assert in_class(host)
+        assert _occurrences_by_definition(p, host) == count_occurrences(p, host) == 3
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="E:33 grows like f - 1 singleton components, not C(f, 2): see the FOUND "
+           "line on E:33 in CHANGES.md",
+)
+def test_pattern_33_distribution_at_11():
+    # the census row of n = 11; the closed form gives 4u^2 for the four kings above
+    assert distribution_series("33", 11).coeff(11) == parse_upoly("5257936+38850u+4u^3")

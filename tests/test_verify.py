@@ -12,6 +12,7 @@ import pytest
 import kingmesh.gfs as gfs_mod
 import kingmesh.kings as kings_mod
 import kingmesh.oracle as oracle_mod
+import kingmesh.series as series_mod
 import kingmesh.verify as verify_mod
 from kingmesh import cli
 from kingmesh.gfs import class_series, distribution_series, terms
@@ -151,9 +152,9 @@ def test_non_unit_division_is_a_fail(monkeypatch):
     ]
 
 
-def test_odd_king_count_is_an_error_line(monkeypatch):
+def test_odd_king_count_is_a_fail(monkeypatch):
     # pattern 10's closed forms halve the king counts; an odd count is not
-    # divisible by 2, which the CLI reports as one error line
+    # divisible by 2, which fails theorem:10 with that count as witness
     right = gfs_mod.king_series
 
     def odd_at_9(order):
@@ -174,8 +175,73 @@ def test_odd_king_count_is_an_error_line(monkeypatch):
     finally:
         gfs_mod.avoidance_series.cache_clear()
         gfs_mod.distribution_series.cache_clear()
-    assert code == 2 and out.getvalue() == ""
-    assert err.getvalue() == "error: t^9 coefficient 47623 is not divisible by 2\n"
+    assert code == 1 and err.getvalue() == ""
+    assert out.getvalue().splitlines() == [
+        "FAIL                theorem:10  pattern 10: distribution over king permutations"
+        " (division by 2)  [n=9 expected a multiple of 2, got 47623]",
+        "1 checks, 1 failures",
+    ]
+
+
+@pytest.fixture
+def plant_in_halving(monkeypatch):
+    """Make the halving of the king counts in pattern 10's closed forms raise
+    the given error, on cold series caches."""
+    def plant(error):
+        def raising(order):
+            raise error
+
+        monkeypatch.setattr(gfs_mod, "_halved_king_counts", raising)
+        gfs_mod.avoidance_series.cache_clear()
+        gfs_mod.distribution_series.cache_clear()
+
+    yield plant
+    gfs_mod.avoidance_series.cache_clear()
+    gfs_mod.distribution_series.cache_clear()
+
+
+def test_builder_fault_fails_one_check_and_the_battery_runs_on(plant_in_halving):
+    # an inexact division in one builder is a FAIL of the check that reads it,
+    # not an abort of the run: every other check still reports
+    plant_in_halving(series_mod.NotDivisibleError(9, 47623, "2"))
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = cli.main(["verify", "--all", "--order", "12", "--n-max", "6", "--format", "json"])
+    assert code == 1 and err.getvalue() == ""
+    reports = reports_from_json(out.getvalue())
+    assert len(reports) == 79 and [r.check_id for r in reports] == list(verify_mod.CHECK_IDS)
+    assert [r for r in reports if r.status != PASS] == [CheckReport(
+        "theorem:10", "pattern 10: distribution over king permutations (division by 2)",
+        FAIL, Witness(9, "a multiple of 2", "47623"),
+    )]
+
+
+@pytest.mark.parametrize("error", [RuntimeError("a bug"), ZeroDivisionError("a bug")])
+def test_the_guard_lets_other_errors_through(plant_in_halving, error):
+    # only the two errors of inexact arithmetic become a FAIL: a bug surfaces
+    plant_in_halving(error)
+    with pytest.raises(type(error), match="a bug"):
+        verify_all(order=12, n_max=6)
+
+
+def test_single_checks_take_only_what_they_read(monkeypatch):
+    # an equation enumerates nothing; a theorem run alone counts its own pattern
+    taken = []
+    real = oracle_mod.census
+
+    def counting_census(patterns, *args, **kwargs):
+        taken.append(tuple(patterns))
+        return real(patterns, *args, **kwargs)
+
+    monkeypatch.setattr(oracle_mod, "census", counting_census)
+    monkeypatch.setattr(verify_mod, "census", counting_census)
+    assert verify_equation("EQ_B").status == PASS
+    assert verify_mod.run_checks(["equation:EQ_B"]) == [verify_equation("EQ_B")]
+    assert taken == []
+    assert verify_theorem("16", n_max=6).status == PASS
+    assert taken == [(catalog_pattern("16"),)]
+    assert verify_mod.run_checks(["theorem:16"], n_max=6) == [verify_theorem("16", n_max=6)]
+    assert taken == [(catalog_pattern("16"),)] * 3
 
 
 def test_unknown_equation_rejected():
