@@ -223,18 +223,18 @@ def _dist_63(r: Terms, p: Series, e: Series) -> Series:
     return (e - p).mul_t(1) - (estar - r.t) * (p - r.one) * r.opt
 
 
-def _restricted(estar: Series, e: Series) -> Series:
+def _restricted(r: Terms, estar: Series, e: Series) -> Series:
     # E*, eliminated from the main identity at the order it keeps, must
     # satisfy E* = t + ut (E - 1 - E*)
-    w = terms(estar.order)
-    return estar - (w.t + w.ut * (e.truncated(w.order) - w.one - estar))
+    t, ut, one, e = (x.truncated(estar.order) for x in (r.t, r.ut, r.one, e))
+    return estar - (t + ut * (e - one - estar))
 
 
 def _star_63(r: Terms, p: Series, e: Series) -> Series:
     x = (e - p).div_t(1)
     y = (p - r.one).div_t(1)
-    w = terms(x.order)
-    return _restricted(w.t + (x / (y * w.opt)).mul_t(1), e)
+    t, opt = (w.truncated(x.order) for w in (r.t, r.opt))
+    return _restricted(r, t + (x / (y * opt)).mul_t(1), e)
 
 
 # the king counts for n = 0..10
@@ -375,7 +375,7 @@ SOLVED: dict[str, SolvedPattern] = {
             p + r.u * (p - r.one) * (e - r.one) - r.ut * (r.t + r.ut * (e - r.one)) / (r.one + r.ut)
         ),
         star=lambda r, p, e: _restricted(
-            (p + r.u * (p - r.one) * (e - r.one) - e).div_u().div_t(1), e
+            r, (p + r.u * (p - r.one) * (e - r.one) - e).div_u().div_t(1), e
         ),
         star_margin=1,
     ),

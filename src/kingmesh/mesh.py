@@ -18,6 +18,7 @@ closed distribution results for ("solved") or only exhaustive data for
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import combinations
@@ -29,7 +30,7 @@ Box = tuple[int, int]
 
 
 class PatternSyntaxError(ValueError):
-    """Pattern text rejected; ``position`` is the offset of the offending char."""
+    """Pattern text rejected; ``position`` is the offset of the offending token."""
 
     def __init__(self, message: str, position: int):
         self.position = position
@@ -151,8 +152,13 @@ def catalog_pattern(ident: str | int) -> MeshPattern:
 # Text format:  pattern := "mesh(" k ";" tau ";" boxes ")" | "nr:" ident
 #               tau     := digit+ | int (";" int)*, or nothing when k = 0
 #               boxes   := "{" [box ("," box)*] "}" ;  box := "(" int "," int ")"
-# Whitespace is ignored everywhere.
+# The text is read as tokens: an integer, a word or any one other character,
+# each at its offset, and whitespace may stand between any two of them.  A
+# tau of one integer is a digit string, read digit by digit; the ident is the
+# rest of the text.  An error's position is the offset of the offending token.
 # ---------------------------------------------------------------------------
+
+_TOKEN = re.compile(r"(?P<int>\d+)|[A-Za-z]+|\S")
 
 
 def render_pattern(p: MeshPattern) -> str:
@@ -162,119 +168,75 @@ def render_pattern(p: MeshPattern) -> str:
     return f"mesh({k};{tau};{{{boxes}}})"
 
 
-class _Scanner:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-
-    def skip_ws(self) -> None:
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def peek(self) -> str:
-        self.skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def expect(self, literal: str) -> None:
-        self.skip_ws()
-        if not self.text.startswith(literal, self.pos):
-            raise PatternSyntaxError(f"expected {literal!r}", self.pos)
-        self.pos += len(literal)
-
-    def integer(self) -> int:
-        self.skip_ws()
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
-            self.pos += 1
-        if self.pos == start:
-            raise PatternSyntaxError("expected an integer", start)
-        return int(self.text[start : self.pos])
-
-    def done(self) -> None:
-        self.skip_ws()
-        if self.pos != len(self.text):
-            raise PatternSyntaxError("trailing input", self.pos)
-
-
 def parse_pattern(text: str) -> MeshPattern:
     """Parse the text format; ``nr:<ident>`` pulls the pattern from the catalog.
 
     >>> parse_pattern("mesh(1;1;{(0,1),(1,0)})") == catalog_pattern("X")
     True
     """
-    s = _Scanner(text)
-    if s.peek() == "n":
-        s.expect("nr:")
-        s.skip_ws()
-        ident = text[s.pos :].strip()
+    tokens = [(m[0], m.start(), m.lastgroup) for m in _TOKEN.finditer(text)]
+    tokens.append(("", len(text), None))  # the end of the text
+    at = 0
+
+    def take(literal: str | None = None) -> tuple[str, int]:
+        """The next token and its offset: the literal, or else an integer."""
+        nonlocal at
+        token, offset, kind = tokens[at]
+        if literal is None and kind != "int":
+            raise PatternSyntaxError("expected an integer", offset)
+        if literal is not None and token != literal:
+            raise PatternSyntaxError(f"expected {literal!r}", offset)
+        at += 1
+        return token, offset
+
+    if tokens[0][0] == "nr":
+        take("nr")
+        take(":")
+        where = tokens[at][1]
+        ident = text[where:].rstrip()
         if not ident:
-            raise PatternSyntaxError("missing catalog identifier", s.pos)
+            raise PatternSyntaxError("missing catalog identifier", where)
         entry = _BY_IDENT.get(ident) or _BY_IDENT.get(ident.upper())
         if entry is None:
-            raise PatternSyntaxError(f"unknown catalog identifier {ident!r}", s.pos)
+            raise PatternSyntaxError(f"unknown catalog identifier {ident!r}", where)
         return entry.pattern
-    s.expect("mesh")
-    s.expect("(")
-    k = s.integer()
-    s.expect(";")
-    tau = _parse_tau(s, k)
-    s.expect(";")
-    boxes = _parse_boxes(s, k)
-    s.expect(")")
-    s.done()
-    tau_start = len("mesh(")
+    take("mesh")
+    take("(")
+    k = int(take()[0])
+    take(";")
+    # the values run to the ";" that precedes the boxes
+    where, values = tokens[at][1], []
+    while tokens[at][2] == "int":
+        values.append(take()[0])
+        if tokens[at][0] != ";" or tokens[at + 1][2] != "int":
+            break
+        take(";")
+    tau = tuple(map(int, values[0] if len(values) == 1 else values))  # a lone integer: digits
+    if len(tau) != k:
+        raise PatternSyntaxError(f"expected {k} pattern values, got {len(tau)}", where)
     if not is_permutation(tau):
-        raise PatternSyntaxError(f"tau {tau} is not a permutation of 1..{k}", tau_start)
-    return MeshPattern(tau, frozenset(boxes))
-
-
-def _parse_tau(s: _Scanner, k: int) -> tuple[int, ...]:
-    # The digit-string form and the ";"-separated form share the ";" that also
-    # precedes the boxes, so look ahead: values run until the ";" followed by "{".
-    start = s.pos
-    if k == 0 and s.peek() == ";":
-        return ()  # the empty pattern renders with an empty tau
-    first = s.integer()
-    values = [first]
-    while True:
-        save = s.pos
-        if s.peek() != ";":
-            break
-        s.expect(";")
-        if s.peek() == "{":
-            s.pos = save
-            break
-        values.append(s.integer())
-    if len(values) == 1 and k != 1 and len(str(first)) == k:
-        values = [int(ch) for ch in str(first)]  # digit-string form
-    if len(values) != k:
-        raise PatternSyntaxError(
-            f"expected {k} pattern values, got {len(values)}", start
-        )
-    return tuple(values)
-
-
-def _parse_boxes(s: _Scanner, k: int) -> list[Box]:
-    s.expect("{")
+        raise PatternSyntaxError(f"tau {tau} is not a permutation of 1..{k}", where)
+    take(";")
+    take("{")
     boxes: list[Box] = []
-    if s.peek() == "}":
-        s.expect("}")
-        return boxes
-    while True:
-        s.expect("(")
-        where = s.pos
-        i = s.integer()
-        s.expect(",")
-        j = s.integer()
-        s.expect(")")
-        if not (0 <= i <= k and 0 <= j <= k):
-            raise PatternSyntaxError(f"box ({i},{j}) outside [0,{k}]x[0,{k}]", where)
-        boxes.append((i, j))
-        if s.peek() == ",":
-            s.expect(",")
-            continue
-        s.expect("}")
-        return boxes
+    more = tokens[at][0] != "}"
+    while more:
+        take("(")
+        i, where = take()
+        take(",")
+        box = (int(i), int(take()[0]))
+        take(")")
+        if max(box) > k:
+            raise PatternSyntaxError(f"box ({box[0]},{box[1]}) outside [0,{k}]x[0,{k}]", where)
+        boxes.append(box)
+        more = tokens[at][0] == ","
+        if more:
+            take(",")
+    take("}")
+    take(")")
+    if at < len(tokens) - 1:
+        raise PatternSyntaxError("trailing input", tokens[at][1])
+    return MeshPattern(tau, frozenset(boxes))
 
 
 # ---------------------------------------------------------------------------
@@ -453,11 +415,17 @@ def occurrence_counts(
     permutation of 1..n, read left to right.
 
     Pass a :class:`CompiledPatterns` when counting on many hosts, so that the
-    patterns are grouped and tabulated once.
+    patterns are grouped and tabulated once; compiled for ``n``, they count
+    hosts of length at most ``n``.
     """
     if not isinstance(patterns, CompiledPatterns):
         patterns = CompiledPatterns(patterns)
     n = len(perm)
+    if not is_permutation(perm):
+        raise ValueError(f"the host {tuple(perm)} is not a permutation of 1..{n}")
+    if patterns.n is not None and n > patterns.n:
+        raise ValueError(f"a host of length {n} is longer than the n = {patterns.n} "
+                         "the patterns were compiled for")
     full = (2 << n) - 2
     pre = [0] * (n + 1)
     packed = 0

@@ -12,6 +12,7 @@ problem).
 
 from __future__ import annotations
 
+import re
 from typing import Iterable
 
 
@@ -209,46 +210,30 @@ def format_upoly(p: UPoly) -> str:
     return "".join(parts)
 
 
+# a term: a sign, then a magnitude, a u^k or both; spaces may stand between them
+_TERM = re.compile(r" *([+-]?) *(\d*) *(?:(u) *(?:\^ *(\d*))?)? *")
+
+
 def parse_upoly(text: str) -> UPoly:
-    """Inverse of :func:`format_upoly` (also accepts redundant '+'/spaces)."""
-    s = text.replace(" ", "")
-    if not s:
+    """Inverse of :func:`format_upoly`; also accepts spaces between tokens, a
+    leading '+' and repeated powers, which add up.  Terms need a sign between."""
+    if not text.strip(" "):
         raise ValueError("empty polynomial string")
     coeffs: dict[int, int] = {}
-    i, n = 0, len(s)
-    while i < n:
-        sign = 1
-        if s[i] in "+-":
-            sign = -1 if s[i] == "-" else 1
-            i += 1
-        j = i
-        while j < n and s[j].isdigit():
-            j += 1
-        mag_digits = s[i:j]
-        i = j
-        power = 0
-        if i < n and s[i] == "u":
-            i += 1
-            power = 1
-            if i < n and s[i] == "^":
-                i += 1
-                j = i
-                while j < n and s[j].isdigit():
-                    j += 1
-                if j == i:
-                    raise ValueError(f"missing exponent at position {i} in {text!r}")
-                power = int(s[i:j])
-                i = j
-        elif not mag_digits:
-            raise ValueError(f"expected term at position {i} in {text!r}")
-        mag = int(mag_digits) if mag_digits else 1
-        coeffs[power] = coeffs.get(power, 0) + sign * mag
-    if not coeffs:
-        return _UP_ZERO
-    out = [0] * (max(coeffs) + 1)
-    for k, v in coeffs.items():
-        out[k] = v
-    return UPoly(out)
+    at = 0
+    while at < len(text):
+        term = _TERM.match(text, at)
+        sign, mag, u, power = term.groups()
+        if at and not sign:
+            raise ValueError(f"expected '+' or '-' at position {term.start(1)} in {text!r}")
+        if not (mag or u):
+            raise ValueError(f"expected term at position {term.start(2)} in {text!r}")
+        if power == "":  # a "^" with no digits after it
+            raise ValueError(f"missing exponent at position {term.start(4)} in {text!r}")
+        k = int(power) if power else 1 if u else 0
+        coeffs[k] = coeffs.get(k, 0) + (-1 if sign == "-" else 1) * int(mag or 1)
+        at = term.end()
+    return UPoly(coeffs.get(d, 0) for d in range(max(coeffs) + 1))
 
 
 class Series:

@@ -212,9 +212,9 @@ def test_avoidance_and_distribution_routes_are_independent(monkeypatch, refused,
         distribution_series.cache_clear()
 
 
-def test_one_terms_per_order(monkeypatch):
-    # every series name and every equation at one order share the Terms of
-    # each order they reach (the star identities reach one order further)
+@pytest.fixture
+def terms_built(monkeypatch):
+    """How many Terms are built at each order, from cold caches."""
     built = Counter()
     init = gfs_mod.Terms.__init__
 
@@ -226,14 +226,27 @@ def test_one_terms_per_order(monkeypatch):
     monkeypatch.setattr(gfs_mod.Terms, "__init__", counting_init)
     for cached in caches:
         cached.cache_clear()
-    try:
-        names = [*gfs_mod.BASE_NAMES, *(f"{kind}:{i}" for i in SOLVED_IDS for kind in "PE")]
-        assert len(names) == 50 and len(EQUATIONS) == 35
-        for name in names:
-            series_by_name(name, 17)
-        for eq_id in EQUATIONS:
-            assert verify_equation(eq_id, 17).status == "PASS", eq_id
-    finally:
-        for cached in caches:
-            cached.cache_clear()
-    assert built == {17: 1, 18: 1}
+    yield built
+    for cached in caches:
+        cached.cache_clear()
+
+
+def test_one_terms_per_order(terms_built):
+    # every series name and every equation at one order share the Terms of
+    # each order they reach (the star identities reach one order further)
+    names = [*gfs_mod.BASE_NAMES, *(f"{kind}:{i}" for i in SOLVED_IDS for kind in "PE")]
+    assert len(names) == 50 and len(EQUATIONS) == 35
+    for name in names:
+        series_by_name(name, 17)
+    for eq_id in EQUATIONS:
+        assert verify_equation(eq_id, 17).status == "PASS", eq_id
+    assert terms_built == {17: 1, 18: 1}
+
+
+@pytest.mark.parametrize("eq_id", ["EQ_P16_STAR", "EQ_P63_STAR", "EQ_P64_STAR"])
+@pytest.mark.parametrize("order", [12, 30, 100])
+def test_star_identities_read_only_the_terms_they_are_given(terms_built, eq_id, order):
+    # the restricted distribution E* is built one order lower than the
+    # identity's Terms, from those Terms truncated, not from a second Terms
+    assert verify_equation(eq_id, order).status == "PASS"
+    assert terms_built == {order + EQUATIONS[eq_id].margin: 1}

@@ -1,12 +1,12 @@
 """Mesh patterns: parsing, catalog, and occurrence semantics.
 
-``_reference_count`` below is an independent literal transcription of the
-shaded-region definition (scan every element for every box); the production
-counter must agree with it everywhere it is feasible to compare.
+``reference.occurrences_by_definition`` is an independent literal
+transcription of the shaded-region definition; the production counter must
+agree with it everywhere it is feasible to compare.
 """
 
 from collections import Counter
-from itertools import combinations, permutations
+from itertools import permutations
 
 import pytest
 from hypothesis import given, settings
@@ -32,31 +32,7 @@ from kingmesh.mesh import (
     parse_pattern,
     render_pattern,
 )
-
-
-def _reference_count(pattern: MeshPattern, perm) -> int:
-    """Slow literal implementation of the occurrence definition."""
-    n = len(perm)
-    k = pattern.length
-    total = 0
-    for positions in combinations(range(1, n + 1), k):
-        values = [perm[q - 1] for q in positions]
-        rank = {v: i + 1 for i, v in enumerate(sorted(values))}
-        if tuple(rank[v] for v in values) != pattern.tau:
-            continue
-        qs = (0,) + positions + (n + 1,)
-        rs = (0,) + tuple(sorted(values)) + (n + 1,)
-        ok = True
-        for (i, j) in pattern.shaded:
-            for pos in range(1, n + 1):
-                if qs[i] < pos < qs[i + 1] and rs[j] < perm[pos - 1] < rs[j + 1]:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            total += 1
-    return total
+from reference import occurrences_by_definition
 
 
 # every tau of length 0..3: (), (1), (1,2), (2,1) and the six of length 3
@@ -212,30 +188,48 @@ class TestParser:
         assert ";10;9;" in text
         assert parse_pattern(text) == p
 
+    @given(st.integers(0, 12).flatmap(lambda k: st.permutations(range(1, k + 1))).map(tuple)
+           .flatmap(_patterns))
+    @settings(max_examples=200, deadline=None)
+    def test_round_trip_up_to_length_12(self, p):
+        # a digit-string tau through k = 9, a ";"-separated one past it
+        assert parse_pattern(render_pattern(p)) == p
+
     def test_duplicate_boxes_collapse(self):
         assert parse_pattern("mesh(2;12;{(0,1),(0,1)})").shaded == frozenset({(0, 1)})
 
     @pytest.mark.parametrize(
-        "bad",
+        "bad, position, message",
         [
-            "mesh(2;12;{(3,0)})",  # box out of range
-            "mesh(2;13;{})",  # tau is not a permutation
-            "mesh(2;12;{(0,0)",  # unclosed braces
-            "mesh(x;12;{})",  # length is not an integer
-            "nr:999",  # unknown catalog identifier
-            "mesh(2;12;{(0,0),})",  # dangling comma
-            "grid(2;12;{})",  # wrong keyword
-            "mesh(2;112;{})",  # tau length mismatch
-            "mesh(2;12;{(0,-1)})",  # negative box index
-            "mesh(2;12;(0,0))",  # boxes must be braced
-            "",  # empty input
+            pytest.param(bad, position, message, id=bad)
+            for bad, position, message in [
+                ("mesh(2;12;{(3,0)})", 12, "box (3,0) outside [0,2]x[0,2]"),
+                ("mesh(2;12;{(0,1),( 3,0)})", 19, "box (3,0) outside [0,2]x[0,2]"),
+                ("mesh(2;13;{})", 7, "tau (1, 3) is not a permutation of 1..2"),
+                ("mesh( 2 ; 13 ; {})", 10, "tau (1, 3) is not a permutation of 1..2"),
+                ("mesh(2;12;{(0,0)", 16, "expected '}'"),  # unclosed braces
+                ("mesh(x;12;{})", 5, "expected an integer"),
+                ("nr:999", 3, "unknown catalog identifier '999'"),
+                ("nr:  ", 5, "missing catalog identifier"),
+                ("mesh(2;12;{(0,0),})", 17, "expected '('"),  # dangling comma
+                ("grid(2;12;{})", 0, "expected 'mesh'"),
+                ("mesh(2;112;{})", 7, "expected 2 pattern values, got 3"),
+                ("mesh(2;012;{})", 7, "expected 2 pattern values, got 3"),
+                ("mesh(2;1 2;{})", 7, "expected 2 pattern values, got 1"),
+                ("mesh(2;12;{(0,-1)})", 14, "expected an integer"),
+                ("mesh(2;12;(0,0))", 10, "expected '{'"),  # boxes must be braced
+                ("mesh(2;12;{}) x", 14, "trailing input"),
+                ("", 0, "expected 'mesh'"),
+            ]
         ],
     )
-    def test_malformed_inputs_rejected_with_position(self, bad):
+    def test_malformed_inputs_rejected_with_position(self, bad, position, message):
+        # the position is the offset of the offending token
         with pytest.raises(PatternSyntaxError) as err:
             parse_pattern(bad)
-        assert err.value.position >= 0
-        assert "position" in str(err.value)
+        assert (err.value.position, str(err.value)) == (
+            position, f"{message} (at position {position})"
+        )
 
 
 class TestCounting:
@@ -280,7 +274,7 @@ class TestCounting:
             for s in permutations(range(1, n + 1)):
                 got = occurrence_counts(pats, s)
                 for p, g in zip(pats, got):
-                    assert g == _reference_count(p, s), (p, s)
+                    assert g == occurrences_by_definition(p, s), (p, s)
 
     @given(
         st.integers(min_value=0, max_value=6),
@@ -295,7 +289,7 @@ class TestCounting:
         rng.shuffle(values)
         host = tuple(values)
         p = MeshPattern((1, 2), frozenset(boxes))
-        assert count_occurrences(p, host) == _reference_count(p, host)
+        assert count_occurrences(p, host) == occurrences_by_definition(p, host)
 
     @pytest.mark.parametrize("tau", TAUS, ids=lambda tau: "".join(map(str, tau)) or "empty")
     @given(st.data())
@@ -307,9 +301,20 @@ class TestCounting:
         pats += data.draw(st.lists(st.sampled_from(TAUS).flatmap(_patterns), max_size=4))
         compiled = CompiledPatterns(pats)
         for host in data.draw(st.lists(_hosts, min_size=1, max_size=4)):
-            expected = [_reference_count(p, host) for p in pats]
+            expected = [occurrences_by_definition(p, host) for p in pats]
             assert occurrence_counts(compiled, host) == expected, host
             assert [avoids(p, host) for p in pats] == [c == 0 for c in expected], host
+
+    def test_a_host_longer_than_the_compiled_n_is_refused(self):
+        # the counts of 1..9 would overflow the fields sized for n = 5
+        pats = [MeshPattern((1, 2), frozenset()), catalog_pattern("X")]
+        with pytest.raises(ValueError, match="a host of length 9 is longer than the n = 5"):
+            occurrence_counts(CompiledPatterns(pats, n=5), tuple(range(1, 10)))
+        assert occurrence_counts(CompiledPatterns(pats, n=9), tuple(range(1, 10))) == [36, 9]
+
+    def test_a_host_that_is_not_a_permutation_is_refused(self):
+        with pytest.raises(ValueError, match=r"the host \(2, 3, 4\) is not a permutation of 1\.\.3"):
+            count_occurrences(catalog_pattern("X"), (2, 3, 4))
 
     def test_batched_matches_single(self):
         pats = [e.pattern for e in catalog()]
@@ -321,7 +326,7 @@ class TestCounting:
         # length-3 patterns exercise the generic path
         p = MeshPattern((1, 3, 2), frozenset({(1, 1)}))
         host = (2, 1, 4, 3)
-        assert count_occurrences(p, host) == _reference_count(p, host)
+        assert count_occurrences(p, host) == occurrences_by_definition(p, host)
         q = MeshPattern((1, 2, 3), frozenset())
         assert count_occurrences(q, (1, 2, 3, 4)) == 4
 

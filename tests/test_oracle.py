@@ -25,6 +25,7 @@ from kingmesh.oracle import (
 )
 from kingmesh.gfs import distribution_series, strong_point_series
 from kingmesh.series import UPoly, parse_upoly
+from reference import occurrences_by_definition
 
 
 def test_known_rows():
@@ -149,6 +150,14 @@ def test_json_row_outside_the_table_is_rejected(bad_n):
         DistributionTable.from_json_dict(data)
 
 
+def test_json_coefficient_without_a_sign_between_terms_is_rejected():
+    # read as 2 + 2u before the polynomial reader required a sign between terms
+    data = distribution_table(catalog_pattern("63"), 6, KingClass.ALL).to_json_dict()
+    data["rows"][-1]["coeff"] = "2u2"
+    with pytest.raises(ValueError, match=re.escape("expected '+' or '-' at position 2 in '2u2'")):
+        DistributionTable.from_json_dict(data)
+
+
 def test_mass_equals_class_count(catalog_sweep_9):
     for ident, table in catalog_sweep_9.items():
         for n in range(10):
@@ -183,26 +192,6 @@ def test_census_names_the_bad_pattern_range():
         census([catalog_pattern("X")], -1)
 
 
-def _occurrences_by_definition(pattern: MeshPattern, host) -> int:
-    """Count the occurrences straight from the definition: every choice of
-    positions ordered as tau whose shaded regions hold no entry of the host."""
-    n, k = len(host), pattern.length
-    total = 0
-    for qs in combinations(range(1, n + 1), k):
-        values = [host[q - 1] for q in qs]
-        ranked = sorted(values)
-        if tuple(ranked.index(v) + 1 for v in values) != pattern.tau:
-            continue
-        cols, rows = (0, *qs, n + 1), (0, *ranked, n + 1)
-        if not any(
-            cols[i] < q < cols[i + 1] and rows[j] < host[q - 1] < rows[j + 1]
-            for i, j in pattern.shaded
-            for q in range(1, n + 1)
-        ):
-            total += 1
-    return total
-
-
 _any_pattern = (
     st.integers(0, 3)
     .flatmap(lambda k: st.permutations(range(1, k + 1)))
@@ -218,7 +207,7 @@ def _kings_by_definition(patterns, n_max):
     """Every king of length <= n_max, from all permutations filtered by class
     membership, with its counts of the patterns by the definition."""
     hosts = [p for n in range(n_max + 1) for p in permutations(range(1, n + 1))]
-    return {host: [_occurrences_by_definition(p, host) for p in patterns]
+    return {host: [occurrences_by_definition(p, host) for p in patterns]
             for host in hosts if in_class(host)}
 
 
@@ -335,7 +324,7 @@ def test_pattern_33_counts_each_pair_of_singleton_components():
     p = catalog_pattern("33")
     for host in _THREE_SINGLETONS_AT_11:
         assert in_class(host)
-        assert _occurrences_by_definition(p, host) == count_occurrences(p, host) == 3
+        assert occurrences_by_definition(p, host) == count_occurrences(p, host) == 3
 
 
 @pytest.mark.xfail(

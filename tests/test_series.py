@@ -151,9 +151,18 @@ class TestUPoly:
         assert format_upoly(parse_upoly(text)) == text
 
     def test_parse_rejects_garbage(self):
-        for bad in ("", "u^", "++", "2x"):
+        # a sign must stand between terms: "2u2" is not 2 + 2u, nor "1 2" 12
+        for bad in ("", "u^", "++", "2x", "2u2", "1 2", "3u^2u", "u u"):
             with pytest.raises(ValueError):
                 parse_upoly(bad)
+
+    @pytest.mark.parametrize(
+        "text, coeffs",
+        [(" 500 + 136u ", (500, 136)), ("+3", (3,)), ("136 u ^ 2", (0, 0, 136)),
+         ("u+u-1", (-1, 2)), ("1-1", ())],
+    )
+    def test_parse_accepts_spaces_a_leading_sign_and_repeated_powers(self, text, coeffs):
+        assert parse_upoly(text) == UPoly(coeffs)
 
 
 class TestSeries:
