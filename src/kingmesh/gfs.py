@@ -382,27 +382,27 @@ SOLVED: dict[str, SolvedPattern] = {
 }
 
 
-@lru_cache(maxsize=None)
-def avoidance_series(ident: str, order: int) -> Series:
+def avoidance_series(ident: str | int, order: int) -> Series:
     """Counting series of king permutations avoiding a solved catalog pattern."""
-    ident = str(ident)
-    if ident not in SOLVED:
-        raise ValueError(f"no closed avoidance form for pattern {ident!r}")
-    return SOLVED[ident].avoidance(terms(order))
+    return _solved_series("avoidance", str(ident), order)
 
 
-@lru_cache(maxsize=None)
-def distribution_series(ident: str, order: int) -> Series:
+def distribution_series(ident: str | int, order: int) -> Series:
     """Occurrence distribution of a solved catalog pattern over king
     permutations, with u marking the number of occurrences.
 
     At u = 0 this reduces to :func:`avoidance_series`, and at u = 1 every
     coefficient collapses to the class count.
     """
-    ident = str(ident)
+    return _solved_series("distribution", str(ident), order)
+
+
+@lru_cache(maxsize=None)
+def _solved_series(kind: str, ident: str, order: int) -> Series:
+    # one build per kind, id and order in each process, whatever type the id came in
     if ident not in SOLVED:
-        raise ValueError(f"no closed distribution form for pattern {ident!r}")
-    return SOLVED[ident].distribution(terms(order))
+        raise ValueError(f"no closed {kind} form for pattern {ident!r}")
+    return getattr(SOLVED[ident], kind)(terms(order))
 
 
 def series_by_name(name: str, order: int) -> Series:

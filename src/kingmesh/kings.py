@@ -5,10 +5,10 @@ every two adjacent entries differ by more than one, like non-attacking kings
 placed on adjacent columns of a board.  This module provides the symmetry
 operations, membership tests, a streaming backtracking enumerator, a counting
 walk that tallies the kings below one first value without building them, and
-four independent ways of counting.  Every restricted class forbids only some
-first and last entries, so one table, ``CLASS_TYPES``, says which endpoint
-types each class holds; the walks know no class, and the table decides which
-of the kings they reach are members.
+four independent ways of counting, one of them the census at a single length.
+Every restricted class forbids only some first and last entries, so one table,
+``CLASS_TYPES``, says which endpoint types each class holds; the walks know no
+class, and the table decides which of the kings they reach are members.
 
 >>> is_king((2, 4, 1, 3))
 True
@@ -255,18 +255,6 @@ def tally_subtree(n: int, first: int) -> list[int]:
     return tally
 
 
-def _count_by_walk(n: int, king_class: KingClass) -> int:
-    if n == 0:  # the empty permutation, of type 0
-        return 1
-    types = CLASS_TYPES[KingClass(king_class)]
-    return sum(
-        hosts
-        for first in range(1, n + 1)
-        for f, hosts in enumerate(tally_subtree(n, first))
-        if 4 * endpoint_flags(first, n) | f in types
-    )
-
-
 def _count_by_recurrence(n: int) -> int:
     # a(n) = (n+1)a(n-1) - (n-2)a(n-2) - (n-5)a(n-3) + (n-3)a(n-4) for n >= 4,
     # run forward so that large n needs no recursion depth
@@ -318,7 +306,7 @@ def count_kings(n: int, method: str = "recurrence") -> int:
 
         return king_series(n).coeff(n).evaluate(0)
     if method == "enumerate":
-        return _count_by_walk(n, KingClass.ALL)
+        return count_class(n, KingClass.ALL)
     raise ValueError(f"unknown method {method!r}; expected one of {tuple(COUNT_METHODS.values())}")
 
 
@@ -328,10 +316,12 @@ def count_class(n: int, king_class: KingClass, method: str = "enumerate") -> int
     if n < 0:
         raise ValueError("n must be nonnegative")
     kc = KingClass(king_class)
+    if method == "enumerate":  # the census's tasks of length n alone
+        from .oracle import class_size
+
+        return class_size(n, kc)
     if kc is KingClass.ALL:
         return count_kings(n, method)
-    if method == "enumerate":
-        return _count_by_walk(n, kc)
     if method == "gf":
         from .gfs import class_series
 

@@ -254,11 +254,11 @@ def parse_pattern(text: str) -> MeshPattern:
 # Every region of a candidate of length 1 or 2 is known once its last entry v
 # is placed at position d: the values still to come are full ^ pre[d] ^ 1 << v,
 # in whatever order.  So a host's counts are the sum of the hits of the
-# candidates ending at each position (`ending_at`), and the census adds each
-# node's hits once for all the hosts below it: those of a single, which depend
-# only on v and the set pre[d] (`single_hits`), from a table built once per
-# length (`single_table`), and those of the pairs from their loop (`pair_hits`).
-# Other candidates are scanned on the whole host (`whole`).
+# candidates ending at each position: those of a single, which depend only on v
+# and the set pre[d] (`single_hits`), and those of the pairs, from their loop
+# over the earlier entries (`pair_hits`).  The census adds each node's hits once
+# for all the hosts below it, the singles' from a table built once per length
+# (`single_table`).  Other candidates are scanned on the whole host (`whole`).
 #
 # The counts of all the patterns travel as one integer, pattern idx's in the
 # `field` bits from bit field * idx: the `count_field` of the hosts' length when
@@ -318,11 +318,6 @@ class CompiledPatterns:
 
     def __len__(self) -> int:
         return len(self.patterns)
-
-    def ending_at(self, seq: Sequence[int], pre: Sequence[int], d: int, full: int) -> int:
-        """The packed hits of every candidate of length 1 or 2 whose last
-        entry is seq[d], given pre[0..d] and ``full``, the set of all values."""
-        return self.single_hits(seq[d], pre[d], full) + self.pair_hits(seq, pre, d, full)
 
     def single_hits(self, v: int, before: int, full: int) -> int:
         """The packed hits of the candidate of length 1 at value v, given the
@@ -430,7 +425,7 @@ def occurrence_counts(
     pre = [0] * (n + 1)
     packed = 0
     for d, v in enumerate(perm):
-        packed += patterns.ending_at(perm, pre, d, full)
+        packed += patterns.single_hits(v, pre[d], full) + patterns.pair_hits(perm, pre, d, full)
         pre[d + 1] = pre[d] | 1 << v
     packed += patterns.whole(perm, pre)
     return [packed_count(packed, idx, patterns.field) for idx in range(len(patterns))]

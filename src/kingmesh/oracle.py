@@ -9,12 +9,15 @@ arithmetic.
 Its one kernel is a *census*: one pass per length that tallies every host
 under its endpoint type.  A class is the set of endpoint types that
 :data:`kingmesh.kings.CLASS_TYPES` gives it, so a census of all kings yields
-every class's size and distributions, and no walk knows the class.  Below each
-first value it walks the backtracking tree, building no host: each node adds
-the hits of the candidates ending at its position to the counts it passes
-down, once for all the hosts below it.  Those of the length-1 candidates come
-from a table of the kernel's rule, built once per length in each process.  A
-length that counts no pattern needs only :func:`kingmesh.kings.tally_subtree`.
+every class's size and distributions, and no walk knows the class; a census of
+a restricted class skips the first values the class forbids, so it answers for
+that class alone.  Below each first value of n >= 2 it walks the backtracking
+tree, building no host: each node adds the hits of the candidates ending at its
+position to the counts it passes down, once for all the hosts below it.  Those
+of the length-1 candidates come from a table of the kernel's rule, built once
+per length in each process.  A length that counts no pattern needs only
+:func:`kingmesh.kings.tally_subtree`, and :func:`class_size`, the count by
+enumeration, runs the census's tasks of that one length.
 
 Enumeration can fan out over the choice of the first element; each worker owns
 the subtree below one first value and the partial tallies are added, so the
@@ -30,7 +33,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
 
-from .kings import CLASS_TYPES, KingClass, endpoint_flags, tally_subtree
+from .kings import CLASS_TYPES, KingClass, endpoint_flags, endpoint_type, tally_subtree
 from .mesh import (
     CompiledPatterns, MeshPattern, count_field, packed_count, parse_pattern, render_pattern
 )
@@ -82,8 +85,11 @@ def _tally(task) -> dict[int, int]:
     ``packed`` its pattern counts as ``CompiledPatterns(patterns, n=n)``
     packs them, in fields of ``count_field(patterns, n)`` bits."""
     patterns, n, first = task
-    if not n:  # the empty host, of type 0
-        return {CompiledPatterns(patterns, n=0).whole((), [0]) << 4: 1}
+    if n <= 1:  # the empty host or the host (1,), whose prefix bitsets are [0, 2]
+        host, pre = tuple(range(1, n + 1)), [0, 2][: n + 1]
+        compiled = CompiledPatterns(patterns, n=n)
+        packed = compiled.whole(host, pre) + n * compiled.single_hits(1, 0, pre[n])
+        return {packed << 4 | endpoint_type(host): 1}
     if not patterns:  # a host costs only its tally: count, do not build
         head = 4 * endpoint_flags(first, n)
         return {head | f: hosts for f, hosts in enumerate(tally_subtree(n, first))}
@@ -96,7 +102,7 @@ _compiled = lru_cache(maxsize=1)(CompiledPatterns)
 
 
 def _walk(compiled: CompiledPatterns, n: int, first: int):
-    """Tally, as ``_tally`` does, every king permutation of 1..n (n >= 1) that
+    """Tally, as ``_tally`` does, every king permutation of 1..n (n >= 2) that
     begins with ``first``, whatever its class.  Each node adds the hits of the
     candidates ending at its position to the counts it passes down, the
     single's from ``compiled.singles[v][before]`` and the pairs' from
@@ -116,17 +122,8 @@ def _walk(compiled: CompiledPatterns, n: int, first: int):
     leaves: dict[int, int] = {}
     get = leaves.get
 
-    def leaf(packed: int) -> None:  # the host of n = 1; longer ones end in the tail below
-        if whole:
-            packed += whole(seq, pre)
-        key = packed << 4 | type_by_last[seq[-1]]
-        leaves[key] = get(key, 0) + 1
-
     def walk(d: int, rest: list[int], packed: int) -> None:
         # place position d, after seq[d - 1], from the values not yet placed
-        if not rest:  # n = 1
-            leaf(packed)
-            return
         before = pre[d]
         fp = far[seq[d - 1]]
         if len(rest) == 2:  # the last two entries and their leaf, inline
@@ -154,16 +151,45 @@ def _walk(compiled: CompiledPatterns, n: int, first: int):
     return leaves
 
 
+def _firsts(n: int, king_class: KingClass) -> list[int]:
+    """The first values that begin a type the class holds at length n; 1 at n = 0."""
+    heads = {t >> 2 for t in CLASS_TYPES[KingClass(king_class)]}
+    return [first for first in range(1, max(n, 1) + 1) if not n or endpoint_flags(first, n) in heads]
+
+
+def _class_hosts(tally: dict[int, int], king_class: KingClass) -> int:
+    """How many hosts of a tally the class holds: those of the types it holds."""
+    types = CLASS_TYPES[KingClass(king_class)]
+    return sum(hosts for key, hosts in tally.items() if key & 15 in types)
+
+
+def class_size(n: int, king_class: KingClass = KingClass.ALL) -> int:
+    """Number of class members of length n (n >= 0) by enumeration: the
+    census's tasks of length n alone, tallied with no pattern."""
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    tallies = (_tally(((), n, first)) for first in _firsts(n, king_class))
+    return sum(_class_hosts(tally, king_class) for tally in tallies)
+
+
 @dataclass(frozen=True)
 class Census:
     """The tallies of one pass over a king class, one per length, with the
     patterns counted through ``pattern_n_max``.  A census of ALL answers for
     every class; one of a restricted class skips the first values the class
-    forbids, so it answers for that class alone."""
+    forbids, so it answers for that class alone and refuses the others."""
 
     patterns: tuple[MeshPattern, ...]
     pattern_n_max: int
     tallies: tuple[dict[int, int], ...]
+    king_class: KingClass = KingClass.ALL
+
+    def _holds(self, king_class: KingClass) -> KingClass:
+        kc = KingClass(king_class)
+        if self.king_class not in (KingClass.ALL, kc):
+            raise ValueError(f"a census of class {self.king_class.value} answers for "
+                             f"{self.king_class.value} alone, not for {kc.value}")
+        return kc
 
     def size(self, n: int, king_class: KingClass) -> int:
         """Number of class members of length n: the hosts of the types the
@@ -173,12 +199,13 @@ class Census:
         >>> kings.size(5, KingClass.ALL), kings.size(5, "sl")
         (14, 10)
         """
-        types = CLASS_TYPES[KingClass(king_class)]
-        return sum(hosts for key, hosts in self.tallies[n].items() if key & 15 in types)
+        return _class_hosts(self.tallies[n], self._holds(king_class))
 
     def table(self, pattern: MeshPattern, king_class: KingClass) -> DistributionTable:
         """The pattern's distribution rows over the class."""
-        kc = KingClass(king_class)
+        kc = self._holds(king_class)
+        if pattern not in self.patterns:
+            raise ValueError(f"the census did not count the pattern {render_pattern(pattern)}")
         types, idx = CLASS_TYPES[kc], self.patterns.index(pattern)
         rows = []
         for n, tally in enumerate(self.tallies[: self.pattern_n_max + 1]):
@@ -209,13 +236,11 @@ def census(
         pattern_n_max = n_max
     if not 0 <= pattern_n_max <= n_max:
         raise ValueError(f"pattern_n_max must lie in 0..n_max = {n_max}, got {pattern_n_max}")
-    patterns = tuple(patterns)
-    heads = {t >> 2 for t in CLASS_TYPES[KingClass(king_class)]}  # flags a member may begin with
+    patterns, kc = tuple(patterns), KingClass(king_class)
     tasks = [
         (patterns if n <= pattern_n_max else (), n, first)
         for n in range(n_max, -1, -1)
-        for first in range(1, max(n, 1) + 1)  # the empty host, of type 0, takes any first value
-        if not n or endpoint_flags(first, n) in heads
+        for first in _firsts(n, kc)
     ]
     if jobs > 1 and n_max >= 2:
         with multiprocessing.Pool(min(jobs, n_max)) as pool:
@@ -225,7 +250,7 @@ def census(
     tallies = [Counter() for _ in range(n_max + 1)]
     for (_, n, _), part in zip(tasks, parts):
         tallies[n].update(part)
-    return Census(patterns, pattern_n_max, tuple(tallies))
+    return Census(patterns, pattern_n_max, tuple(tallies), kc)
 
 
 def distribution_table(

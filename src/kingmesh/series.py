@@ -267,6 +267,8 @@ class Series:
     @staticmethod
     def term(order: int, coefficient: int = 1, tpow: int = 0, upow: int = 0) -> "Series":
         """coefficient * u**upow * t**tpow (zero if tpow exceeds the order)."""
+        if tpow < 0:
+            raise ValueError("tpow must be nonnegative")
         if tpow > order:
             return Series(order)
         c = [_UP_ZERO] * (tpow + 1)
@@ -405,6 +407,8 @@ class Series:
 
     def div_t(self, power: int) -> "Series":
         """Exact division by t**power; the result order drops by power."""
+        if power < 0:
+            raise ValueError("power must be nonnegative; use mul_t for multiplication")
         if power == 0:
             return self
         if power > self._order:

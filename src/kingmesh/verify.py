@@ -296,7 +296,7 @@ def _first_king_mismatch(crosses: CompiledPatterns, n: int) -> Witness | None:
     branch is pruned.  Each node adds the crosses' hits ending at its position
     to the count it passes down, once for every permutation below it, so
     shared prefixes are scanned once."""
-    ending_at = crosses.ending_at
+    pair_hits = crosses.pair_hits  # both crosses have length 2: no single hit
     full = (2 << n) - 2
     seq = [0] * n
     pre = [0] * (n + 1)
@@ -313,7 +313,7 @@ def _first_king_mismatch(crosses: CompiledPatterns, n: int) -> Witness | None:
             for v, w in ((a, b), (b, a)):
                 seq[d], seq[d + 1] = v, w
                 pre[d + 1] = before | 1 << v
-                hits = packed + ending_at(seq, pre, d, full) + ending_at(seq, pre, d + 1, full)
+                hits = packed + pair_hits(seq, pre, d, full) + pair_hits(seq, pre, d + 1, full)
                 found = leaf(hits)
                 if found:
                     return found
@@ -323,7 +323,7 @@ def _first_king_mismatch(crosses: CompiledPatterns, n: int) -> Witness | None:
         for i, v in enumerate(rest):
             seq[d] = v
             pre[d + 1] = before | 1 << v
-            found = walk(d + 1, rest[:i] + rest[i + 1 :], packed + ending_at(seq, pre, d, full))
+            found = walk(d + 1, rest[:i] + rest[i + 1 :], packed + pair_hits(seq, pre, d, full))
             if found:
                 return found
         return None

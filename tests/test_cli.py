@@ -34,6 +34,21 @@ class TestCount:
         code, out, _ = run(capsys, "count", "--n", "5", "--class", "sl", "--method", "gf")
         assert code == 0 and out.strip() == "10"
 
+    def test_enum_counts_every_class_through_eleven(self, capsys):
+        # the walked counts of every class at every length the guard allows
+        restricted = {
+            "s": [1, 0, 0, 0, 2, 12, 78, 568, 4674, 42948, 436358, 4860432],
+            "sl": [1, 0, 0, 0, 2, 10, 68, 500, 4174, 38774, 397584, 4462848],
+        }
+        expected = {
+            "all": [count_kings(n) for n in range(12)],
+            **restricted, "l": restricted["s"], "ls": restricted["sl"],
+        }
+        for king_class, counts in expected.items():
+            printed = [run(capsys, "count", "--n", str(n), "--class", king_class, "--method", "enum")
+                       for n in range(12)]
+            assert printed == [(0, f"{c}\n", "") for c in counts], king_class
+
     def test_class_rejects_closed_methods(self, capsys):
         code, _, err = run(capsys, "count", "--n", "5", "--class", "s", "--method", "rec")
         assert code == 2

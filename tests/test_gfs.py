@@ -168,6 +168,17 @@ def test_unknown_idents_rejected():
         distribution_series("99", 5)
 
 
+def test_one_cache_entry_per_solved_series():
+    # an integer id and its text name the same series: one build, one object
+    gfs_mod._solved_series.cache_clear()
+    try:
+        assert distribution_series(16, 20) is distribution_series("16", 20)
+        assert avoidance_series(16, 20) is avoidance_series("16", 20)
+        assert gfs_mod._solved_series.cache_info().misses == 2
+    finally:
+        gfs_mod._solved_series.cache_clear()
+
+
 def test_series_by_name():
     assert series_by_name("A", 6) == king_series(6)
     assert series_by_name("B", 6) == class_series(KingClass.S, 6)
@@ -202,14 +213,12 @@ def test_avoidance_and_distribution_routes_are_independent(monkeypatch, refused,
 
     for ident, record in gfs_mod.SOLVED.items():
         monkeypatch.setitem(gfs_mod.SOLVED, ident, replace(record, **{refused: refuse}))
-    avoidance_series.cache_clear()
-    distribution_series.cache_clear()
+    gfs_mod._solved_series.cache_clear()
     try:
         for ident in SOLVED_IDS:
             assert built(ident, order) == expected[ident], ident
     finally:
-        avoidance_series.cache_clear()
-        distribution_series.cache_clear()
+        gfs_mod._solved_series.cache_clear()
 
 
 @pytest.fixture
@@ -222,7 +231,7 @@ def terms_built(monkeypatch):
         built[order] += 1
         init(self, order)
 
-    caches = (gfs_mod.terms, avoidance_series, distribution_series)
+    caches = (gfs_mod.terms, gfs_mod._solved_series)
     monkeypatch.setattr(gfs_mod.Terms, "__init__", counting_init)
     for cached in caches:
         cached.cache_clear()

@@ -130,6 +130,46 @@ def test_restricted_census_walks_only_the_first_values_its_class_allows(monkeypa
     assert sorted(walked) == [(n, first) for n in range(2, 11) for first in range(2, n + 1)]
 
 
+def test_restricted_census_answers_for_its_own_class_alone():
+    # an SL census never walked first value 1, so it cannot answer for ALL:
+    # its ALL size at n = 6 would read 78 where A_6 = 90
+    x = catalog_pattern("X")
+    sl = census([x], 6, KingClass.SL)
+    assert sl.king_class is KingClass.SL
+    assert census([x], 6).king_class is KingClass.ALL
+    with pytest.raises(ValueError, match="census of class sl answers for sl alone, not for all"):
+        sl.size(6, "all")
+    with pytest.raises(ValueError, match="not for all"):
+        sl.table(x, KingClass.ALL)
+    with pytest.raises(ValueError, match="not for ls"):
+        sl.size(6, KingClass.LS)
+    assert [sl.size(n, "sl") for n in range(7)] == [count_class(n, "sl", "gf") for n in range(7)]
+    assert sl.table(x, KingClass.SL) == census([x], 6).table(x, KingClass.SL)
+
+
+def test_census_table_names_a_pattern_it_did_not_count():
+    kings = census([catalog_pattern("X")], 4)
+    with pytest.raises(ValueError, match=re.escape(
+        "the census did not count the pattern mesh(2;12;{(0,0),(0,1),(0,2),(2,0),(2,1),(2,2)})"
+    )):
+        kings.table(catalog_pattern("10"), KingClass.ALL)
+
+
+def test_counting_by_enumeration_runs_the_census_tasks_of_one_length(monkeypatch):
+    # the tasks of length 7 alone, with no pattern, and none with first value
+    # 1, which begins no member of SL
+    tasks = []
+    tally = oracle_mod._tally
+    monkeypatch.setattr(oracle_mod, "_tally", lambda task: tasks.append(task) or tally(task))
+    assert count_class(7, "sl", "enumerate") == 500
+    assert tasks == [((), 7, first) for first in range(2, 8)]
+    tasks.clear()
+    assert count_kings(7, "enumerate") == 646
+    assert tasks == [((), 7, first) for first in range(1, 8)]
+    with pytest.raises(ValueError, match="^n must be nonnegative$"):
+        oracle_mod.class_size(-1)
+
+
 def test_repeated_runs_identical():
     p = catalog_pattern("21")
     a = distribution_table(p, 6)
@@ -306,7 +346,8 @@ def test_single_table_is_built_once_per_length(monkeypatch):
                         lambda self, n: built.append(n) or build(self, n))
     oracle_mod._compiled.cache_clear()
     census([e.pattern for e in catalog()], 8, jobs=1)
-    assert sorted(built) == list(range(1, 9))
+    # the empty host and the host (1,) are counted directly, without one
+    assert sorted(built) == list(range(2, 9))
 
 
 # The four kings of length 11 with three singleton components in their

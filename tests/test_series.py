@@ -267,6 +267,10 @@ class TestSeries:
         with pytest.raises(ValueError):
             s.div_t(1)
 
+    def test_div_t_rejects_a_negative_power(self):
+        with pytest.raises(ValueError, match="power must be nonnegative"):
+            Series.term(3, tpow=3).div_t(-1)
+
     def test_div_u(self):
         s = Series(2, [UPoly(), UPoly((0, 3)), UPoly((0, 1, 2))])
         assert s.div_u() == Series(2, [UPoly(), UPoly((3,)), UPoly((1, 2))])
@@ -298,6 +302,10 @@ class TestSeries:
     def test_term_beyond_order_is_zero(self):
         assert Series.term(2, tpow=5).is_zero()
         assert Series.t(0).is_zero()
+
+    def test_term_rejects_a_negative_power(self):
+        with pytest.raises(ValueError, match="tpow must be nonnegative"):
+            Series.term(3, tpow=-1)
 
     def test_str(self):
         s = Series(5, [UPoly((1,)), UPoly(), UPoly((0, 2))])

@@ -90,7 +90,7 @@ def test_undividable_residual_is_a_fail(monkeypatch):
     record = gfs_mod.SOLVED["64"]
     faulty = replace(record, distribution=lambda r: record.distribution(r) + Series.term(r.order, 5, tpow=6))
     monkeypatch.setitem(gfs_mod.SOLVED, "64", faulty)
-    gfs_mod.distribution_series.cache_clear()
+    gfs_mod._solved_series.cache_clear()
     try:
         star = verify_equation("EQ_P64_STAR")
         assert star.status == FAIL
@@ -102,7 +102,7 @@ def test_undividable_residual_is_a_fail(monkeypatch):
         with redirect_stdout(out), redirect_stderr(err):
             code = cli.main(["verify", "--all", "--order", "12", "--n-max", "7"])
     finally:
-        gfs_mod.distribution_series.cache_clear()
+        gfs_mod._solved_series.cache_clear()
     assert code == 1
     assert "error:" not in err.getvalue() + out.getvalue()
     failed = {line.split()[1] for line in out.getvalue().splitlines() if line.startswith(FAIL)}
@@ -119,13 +119,13 @@ def test_pattern_16_dist_reads_its_distribution(monkeypatch, fault, actual):
     record = gfs_mod.SOLVED["16"]
     faulty = replace(record, distribution=lambda r: record.distribution(r) + fault(r.order))
     monkeypatch.setitem(gfs_mod.SOLVED, "16", faulty)
-    gfs_mod.distribution_series.cache_clear()
+    gfs_mod._solved_series.cache_clear()
     try:
         dist = verify_equation("EQ_P16_DIST", order=12)
         star = verify_equation("EQ_P16_STAR", order=12)
         av = verify_equation("EQ_P16_AV", order=12)
     finally:
-        gfs_mod.distribution_series.cache_clear()
+        gfs_mod._solved_series.cache_clear()
     assert dist.status == FAIL
     assert dist.witness == Witness(6, "0", actual)
     assert star.status == FAIL
@@ -166,15 +166,13 @@ def test_odd_king_count_is_a_fail(monkeypatch):
         return Series(order, coeffs)
 
     monkeypatch.setattr(gfs_mod, "king_series", odd_at_9)
-    gfs_mod.avoidance_series.cache_clear()
-    gfs_mod.distribution_series.cache_clear()
+    gfs_mod._solved_series.cache_clear()
     try:
         out, err = io.StringIO(), io.StringIO()
         with redirect_stdout(out), redirect_stderr(err):
             code = cli.main(["verify", "--theorem", "10", "--order", "12", "--n-max", "5"])
     finally:
-        gfs_mod.avoidance_series.cache_clear()
-        gfs_mod.distribution_series.cache_clear()
+        gfs_mod._solved_series.cache_clear()
     assert code == 1 and err.getvalue() == ""
     assert out.getvalue().splitlines() == [
         "FAIL                theorem:10  pattern 10: distribution over king permutations"
@@ -192,12 +190,10 @@ def plant_in_halving(monkeypatch):
             raise error
 
         monkeypatch.setattr(gfs_mod, "_halved_king_counts", raising)
-        gfs_mod.avoidance_series.cache_clear()
-        gfs_mod.distribution_series.cache_clear()
+        gfs_mod._solved_series.cache_clear()
 
     yield plant
-    gfs_mod.avoidance_series.cache_clear()
-    gfs_mod.distribution_series.cache_clear()
+    gfs_mod._solved_series.cache_clear()
 
 
 def test_builder_fault_fails_one_check_and_the_battery_runs_on(plant_in_halving):
@@ -309,30 +305,23 @@ def test_verify_all_small_run(monkeypatch):
     a = verify_all(order=8, n_max=4)
     # the second run counts the king permutations it draws, walked with the
     # patterns counted through n_max and only tallied past it: each length
-    # through the counting range n = 11 exactly once, below each first value once
+    # through the counting range n = 11 exactly once, below each first value
+    # once, the empty host and the host (1,) included
     hosts = 0
     tasks = []
-    walk, tally = oracle_mod._walk, oracle_mod.tally_subtree
+    tally = oracle_mod._tally
 
-    def counting_walk(compiled, n, first):
+    def counting_tally(task):
         nonlocal hosts
-        tasks.append((n, first))
-        leaves = walk(compiled, n, first)
-        hosts += sum(leaves.values())
-        return leaves
+        tasks.append(task[1:])
+        part = tally(task)
+        hosts += sum(part.values())
+        return part
 
-    def counting_tally(n, first):
-        nonlocal hosts
-        tasks.append((n, first))
-        hosts_by_flags = tally(n, first)
-        hosts += sum(hosts_by_flags)
-        return hosts_by_flags
-
-    monkeypatch.setattr(oracle_mod, "_walk", counting_walk)
-    monkeypatch.setattr(oracle_mod, "tally_subtree", counting_tally)
+    monkeypatch.setattr(oracle_mod, "_tally", counting_tally)
     b = verify_all(order=8, n_max=4)
-    assert hosts == sum(KING_COUNTS[1:12]) == 5_829_713
-    assert sorted(tasks) == [(n, f) for n in range(1, 12) for f in range(1, n + 1)]
+    assert hosts == sum(KING_COUNTS[:12]) == 5_829_714
+    assert sorted(tasks) == [(n, f) for n in range(12) for f in range(1, max(n, 1) + 1)]
     assert reports_to_json(a) == reports_to_json(b)
     # the report as the code before the shared census produced it
     assert hashlib.sha256(reports_to_json(a).encode()).hexdigest() == (
@@ -632,14 +621,14 @@ def _too_strict_is_king(monkeypatch):
 
 
 def _spurious_kernel_hit(monkeypatch):
-    ending_at = CompiledPatterns.ending_at
+    pair_hits = CompiledPatterns.pair_hits
 
     def faulty(self, seq, pre, d, full):
         # reads only the prefix through d, as the kernel does
         spurious = d == 6 and seq[0] == 2 and seq[d] - seq[d - 1] == 3
-        return ending_at(self, seq, pre, d, full) + spurious
+        return pair_hits(self, seq, pre, d, full) + spurious
 
-    monkeypatch.setattr(CompiledPatterns, "ending_at", faulty)
+    monkeypatch.setattr(CompiledPatterns, "pair_hits", faulty)
 
 
 @pytest.mark.parametrize("plant", [_too_strict_is_king, _spurious_kernel_hit])
