@@ -113,15 +113,14 @@ def strong_point_avoiders(order: int) -> Series:
     return terms(order).s
 
 
-def _halved_king_counts(order: int) -> list[int]:
-    a = king_series(order)
+def _halved_king_counts(r: Terms) -> list[int]:
     halves = [0, 0]
-    for n in range(2, order + 1):
-        count = a.coeff(n).evaluate(0)
+    for n in range(2, r.order + 1):
+        count = r.a.coeff(n).evaluate(0)
         if count % 2:
             raise NotDivisibleError(n, count, "2")
         halves.append(count // 2)
-    return halves[: order + 1]
+    return halves[: r.order + 1]
 
 
 # ---------------------------------------------------------------------------
@@ -160,12 +159,12 @@ class SolvedPattern:
 def _avoidance_10(r: Terms) -> Series:
     # Exactly half the class of each length n >= 2 avoids; the pattern
     # needs the outer elements increasing and reversal flips that.
-    rows = [1, 1] + _halved_king_counts(r.order)[2:]
+    rows = [1, 1] + _halved_king_counts(r)[2:]
     return Series(r.order, rows[: r.order + 1])
 
 
 def _distribution_10(r: Terms) -> Series:
-    halves = _halved_king_counts(r.order)[2:]
+    halves = _halved_king_counts(r)[2:]
     coeffs = [UPoly.one(), UPoly.one()] + [UPoly((h, h)) for h in halves]
     return Series(r.order, coeffs[: r.order + 1])
 

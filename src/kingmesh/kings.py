@@ -4,8 +4,9 @@ A permutation (one-line notation, values 1..n) is a *king permutation* when
 every two adjacent entries differ by more than one, like non-attacking kings
 placed on adjacent columns of a board.  This module provides the symmetry
 operations, membership tests, a streaming backtracking enumerator, a counting
-walk that tallies the kings below one first value without building them, and
-four independent ways of counting, one of them the census at a single length.
+walk that tallies the kings below one first value by endpoint type without
+building them, and four independent ways of counting, which :func:`count_class`
+alone dispatches.  Every walk reads one adjacency table, :func:`far_rows`.
 Every restricted class forbids only some first and last entries, so one table,
 ``CLASS_TYPES``, says which endpoint types each class holds; the walks know no
 class, and the table decides which of the kings they reach are members.
@@ -50,7 +51,7 @@ class KingClass(str, Enum):
     LS = "ls"
 
 
-# the four counting methods of count_kings, under their short names
+# the four counting methods of count_class, under their short names
 COUNT_METHODS = {"rec": "recurrence", "explicit": "explicit", "gf": "gf", "enum": "enumerate"}
 
 
@@ -166,12 +167,18 @@ def enumerate_kings(n: int, king_class: KingClass = KingClass.ALL) -> Iterator[P
     return (p for p in _kings(n) if endpoint_type(p) in types)
 
 
+def far_rows(n: int) -> list[list[bool]]:
+    """``far[a][b]`` of every walk over the kings of 1..n: a and b differ by
+    more than one, so they may stand side by side.  A fresh table each call."""
+    return [[abs(a - b) > 1 for b in range(n + 1)] for a in range(n + 1)]
+
+
 def _kings(n: int) -> Iterator[Perm]:
     # One depth-first walk over an explicit stack of (prefix, its last entry,
     # the values not yet placed); each king is yielded where it is completed.
     # The children of a prefix are pushed largest value first, so the smallest
     # is popped first, and the stack never holds more than about n^2 / 2 prefixes.
-    far = [[abs(a - b) > 1 for b in range(n + 1)] for a in range(n + 1)]
+    far = far_rows(n)
     far[0] = [True] * (n + 1)  # any value may follow the empty prefix
     stack = [((), 0, tuple(range(1, n + 1)))]
     pop, push = stack.pop, stack.append
@@ -194,11 +201,14 @@ def _kings(n: int) -> Iterator[Perm]:
             yield prefix
 
 
-def tally_subtree(n: int, first: int) -> list[int]:
+def tally_subtree(n: int, first: int) -> dict[int, int]:
     """Count the king permutations of 1..n (n >= 1) that begin with
-    ``first``: entry f of the result is how many of them end on an entry with
-    endpoint flags f.  Which of them a class holds is read from
+    ``first`` by endpoint type: the result maps each type that occurs to how
+    many of them have it.  Which of them a class holds is read from
     ``CLASS_TYPES`` afterwards.
+
+    >>> tally_subtree(5, 2)  # 24153 and 25314 end inside, 24135 on the largest
+    {0: 2, 2: 1}
 
     The same exhaustive backtracking as the stream below one first value: no
     subtree's count is reused or derived by symmetry, and every adjacent pair
@@ -209,9 +219,8 @@ def tally_subtree(n: int, first: int) -> list[int]:
     others.
     """
     flags = [endpoint_flags(v, n) for v in range(n + 1)]
-    # far[a][b]: a and b differ by more than one, so they may stand side by side
-    far = [[abs(a - b) > 1 for b in range(n + 1)] for a in range(n + 1)]
-    tally = [0, 0, 0, 0]
+    far = far_rows(n)
+    tally = [0, 0, 0, 0]  # by the endpoint flags of the last entry
 
     def walk(fp: list[bool], rest: list[int]) -> None:
         # place the values in rest after an entry whose row of far is fp
@@ -252,7 +261,8 @@ def tally_subtree(n: int, first: int) -> list[int]:
 
     # the first entry is placed like the others, from a row that allows only it
     walk([v == first for v in range(n + 1)], list(range(1, n + 1)))
-    return tally
+    head = 4 * endpoint_flags(first, n)
+    return {head | f: hosts for f, hosts in enumerate(tally) if hosts}
 
 
 def _count_by_recurrence(n: int) -> int:
@@ -289,30 +299,16 @@ def _count_by_explicit(n: int) -> int:
 
 
 def count_kings(n: int, method: str = "recurrence") -> int:
-    """Number of king permutations of length n, by one of four routes.
-
-    ``recurrence`` and ``explicit`` use closed arithmetic, ``gf`` reads the
-    t^n coefficient of the counting series, ``enumerate`` walks every member.
-    All four agree; the slow ones exist to keep the fast ones honest.
-    """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    if method == "recurrence":
-        return _count_by_recurrence(n)
-    if method == "explicit":
-        return _count_by_explicit(n)
-    if method == "gf":
-        from .gfs import king_series
-
-        return king_series(n).coeff(n).evaluate(0)
-    if method == "enumerate":
-        return count_class(n, KingClass.ALL)
-    raise ValueError(f"unknown method {method!r}; expected one of {tuple(COUNT_METHODS.values())}")
+    """Number of king permutations of length n, by one of four routes: the
+    count of the unrestricted class by :func:`count_class`."""
+    return count_class(n, KingClass.ALL, method)
 
 
 def count_class(n: int, king_class: KingClass, method: str = "enumerate") -> int:
-    """Cardinality of a class at length n: ALL by any method of
-    :func:`count_kings`, a restricted class by ``gf`` or ``enumerate`` only."""
+    """Cardinality of a class at length n, by one of four routes:
+    ``recurrence`` and ``explicit`` (closed arithmetic, ALL only), ``gf`` (the
+    t^n coefficient of the class's counting series) and ``enumerate`` (every
+    member walked).  All four agree; the slow ones keep the fast ones honest."""
     if n < 0:
         raise ValueError("n must be nonnegative")
     kc = KingClass(king_class)
@@ -320,13 +316,13 @@ def count_class(n: int, king_class: KingClass, method: str = "enumerate") -> int
         from .oracle import class_size
 
         return class_size(n, kc)
-    if kc is KingClass.ALL:
-        return count_kings(n, method)
     if method == "gf":
         from .gfs import class_series
 
         return class_series(kc, n).coeff(n).evaluate(0)
-    raise ValueError(
-        f"method {method!r} counts only the unrestricted class; "
-        "gf and enumerate count restricted classes"
-    )
+    if method not in ("recurrence", "explicit"):
+        raise ValueError(f"unknown method {method!r}; expected one of {tuple(COUNT_METHODS.values())}")
+    if kc is not KingClass.ALL:
+        raise ValueError(f"method {method!r} counts only the unrestricted class; "
+                         "gf and enumerate count restricted classes")
+    return _count_by_recurrence(n) if method == "recurrence" else _count_by_explicit(n)

@@ -16,7 +16,8 @@ tree, building no host: each node adds the hits of the candidates ending at its
 position to the counts it passes down, once for all the hosts below it.  Those
 of the length-1 candidates come from a table of the kernel's rule, built once
 per length in each process.  A length that counts no pattern needs only
-:func:`kingmesh.kings.tally_subtree`, and :func:`class_size`, the count by
+:func:`kingmesh.kings.tally_subtree`, whose tally by endpoint type is the
+census's tally with nothing packed, and :func:`class_size`, the count by
 enumeration, runs the census's tasks of that one length.
 
 Enumeration can fan out over the choice of the first element; each worker owns
@@ -33,7 +34,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
 
-from .kings import CLASS_TYPES, KingClass, endpoint_flags, endpoint_type, tally_subtree
+from .kings import CLASS_TYPES, KingClass, endpoint_flags, endpoint_type, far_rows, tally_subtree
 from .mesh import (
     CompiledPatterns, MeshPattern, count_field, packed_count, parse_pattern, render_pattern
 )
@@ -53,6 +54,8 @@ class DistributionTable:
         return len(self.rows) - 1
 
     def row(self, n: int) -> UPoly:
+        if not 0 <= n <= self.n_max:
+            raise IndexError(f"row n={n} outside 0..{self.n_max}")
         return self.rows[n]
 
     def to_json_dict(self) -> dict:
@@ -83,16 +86,15 @@ def _tally(task) -> dict[int, int]:
     """One length's tally below one first value: how many hosts there are of
     each key ``packed << 4 | t``, where t is the host's endpoint type and
     ``packed`` its pattern counts as ``CompiledPatterns(patterns, n=n)``
-    packs them, in fields of ``count_field(patterns, n)`` bits."""
+    packs them, in fields of ``count_field(patterns, n)`` bits; no key has zero hosts."""
     patterns, n, first = task
     if n <= 1:  # the empty host or the host (1,), whose prefix bitsets are [0, 2]
         host, pre = tuple(range(1, n + 1)), [0, 2][: n + 1]
         compiled = CompiledPatterns(patterns, n=n)
         packed = compiled.whole(host, pre) + n * compiled.single_hits(1, 0, pre[n])
         return {packed << 4 | endpoint_type(host): 1}
-    if not patterns:  # a host costs only its tally: count, do not build
-        head = 4 * endpoint_flags(first, n)
-        return {head | f: hosts for f, hosts in enumerate(tally_subtree(n, first))}
+    if not patterns:  # a host costs only its type, and packed is 0: count, do not build
+        return tally_subtree(n, first)
     return _walk(_compiled(patterns, n=n), n, first)
 
 
@@ -111,7 +113,7 @@ def _walk(compiled: CompiledPatterns, n: int, first: int):
     of every host."""
     head = 4 * endpoint_flags(first, n)
     type_by_last = [head | endpoint_flags(v, n) for v in range(n + 1)]
-    far = [[abs(a - b) > 1 for b in range(n + 1)] for a in range(n + 1)]
+    far = far_rows(n)
     full = (2 << n) - 2
     seq = [first] * n
     pre = [0, 1 << first] + [0] * (n - 1)
@@ -199,6 +201,8 @@ class Census:
         >>> kings.size(5, KingClass.ALL), kings.size(5, "sl")
         (14, 10)
         """
+        if not 0 <= n < len(self.tallies):
+            raise IndexError(f"length n={n} outside 0..{len(self.tallies) - 1}")
         return _class_hosts(self.tallies[n], self._holds(king_class))
 
     def table(self, pattern: MeshPattern, king_class: KingClass) -> DistributionTable:

@@ -259,3 +259,17 @@ def test_star_identities_read_only_the_terms_they_are_given(terms_built, eq_id, 
     # identity's Terms, from those Terms truncated, not from a second Terms
     assert verify_equation(eq_id, order).status == "PASS"
     assert terms_built == {order + EQUATIONS[eq_id].margin: 1}
+
+
+def test_pattern_10_builders_read_only_the_terms_they_are_given():
+    # P:10 and E:10 halve the king counts of the Terms they are handed, so a
+    # Terms whose A is set before first use carries its own counts through
+    r = gfs_mod.Terms(12)
+    r.a = Series(12, [1, 1, 0, 0, 4, 8, 16, 32, 64, 128, 256, 512, 1024])
+    halves = [2, 4, 8, 16, 32, 64, 128, 256, 512]
+    avoidance = gfs_mod.SOLVED["10"].avoidance(r)
+    distribution = gfs_mod.SOLVED["10"].distribution(r)
+    assert [row.evaluate(0) for row in avoidance.coeffs] == [1, 1, 0, 0, *halves]
+    assert distribution.coeffs == (
+        UPoly.one(), UPoly.one(), UPoly(), UPoly(), *(UPoly((h, h)) for h in halves)
+    )

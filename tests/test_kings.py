@@ -1,5 +1,6 @@
 """King permutations: predicates, symmetries, enumeration, counting."""
 
+from collections import Counter
 from itertools import permutations
 
 import pytest
@@ -12,7 +13,7 @@ from kingmesh.kings import (
     complement,
     count_class,
     count_kings,
-    endpoint_flags,
+    endpoint_type,
     enumerate_kings,
     in_class,
     is_king,
@@ -152,6 +153,12 @@ def test_counts_against_known_values(method):
         assert count_kings(n, method) == KING_COUNTS[n]
 
 
+@pytest.mark.parametrize("method", ["recurrence", "explicit", "gf", "enumerate"])
+def test_count_kings_is_the_count_of_the_unrestricted_class(method):
+    for n in range(10):
+        assert count_kings(n, method) == count_class(n, "all", method), n
+
+
 def test_all_methods_agree_at_7():
     values = {m: count_kings(7, m) for m in ("recurrence", "explicit", "gf", "enumerate")}
     assert set(values.values()) == {646}
@@ -205,6 +212,13 @@ def test_enumeration_size_matches_recurrence(n):
 
 
 def test_unknown_method_lists_the_four_methods():
+    # a restricted class is told the method is unknown, not that it counts ALL only
+    for kc in KingClass:
+        with pytest.raises(ValueError) as info:
+            count_class(5, kc, "magic")
+        assert str(info.value) == (
+            "unknown method 'magic'; expected one of ('recurrence', 'explicit', 'gf', 'enumerate')"
+        ), kc
     with pytest.raises(ValueError, match=r"expected one of \('recurrence', 'explicit', 'gf', 'enumerate'\)"):
         count_kings(5, "bogus")
 
@@ -212,20 +226,28 @@ def test_unknown_method_lists_the_four_methods():
 @pytest.mark.parametrize("kc", list(KingClass))
 def test_tally_subtree_matches_the_stream(kc):
     # the counting walk against the streamed class members, grouped by first
-    # value and end flags: n <= 4 takes the walk's plain path, n = 5 starts in
-    # its five-entry tail and n = 6, 7 just above it; the walk counts every
-    # king, the class reads its types
+    # value and endpoint type: n <= 4 takes the walk's plain path, n = 5
+    # starts in its five-entry tail and n = 6, 7 just above it; the walk
+    # counts every king, the class reads its types
     for n in range(1, 10):
-        streamed = {first: [0, 0, 0, 0] for first in range(1, n + 1)}
+        streamed = {first: Counter() for first in range(1, n + 1)}
         for p in enumerate_kings(n, kc):
-            streamed[p[0]][endpoint_flags(p[-1], n)] += 1
+            streamed[p[0]][endpoint_type(p)] += 1
         for first in range(1, n + 1):
-            head = 4 * endpoint_flags(first, n)
-            walked = [
-                hosts if head | f in CLASS_TYPES[kc] else 0
-                for f, hosts in enumerate(tally_subtree(n, first))
-            ]
+            walked = {t: hosts for t, hosts in tally_subtree(n, first).items() if t in CLASS_TYPES[kc]}
             assert walked == streamed[first], (n, first)
+
+
+def test_tally_subtree_holds_only_the_types_that_occur():
+    # no type is listed with zero hosts, and a census of no pattern keeps
+    # the tally as it is, so neither do its tallies
+    for n in range(1, 10):
+        for first in range(1, n + 1):
+            assert 0 not in tally_subtree(n, first).values(), (n, first)
+    kings = census((), 9)
+    for n, tally in enumerate(kings.tallies):
+        assert 0 not in tally.values(), n
+        assert dict(tally) == dict(Counter(map(endpoint_type, enumerate_kings(n)))), n
 
 
 @pytest.mark.parametrize("kc", list(KingClass))

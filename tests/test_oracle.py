@@ -170,6 +170,18 @@ def test_counting_by_enumeration_runs_the_census_tasks_of_one_length(monkeypatch
         oracle_mod.class_size(-1)
 
 
+@pytest.mark.parametrize("bad_n", [-1, 6])
+def test_a_length_outside_the_range_is_an_index_error(bad_n):
+    # -1 read the last length before, and n_max + 1 a bare tuple index error
+    kings = census((), 5)
+    with pytest.raises(IndexError, match=re.escape(f"length n={bad_n} outside 0..5")):
+        kings.size(bad_n, "all")
+    table = distribution_table(catalog_pattern("X"), 5)
+    with pytest.raises(IndexError, match=re.escape(f"row n={bad_n} outside 0..5")):
+        table.row(bad_n)
+    assert (kings.size(5, "all"), table.row(5)) == (14, table.rows[5])
+
+
 def test_repeated_runs_identical():
     p = catalog_pattern("21")
     a = distribution_table(p, 6)

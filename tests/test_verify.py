@@ -24,6 +24,7 @@ from kingmesh.mesh import (
     SOLVED_IDS,
     CompiledPatterns,
     avoids,
+    catalog,
     catalog_pattern,
 )
 from kingmesh.oracle import Census, census, distribution_table
@@ -153,25 +154,28 @@ def test_non_unit_division_is_a_fail(monkeypatch):
 
 
 def test_odd_king_count_is_a_fail(monkeypatch):
-    # pattern 10's closed forms halve the king counts; an odd count is not
-    # divisible by 2, which fails theorem:10 with that count as witness
-    right = gfs_mod.king_series
+    # pattern 10's closed forms halve the king counts of their Terms; an odd
+    # count is not divisible by 2, which fails theorem:10 with that count as
+    # witness
+    right = gfs_mod.Terms.a.func
 
-    def odd_at_9(order):
-        a = right(order)
-        if order < 9:
+    def odd_at_9(r):
+        a = right(r)
+        if r.order < 9:
             return a
         coeffs = list(a.coeffs)
         coeffs[9] = coeffs[9] + UPoly((1,))
-        return Series(order, coeffs)
+        return Series(r.order, coeffs)
 
-    monkeypatch.setattr(gfs_mod, "king_series", odd_at_9)
+    monkeypatch.setattr(gfs_mod.Terms, "a", property(odd_at_9))
+    gfs_mod.terms.cache_clear()
     gfs_mod._solved_series.cache_clear()
     try:
         out, err = io.StringIO(), io.StringIO()
         with redirect_stdout(out), redirect_stderr(err):
             code = cli.main(["verify", "--theorem", "10", "--order", "12", "--n-max", "5"])
     finally:
+        gfs_mod.terms.cache_clear()
         gfs_mod._solved_series.cache_clear()
     assert code == 1 and err.getvalue() == ""
     assert out.getvalue().splitlines() == [
@@ -186,7 +190,7 @@ def plant_in_halving(monkeypatch):
     """Make the halving of the king counts in pattern 10's closed forms raise
     the given error, on cold series caches."""
     def plant(error):
-        def raising(order):
+        def raising(r):
             raise error
 
         monkeypatch.setattr(gfs_mod, "_halved_king_counts", raising)
@@ -649,3 +653,110 @@ def test_kingchar_passes_on_the_empty_and_one_element_permutations(monkeypatch):
     assert _first_king_mismatch(crosses, 0) is None
     assert _first_king_mismatch(crosses, 1) is None
     assert seen == [(), (1,)]
+
+
+# The planted-fault matrix: one fault in one input of the battery, and the
+# exact set of checks that fail (mutation testing of the battery; DeMillo,
+# Lipton and Sayward, "Hints on test data selection", 1978).  Every plant runs
+# on one shared census, patched in as verify's census or a faulted subclass
+# of it, at order 12 and n_max 7.
+MATRIX_ORDER, MATRIX_N_MAX = 12, 7
+
+
+@pytest.fixture(scope="module")
+def matrix_census():
+    """The census a run at n_max 7 takes."""
+    top = max(COUNTS_N_MAX, verify_mod.CLASSES_N_MAX, MATRIX_N_MAX)
+    patterns = [entry.pattern for entry in catalog()]
+    return census(patterns, top, KingClass.ALL, pattern_n_max=MATRIX_N_MAX)
+
+
+def _failed(monkeypatch, kings, prefixes):
+    """The status of every check of the families named that does not pass,
+    in a run that reads ``kings`` as its census."""
+    monkeypatch.setattr(verify_mod, "census", lambda *args, **kwargs: kings)
+    ids = [check_id for check_id in verify_mod.CHECK_IDS if check_id.startswith(prefixes)]
+    reports = verify_mod.run_checks(ids, MATRIX_ORDER, MATRIX_N_MAX)
+    return {r.check_id: r.status for r in reports if r.status != PASS}
+
+
+# The identities that do not read a series, though their ids name its pattern.
+IDENTITY_GAPS = {
+    **{f"E:{ident}": {f"EQ_P{ident}_AV"} for ident in SOLVED_IDS},  # no AV identity reads E
+    "P:16": {"EQ_P16_STAR"},  # E* comes from E:16 alone
+    "P:17": {"EQ_P17_DIST"},
+}
+
+
+@pytest.mark.parametrize("series", [f"{kind}:{ident}" for kind in "PE" for ident in SOLVED_IDS])
+def test_a_builder_fault_fails_exactly_the_checks_that_read_it(monkeypatch, matrix_census, series):
+    # 5t^6 in P, or 5u^2t^6 in E, as verify reads them: the theorem and every
+    # identity of the pattern that reads the series fail, nothing else does
+    kind, ident = series.split(":")
+    builder = {"P": "avoidance_series", "E": "distribution_series"}[kind]
+    right = getattr(verify_mod, builder)
+
+    def planted(i, order):
+        fault = Series.term(order, 5, tpow=6, upow=0 if kind == "P" else 2)
+        return right(i, order) + fault if str(i) == ident else right(i, order)
+
+    monkeypatch.setattr(verify_mod, builder, planted)
+    expected = {f"theorem:{ident}"} | {
+        f"equation:{eq_id}" for eq_id in EQUATIONS
+        if eq_id.startswith(f"EQ_P{ident}_") and eq_id not in IDENTITY_GAPS.get(series, ())
+    }
+    assert _failed(monkeypatch, matrix_census, ("theorem:", "equation:")) == dict.fromkeys(
+        expected, FAIL
+    )
+
+
+def _planted_census(kings, plant):
+    """``kings`` with one extra host: at n = 9 of a class size (``("size",
+    class)``), or at u^0 in row 6 of a table (``(pattern id, class)``)."""
+    where, kc = plant
+    target = None if where == "size" else catalog_pattern(where)
+
+    class Planted(Census):
+        def size(self, n, king_class):
+            return super().size(n, king_class) + (target is None and n == 9 and king_class == kc)
+
+        def table(self, pattern, king_class):
+            table = super().table(pattern, king_class)
+            if (pattern, king_class) != (target, kc):
+                return table
+            rows = list(table.rows)
+            rows[6] += UPoly.one()
+            return replace(table, rows=tuple(rows))
+
+    return Planted(kings.patterns, kings.pattern_n_max, kings.tallies, kings.king_class)
+
+
+CENSUS_PLANTS = [
+    (("size", KingClass.ALL), {"counts:methods"}),
+    *((("size", kc), {"counts:classes"}) for kc in list(KingClass)[1:]),
+    (("X", KingClass.ALL), {"theorem:X", "strongpoint:sets"}),
+    (("X'", KingClass.ALL), {"theorem:X'"}),
+    (("10", KingClass.ALL), {"theorem:10", "halving:10"}),
+    *(((i, KingClass.ALL), {f"theorem:{i}"}) for i in SOLVED_IDS if i not in ("X", "X'", "10")),
+    *(((i, KingClass.ALL), {f"mass:{i}"}) for i in OPEN_IDS),
+    *(((pattern_id, KingClass(kc)), {f"strongpoint:{kc}", "strongpoint:sets"})
+      for pattern_id, kc in (("X", "s"), ("X", "l"), ("X", "sl"), ("X'", "ls"))),
+]
+
+
+@pytest.mark.parametrize("plant, expected", CENSUS_PLANTS,
+                         ids=[f"{where}-{kc.value}" for (where, kc), _ in CENSUS_PLANTS])
+def test_a_census_fault_fails_exactly_the_checks_that_read_it(
+    monkeypatch, matrix_census, plant, expected
+):
+    kings = _planted_census(matrix_census, plant)
+    prefixes = ("counts:", "theorem:", "strongpoint:", "halving:", "mass:")
+    assert _failed(monkeypatch, kings, prefixes) == dict.fromkeys(expected, FAIL)
+
+
+def test_checks_that_read_no_census_pass_without_one(monkeypatch):
+    class NoCensus:
+        def __getattr__(self, name):
+            raise AssertionError(f"a check read the census's {name}")
+
+    assert _failed(monkeypatch, NoCensus(), ("kingchar", "golden:", "equation:")) == {}
