@@ -28,7 +28,6 @@ result is identical for any worker count.
 from __future__ import annotations
 
 import math
-import multiprocessing
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
@@ -247,6 +246,8 @@ def census(
         for first in _firsts(n, kc)
     ]
     if jobs > 1 and n_max >= 2:
+        import multiprocessing  # only a pooled run pays for the import
+
         with multiprocessing.Pool(min(jobs, n_max)) as pool:
             parts = pool.map(_tally, tasks, chunksize=1)
     else:

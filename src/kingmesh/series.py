@@ -142,7 +142,8 @@ class UPoly:
         return NotImplemented
 
     def __hash__(self):
-        return hash(self._c)
+        # a constant equals its int, so it hashes as that int (zero as 0)
+        return hash(self._c if len(self._c) > 1 else sum(self._c))
 
     def __repr__(self):
         return f"UPoly({self._c!r})"

@@ -31,7 +31,8 @@ from __future__ import annotations
 import json
 from dataclasses import asdict, dataclass
 from functools import cached_property, partial
-from typing import Callable, Iterable, Sequence
+from itertools import permutations, zip_longest
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .kings import KingClass, count_kings, is_king, perm_text
 from .mesh import (
@@ -292,43 +293,36 @@ def _first_king_mismatch(crosses: CompiledPatterns, n: int) -> Witness | None:
     ``is_king`` disagrees with "no hit of either cross", as a witness holding
     its ``is_king`` value; None when they agree on all n! of them.
 
-    One depth-first walk, ascending values first, over every permutation: no
-    branch is pruned.  Each node adds the crosses' hits ending at its position
-    to the count it passes down, once for every permutation below it, so
-    shared prefixes are scanned once."""
+    It merges two sorted streams, the kings and the avoiders: where they first
+    differ, the smaller entry is in one stream only, and it is that permutation."""
+    kings = (p for p in permutations(range(1, n + 1)) if is_king(p))
+    for king, avoider in zip_longest(kings, _avoiders(crosses, n)):
+        if king != avoider:
+            if avoider is None or king is not None and king < avoider:
+                return Witness(n, "True", perm_text(king, " "))
+            return Witness(n, "False", perm_text(avoider, " "))
+    return None
+
+
+def _avoiders(crosses: CompiledPatterns, n: int) -> Iterator[tuple[int, ...]]:
+    """The permutations of 1..n with no hit of either cross, in lexicographic
+    order.  A prefix is extended only while it has no hit: a hit is known once
+    its last entry is placed, and counts only grow."""
     pair_hits = crosses.pair_hits  # both crosses have length 2: no single hit
     full = (2 << n) - 2
     seq = [0] * n
     pre = [0] * (n + 1)
 
-    def leaf(hits: int) -> Witness | None:
-        king = is_king(tuple(seq))
-        return None if king == (hits == 0) else Witness(n, str(king), perm_text(seq, " "))
-
-    def walk(d: int, rest: list[int], packed: int) -> Witness | None:
-        # place position d from the values not yet placed
-        before = pre[d]
-        if len(rest) == 2:  # the last two entries, inline
-            a, b = rest
-            for v, w in ((a, b), (b, a)):
-                seq[d], seq[d + 1] = v, w
-                pre[d + 1] = before | 1 << v
-                hits = packed + pair_hits(seq, pre, d, full) + pair_hits(seq, pre, d + 1, full)
-                found = leaf(hits)
-                if found:
-                    return found
-            return None
-        if not rest:  # n <= 1
-            return leaf(packed)
+    def walk(d: int, rest: list[int]) -> Iterator[tuple[int, ...]]:
+        if d == n:
+            yield tuple(seq)
         for i, v in enumerate(rest):
             seq[d] = v
-            pre[d + 1] = before | 1 << v
-            found = walk(d + 1, rest[:i] + rest[i + 1 :], packed + pair_hits(seq, pre, d, full))
-            if found:
-                return found
-        return None
+            pre[d + 1] = pre[d] | 1 << v
+            if not pair_hits(seq, pre, d, full):
+                yield from walk(d + 1, rest[:i] + rest[i + 1 :])
 
-    return walk(0, list(range(1, n + 1)), 0)
+    return walk(0, list(range(1, n + 1)))
 
 
 def _check_pinned_series(

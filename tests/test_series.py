@@ -114,6 +114,14 @@ class TestUPoly:
         assert p * p == UPoly((1, 2, 1))
         assert p * UPoly((1, -1)) == UPoly((1, 0, -1))
 
+    @pytest.mark.parametrize("c", [0, 1, 5, -3])
+    def test_a_constant_hashes_as_the_int_it_equals(self, c):
+        p = UPoly((c,))
+        assert p == c and hash(p) == hash(c)
+        assert {c: "int"}.get(p) == "int"
+        assert {p: "upoly"}.get(c) == "upoly"
+        assert len({p, c}) == 1
+
     def test_shift_and_evaluate(self):
         p = UPoly((1, 2))
         assert p.shift(2) == UPoly((0, 0, 1, 2))

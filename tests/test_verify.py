@@ -38,6 +38,7 @@ from kingmesh.verify import (
     KING_COUNTS,
     CheckReport,
     Witness,
+    _avoiders,
     _check_class_counts,
     _check_counts_methods,
     _check_king_characterization,
@@ -591,7 +592,8 @@ def test_strong_point_oracle_leg_expects_the_closed_form():
 
 
 def test_kingchar_compares_every_permutation(monkeypatch):
-    # no branch is pruned: each of the sum of n! for n <= 8 permutations is a leaf
+    # the king stream tests every permutation, pruned or not on the avoider side:
+    # is_king sees each of the sum of n! for n <= 8
     calls = 0
     is_king = verify_mod.is_king
 
@@ -635,7 +637,18 @@ def _spurious_kernel_hit(monkeypatch):
     monkeypatch.setattr(CompiledPatterns, "pair_hits", faulty)
 
 
-@pytest.mark.parametrize("plant", [_too_strict_is_king, _spurious_kernel_hit])
+def _missed_kernel_hit(monkeypatch):
+    pair_hits = CompiledPatterns.pair_hits
+
+    def faulty(self, seq, pre, d, full):
+        # hides hits from the pruning, so subtrees that hold no avoider are walked
+        missed = d == 4 and seq[0] == 3 and seq[d] - seq[d - 1] == 1
+        return 0 if missed else pair_hits(self, seq, pre, d, full)
+
+    monkeypatch.setattr(CompiledPatterns, "pair_hits", faulty)
+
+
+@pytest.mark.parametrize("plant", [_too_strict_is_king, _spurious_kernel_hit, _missed_kernel_hit])
 def test_kingchar_witness_is_the_first_mismatch(monkeypatch, plant):
     plant(monkeypatch)
     report = _check_king_characterization()
@@ -645,7 +658,7 @@ def test_kingchar_witness_is_the_first_mismatch(monkeypatch, plant):
 
 
 def test_kingchar_passes_on_the_empty_and_one_element_permutations(monkeypatch):
-    # both are kings and hold no pair, so each is one agreeing leaf
+    # both are kings and hold no pair, so each is in both streams
     seen = []
     is_king = verify_mod.is_king
     monkeypatch.setattr(verify_mod, "is_king", lambda p: seen.append(p) or is_king(p))
@@ -653,6 +666,34 @@ def test_kingchar_passes_on_the_empty_and_one_element_permutations(monkeypatch):
     assert _first_king_mismatch(crosses, 0) is None
     assert _first_king_mismatch(crosses, 1) is None
     assert seen == [(), (1,)]
+
+
+def test_avoiders_are_the_avoiders_of_both_crosses_in_lexicographic_order():
+    crosses = CompiledPatterns((KING_CROSS_UP, KING_CROSS_DOWN), n=7)
+    for n in range(8):
+        expected = [p for p in permutations(range(1, n + 1))
+                    if avoids(KING_CROSS_UP, p) and avoids(KING_CROSS_DOWN, p)]
+        # the list compares order and multiplicity too
+        assert list(_avoiders(crosses, n)) == expected
+
+
+def test_avoiders_extend_no_prefix_that_has_a_hit(monkeypatch):
+    pair_hits = CompiledPatterns.pair_hits
+    calls, hit = [], set()
+
+    def recording(self, seq, pre, d, full):
+        prefix = tuple(seq[: d + 1])
+        calls.append(prefix)
+        found = pair_hits(self, seq, pre, d, full)
+        if found:
+            hit.add(prefix)
+        return found
+
+    monkeypatch.setattr(CompiledPatterns, "pair_hits", recording)
+    crosses = CompiledPatterns((KING_CROSS_UP, KING_CROSS_DOWN), n=7)
+    assert len(list(_avoiders(crosses, 7))) == verify_mod.count_kings(7)
+    assert hit  # the pruning had something to cut
+    assert not [p for p in calls if any(p[:k] in hit for k in range(1, len(p)))]
 
 
 # The planted-fault matrix: one fault in one input of the battery, and the
