@@ -22,7 +22,7 @@ import re
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import combinations
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .kings import Perm, is_permutation, perm_text
 
@@ -256,9 +256,18 @@ def parse_pattern(text: str) -> MeshPattern:
 # in whatever order.  So a host's counts are the sum of the hits of the
 # candidates ending at each position: those of a single, which depend only on v
 # and the set pre[d] (`single_hits`), and those of the pairs, from their loop
-# over the earlier entries (`pair_hits`).  The census adds each node's hits once
-# for all the hosts below it, the singles' from a table built once per length
-# (`single_table`).  Other candidates are scanned on the whole host (`whole`).
+# over the earlier entries (`pair_counter`).  The census adds each node's hits
+# once for all the hosts below it, the singles' from a table built once per
+# length (`single_table`).  Other candidates are scanned on the whole host
+# (`whole`).
+#
+# A pair of entries with the values a < b, in either order, has three value
+# bands: below a, between a and b, and above b.  Each of its three column sets
+# (the values before the first entry, between the two, after the last) meets
+# some of them, which its `BandRule` writes as 3 bits, and the three codes side
+# by side are the pair's region mask.  A code depends only on (a, b) and the
+# set, so on hosts of a known length each pair of values reads its codes from a
+# `band_table`, built once per length; on others, from the rule itself.
 #
 # The counts of all the patterns travel as one integer, pattern idx's in the
 # `field` bits from bit field * idx: the `count_field` of the hosts' length when
@@ -291,6 +300,31 @@ def _hit_table(members: Sequence[tuple[int, int]], k: int) -> list[int]:
     return table
 
 
+class BandRule:
+    """The value bands of a < b: the values below a, those strictly between
+    a and b, and those above b.  ``rule[c]`` is the 3-bit code of the bands
+    the set c meets, bit 0, 1 and 2 in that order."""
+
+    __slots__ = ("lo", "mid", "hi")
+
+    def __init__(self, a: int, b: int):
+        self.lo, self.mid, self.hi = (1 << a) - 1, (1 << b) - (2 << a), -(2 << b)
+
+    def __getitem__(self, c: int) -> int:
+        return (1 if c & self.lo else 0) | (2 if c & self.mid else 0) | (4 if c & self.hi else 0)
+
+
+def band_table(a: int, b: int, n: int) -> bytes:
+    """``BandRule(a, b)[c]`` as table[c] for every set c of values 0..n.  A
+    set meets a band when one of its values does, so each value w doubles
+    the table: the new half is the old with w's own code ORed in."""
+    rule, table = BandRule(a, b), b"\0"
+    for w in range(n + 1):
+        code = rule[1 << w]
+        table += table.translate(bytes([t | code for t in range(8)]).ljust(256, b"\0"))
+    return table
+
+
 class CompiledPatterns:
     """Patterns prepared once for any number of hosts.
 
@@ -300,7 +334,8 @@ class CompiledPatterns:
     the packed hits of the patterns it satisfies (``single``, and ``up`` and
     ``down`` for pairs); the others stay in ``generic``.  ``len()`` is the
     number of patterns.  Compiled for hosts of length ``n``, the counts take
-    its ``count_field``, and ``singles``, built on first read, is its ``single_table``.
+    its ``count_field``; ``singles``, built on first read, is its
+    ``single_table``, and ``pairs``, likewise, its ``pair_rows``.
     """
 
     def __init__(self, patterns: Iterable[MeshPattern], *, n: int | None = None):
@@ -313,8 +348,10 @@ class CompiledPatterns:
                   for tau, members in groups.items() if len(tau) in (1, 2)}
         self.single, self.up, self.down = map(tables.get, [(1,), (1, 2), (2, 1)])
         self.generic = [(tau, members) for tau, members in groups.items() if tau not in tables]
+        self._by_rule: list[list] = []  # pair_counter's rows on hosts of no known length
 
     singles = cached_property(lambda self: self.single_table(self.n))
+    pairs = cached_property(lambda self: self.pair_rows(self.n))
 
     def __len__(self) -> int:
         return len(self.patterns)
@@ -342,36 +379,62 @@ class CompiledPatterns:
             table[v][::2] = [self.single_hits(v, before, full) for before in range(0, size, 2)]
         return table
 
+    def pair_rows(self, n: int, tables: bool = True) -> list[list]:
+        """The pairs on hosts of length n as rows[v][x]: for an earlier entry x
+        and a last entry v, the hit table of their tau (``up`` when x < v,
+        else ``down``) and the band codes of min(x, v) < max(x, v); None where
+        no pattern has that tau, and at x = v or x = 0.  The codes are one
+        ``band_table`` per pair of values, shared by both orders, or with
+        ``tables=False`` the band rule itself, which allocates nothing that
+        grows like 2^n."""
+        rows: list[list] = [[None] * (n + 1) for _ in range(n + 1)]
+        if self.up or self.down:
+            for a, b in combinations(range(1, n + 1), 2):
+                code = band_table(a, b, n) if tables else BandRule(a, b)
+                if self.up:
+                    rows[b][a] = (self.up, code)  # a, then b: tau 12
+                if self.down:
+                    rows[a][b] = (self.down, code)  # b, then a: tau 21
+        return rows
+
+    def pair_counter(
+        self, seq: Sequence[int], pre: Sequence[int], full: int
+    ) -> Callable[[int, int, int], int]:
+        """``hits(d, v, before)``: the packed hits of every candidate of
+        length 2 whose last entry is v = seq[d], given before = pre[d] and
+        ``full``, read from ``seq`` and ``pre`` as they stand at the call, so
+        that one counter serves a whole walk.  The pair with an earlier entry
+        x = seq[i] looks up row v at x: its region mask is the codes of
+        pre[i], of the values between the two entries and of the values
+        after v.  Hosts of a known length read ``pairs``; others the band
+        rule, on the rows of the longest such host so far, which serve every
+        shorter one."""
+        if self.n is not None:
+            rows = self.pairs
+        else:
+            if len(self._by_rule) <= len(seq):
+                self._by_rule = self.pair_rows(len(seq), tables=False)
+            rows = self._by_rule
+
+        def hits(d: int, v: int, before: int) -> int:
+            row = rows[v]
+            after = full ^ before ^ 1 << v
+            total = 0
+            for i in range(d):
+                pair = row[seq[i]]
+                if pair:
+                    table, code = pair
+                    total += table[code[pre[i]] | code[before ^ pre[i + 1]] << 3 | code[after] << 6]
+            return total
+
+        return hits
+
     def pair_hits(self, seq: Sequence[int], pre: Sequence[int], d: int, full: int) -> int:
         """The packed hits of every candidate of length 2 whose last entry is
-        seq[d], given pre[0..d] and ``full``."""
-        v = seq[d]
-        bit = 1 << v
-        before = pre[d]
-        after = full ^ before ^ bit
-        below, above = bit - 1, -(bit << 1)
-        hits = 0
-        up, down = self.up, self.down
-        if up or down:
-            for i in range(d):  # the pair of entries i and d
-                x = seq[i]
-                if x < v:
-                    if up is None:
-                        continue
-                    table, lo, mid, hi = up, (1 << x) - 1, bit - (2 << x), above
-                else:
-                    if down is None:
-                        continue
-                    table, lo, mid, hi = down, below, (1 << x) - (bit << 1), -(2 << x)
-                c0 = pre[i]
-                c1 = before ^ pre[i + 1]
-                hits += table[
-                    (1 if c0 & lo else 0) | (2 if c0 & mid else 0) | (4 if c0 & hi else 0)
-                    | (8 if c1 & lo else 0) | (16 if c1 & mid else 0) | (32 if c1 & hi else 0)
-                    | (64 if after & lo else 0) | (128 if after & mid else 0)
-                    | (256 if after & hi else 0)
-                ]
-        return hits
+        seq[d], given pre[0..d] and ``full``: one call of ``pair_counter``."""
+        if not (self.up or self.down):
+            return 0
+        return self.pair_counter(seq, pre, full)(d, seq[d], pre[d])
 
     def whole(self, seq: Sequence[int], pre: Sequence[int]) -> int:
         """The packed hits of the other candidates, the empty one included,

@@ -14,8 +14,9 @@ a restricted class skips the first values the class forbids, so it answers for
 that class alone.  Below each first value of n >= 2 it walks the backtracking
 tree, building no host: each node adds the hits of the candidates ending at its
 position to the counts it passes down, once for all the hosts below it.  Those
-of the length-1 candidates come from a table of the kernel's rule, built once
-per length in each process.  A length that counts no pattern needs only
+of the length-1 candidates come from a table of the kernel's rule, and the
+pairs read their region masks from band tables, both built once per length in
+each process.  A length that counts no pattern needs only
 :func:`kingmesh.kings.tally_subtree`, whose tally by endpoint type is the
 census's tally with nothing packed, and :func:`class_size`, the count by
 enumeration, runs the census's tasks of that one length.
@@ -106,10 +107,11 @@ def _walk(compiled: CompiledPatterns, n: int, first: int):
     """Tally, as ``_tally`` does, every king permutation of 1..n (n >= 2) that
     begins with ``first``, whatever its class.  Each node adds the hits of the
     candidates ending at its position to the counts it passes down, the
-    single's from ``compiled.singles[v][before]`` and the pairs' from
-    ``pair_hits``; the other candidates are counted at each leaf.  Like
-    ``tally_subtree``, the walk reuses no subtree and tests every adjacent pair
-    of every host."""
+    single's from ``compiled.singles[v][before]`` and the pairs' from one
+    ``compiled.pair_counter`` over the walk's own lists, which reads the
+    band tables of length n; the other candidates are counted at each leaf.
+    Like ``tally_subtree``, the walk reuses no subtree and tests every
+    adjacent pair of every host."""
     head = 4 * endpoint_flags(first, n)
     type_by_last = [head | endpoint_flags(v, n) for v in range(n + 1)]
     far = far_rows(n)
@@ -118,7 +120,7 @@ def _walk(compiled: CompiledPatterns, n: int, first: int):
     pre = [0, 1 << first] + [0] * (n - 1)
     pre[n] = full  # all n values precede position n, whatever the order
     singles = compiled.singles
-    pairs = compiled.pair_hits if compiled.up or compiled.down else None
+    pairs = compiled.pair_counter(seq, pre, full) if compiled.up or compiled.down else None
     whole = compiled.whole if compiled.generic else None
     leaves: dict[int, int] = {}
     get = leaves.get
@@ -135,7 +137,7 @@ def _walk(compiled: CompiledPatterns, n: int, first: int):
                     pre[d + 1] = with_v = before | 1 << v
                     key = packed + singles[v][before] + singles[w][with_v]
                     if pairs:
-                        key += pairs(seq, pre, d, full) + pairs(seq, pre, d + 1, full)
+                        key += pairs(d, v, before) + pairs(d + 1, w, with_v)
                     if whole:
                         key += whole(seq, pre)
                     key = key << 4 | type_by_last[w]
@@ -145,7 +147,7 @@ def _walk(compiled: CompiledPatterns, n: int, first: int):
             if fp[v]:
                 seq[d] = v
                 pre[d + 1] = before | 1 << v
-                hits = packed + singles[v][before] + (pairs(seq, pre, d, full) if pairs else 0)
+                hits = packed + singles[v][before] + (pairs(d, v, before) if pairs else 0)
                 walk(d + 1, rest[:i] + rest[i + 1 :], hits)
 
     walk(1, [v for v in range(1, n + 1) if v != first], singles[first][0])

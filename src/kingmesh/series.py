@@ -13,6 +13,7 @@ problem).
 from __future__ import annotations
 
 import re
+import sys
 from typing import Iterable
 
 
@@ -237,6 +238,18 @@ def parse_upoly(text: str) -> UPoly:
     return UPoly(coeffs.get(d, 0) for d in range(max(coeffs) + 1))
 
 
+# The largest order of a series: its order + 1 coefficients fill one tuple.
+MAX_ORDER = sys.maxsize - 1
+
+
+def check_order(order: int) -> None:
+    """Reject an order that no series can hold, before anything is built."""
+    if order < 0:
+        raise ValueError("order must be nonnegative")
+    if order > MAX_ORDER:
+        raise ValueError(f"order {order} is above the largest series order, {MAX_ORDER}")
+
+
 class Series:
     """Power series in t truncated at a fixed inclusive order, with UPoly
     coefficients.  Instances are immutable; arithmetic requires equal orders."""
@@ -244,8 +257,7 @@ class Series:
     __slots__ = ("_order", "_c")
 
     def __init__(self, order: int, coeffs: Iterable = ()):
-        if order < 0:
-            raise ValueError("order must be nonnegative")
+        check_order(order)
         c = [_as_upoly(x) for x in coeffs]
         if any(x is NotImplemented for x in c):
             raise TypeError("series coefficients must be ints or UPolys")

@@ -43,7 +43,9 @@ from .gfs import (
     A_ROW, SOLVED, Residual, Terms, avoidance_series, class_series, distribution_series,
     king_series, series_by_name, strong_point_avoiders, strong_point_series, terms,
 )
-from .series import NonUnitConstantTermError, NotDivisibleError, Series, UPoly, parse_upoly
+from .series import (
+    NonUnitConstantTermError, NotDivisibleError, Series, UPoly, check_order, parse_upoly
+)
 
 PASS = "PASS"
 FAIL = "FAIL"
@@ -193,7 +195,8 @@ EQUATIONS: dict[str, EquationSpec] = {
 
 
 def _validate(check_ids: Iterable[str], order: int, n_max: int = 0) -> None:
-    """Reject an unknown check id or a negative range before any check runs."""
+    """Reject an unknown check id, a negative range or an order no series
+    can hold before any check runs."""
     unknown = next((check_id for check_id in check_ids if check_id not in _CHECKS), None)
     if unknown is not None:
         family, _, key = unknown.partition(":")
@@ -202,8 +205,7 @@ def _validate(check_ids: Iterable[str], order: int, n_max: int = 0) -> None:
         if family == "equation":
             raise KeyError(f"unknown equation {key!r}; registered: {', '.join(sorted(EQUATIONS))}")
         raise KeyError(f"unknown check {unknown!r}")
-    if order < 0:
-        raise ValueError("order must be nonnegative")
+    check_order(order)
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
 

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import re
+import sys
 
 import pytest
 
@@ -360,6 +361,20 @@ class TestUsage:
 
     def test_no_args(self, capsys):
         assert run(capsys)[0] == 2
+
+    # an order above sys.maxsize cannot be a length, so each of these is
+    # refused before anything is built
+    @pytest.mark.parametrize("argv", [
+        "series --name A --order {}",
+        "verify --equation EQ_B --order {}",
+        "verify --all --order {}",
+        "count --n {} --method gf",
+    ])
+    def test_an_order_no_series_can_hold_is_a_usage_error(self, capsys, argv):
+        for order in (sys.maxsize + 1, 10**20):
+            code, out, err = run(capsys, *argv.format(order).split())
+            assert code == 2 and out == ""
+            assert err == f"error: order {order} is above the largest series order, {sys.maxsize - 1}\n"
 
 
 # Exit code and sha256 of stdout for commands covering every subcommand in both

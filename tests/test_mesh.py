@@ -5,8 +5,9 @@ transcription of the shaded-region definition; the production counter must
 agree with it everywhere it is feasible to compare.
 """
 
+import random
 from collections import Counter
-from itertools import permutations
+from itertools import combinations, permutations
 
 import pytest
 from hypothesis import given, settings
@@ -19,11 +20,13 @@ from kingmesh.mesh import (
     KING_CROSS_UP,
     OPEN_IDS,
     SOLVED_IDS,
+    BandRule,
     CatalogEntry,
     CompiledPatterns,
     MeshPattern,
     PatternSyntaxError,
     avoids,
+    band_table,
     catalog,
     catalog_entry,
     catalog_pattern,
@@ -311,6 +314,40 @@ class TestCounting:
         with pytest.raises(ValueError, match="a host of length 9 is longer than the n = 5"):
             occurrence_counts(CompiledPatterns(pats, n=5), tuple(range(1, 10)))
         assert occurrence_counts(CompiledPatterns(pats, n=9), tuple(range(1, 10))) == [36, 9]
+
+    def test_band_tables_against_the_three_band_tests(self):
+        # each code says which of the bands below a, between a and b and above
+        # b hold a value of the set c, in the table as by the rule
+        for n in range(9):
+            for a, b in combinations(range(1, n + 1), 2):
+                table, rule = band_table(a, b, n), BandRule(a, b)
+                assert len(table) == 2 << n
+                for c in range(0, 2 << n, 2):
+                    values = [w for w in range(1, n + 1) if c >> w & 1]
+                    expected = (any(w < a for w in values)
+                                | any(a < w < b for w in values) << 1
+                                | any(w > b for w in values) << 2)
+                    assert table[c] == rule[c] == expected, (n, a, b, c)
+
+    def test_a_long_host_is_counted_by_the_band_rule(self, monkeypatch):
+        # patterns compiled for no length build no table that grows like 2^n
+        def refused(a, b, n):
+            raise AssertionError(f"band table of length {n}")
+
+        monkeypatch.setattr(mesh_mod, "band_table", refused)
+        mesh_mod._compiled.cache_clear()
+        host = list(range(1, 41))
+        random.Random(40).shuffle(host)
+        pats = [
+            catalog_pattern("3"),
+            catalog_pattern("5"),
+            MeshPattern((1, 2), frozenset()),
+            MeshPattern((2, 1), frozenset({(1, 1)})),
+            MeshPattern((2, 1), frozenset({(0, 0), (1, 2)})),
+        ]
+        counts = [count_occurrences(p, host) for p in pats]
+        assert counts == [occurrences_by_definition(p, host) for p in pats]
+        assert all(counts)
 
     def test_a_host_that_is_not_a_permutation_is_refused(self):
         with pytest.raises(ValueError, match=r"the host \(2, 3, 4\) is not a permutation of 1\.\.3"):

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import kingmesh.oracle as oracle_mod
-from kingmesh.kings import KingClass, count_class, count_kings, in_class
+from kingmesh.kings import KingClass, count_class, count_kings, enumerate_kings, in_class
 from kingmesh.mesh import (
     CompiledPatterns,
     MeshPattern,
@@ -315,6 +315,55 @@ def test_single_table_against_the_definition(singles_and_pairs_by_definition, jo
     _assert_census_matches(singles_and_pairs_by_definition, patterns, 8, jobs)
 
 
+# pairs of both taus whose shadings tell the value band below the pair from
+# the one above it, or shade the band between: every length-2 catalog pattern
+# has tau 12, so these are what read ``down`` at all
+_ASYMMETRIC_PAIRS = [
+    MeshPattern((2, 1), frozenset({(0, 0), (1, 2)})),
+    MeshPattern((2, 1), frozenset({(1, 0), (2, 1)})),
+    MeshPattern((2, 1), frozenset({(0, 1), (2, 2)})),
+    MeshPattern((1, 2), frozenset({(0, 1), (1, 1)})),
+    MeshPattern((1, 2), frozenset({(1, 1), (2, 0)})),
+]
+
+
+def test_census_of_increasing_and_decreasing_pairs_against_the_definition():
+    tables = distribution_tables(_ASYMMETRIC_PAIRS, 8)
+    for p, table in zip(_ASYMMETRIC_PAIRS, tables):
+        for n in range(9):
+            hist = Counter(occurrences_by_definition(p, host) for host in enumerate_kings(n))
+            assert table.row(n) == UPoly(hist[c] for c in range(max(hist, default=0) + 1)), (p, n)
+
+
+def test_the_walk_counts_each_node_as_pair_hits_does_by_the_rule(monkeypatch):
+    # the walk's counter reads the band tables of its length, and pair_hits on
+    # a pattern compiled for no length reads the band rule; one pattern per
+    # census, so that both pack its count alone
+    nodes = []
+
+    def compiled(patterns, n):
+        walked, by_rule = CompiledPatterns(patterns, n=n), CompiledPatterns(patterns)
+
+        def pair_counter(seq, pre, full):
+            hits = CompiledPatterns.pair_counter(walked, seq, pre, full)
+
+            def checked(d, v, before):
+                found = hits(d, v, before)
+                nodes.append((seq[d], pre[d]) == (v, before)
+                             and found == by_rule.pair_hits(seq, pre, d, full))
+                return found
+
+            return checked
+
+        walked.pair_counter = pair_counter
+        return walked
+
+    monkeypatch.setattr(oracle_mod, "_compiled", compiled)
+    for p in _ASYMMETRIC_PAIRS + _PAIRS:
+        census([p], 8)
+    assert len(nodes) > 10_000 and all(nodes)
+
+
 def test_positional_width_is_rejected():
     # the width is derived from the length: a second positional argument is
     # neither read as a width nor as a length
@@ -359,6 +408,16 @@ def test_single_table_is_built_once_per_length(monkeypatch):
     oracle_mod._compiled.cache_clear()
     census([e.pattern for e in catalog()], 8, jobs=1)
     # the empty host and the host (1,) are counted directly, without one
+    assert sorted(built) == list(range(2, 9))
+
+
+def test_band_tables_are_built_once_per_length(monkeypatch):
+    built = []
+    build = CompiledPatterns.pair_rows
+    monkeypatch.setattr(CompiledPatterns, "pair_rows",
+                        lambda self, n, tables=True: built.append(n) or build(self, n, tables))
+    oracle_mod._compiled.cache_clear()
+    census([e.pattern for e in catalog()], 8, jobs=1)
     assert sorted(built) == list(range(2, 9))
 
 
