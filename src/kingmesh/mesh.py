@@ -496,7 +496,8 @@ def occurrence_counts(
 
 # patterns that count_occurrences and avoids keep compiled for library callers,
 # tests and demos (no command counts through them): the catalog and both
-# crosses fit, and each hit table of k = 2 takes about 40 kB
+# crosses fit, and each hit table of k = 2 takes about 40 kB, plus the band
+# rule's rows for the longest host counted, (m + 1)^2 slots at length m
 _COMPILED_PATTERNS_KEPT = 64
 _compiled = lru_cache(maxsize=_COMPILED_PATTERNS_KEPT)(CompiledPatterns)
 
