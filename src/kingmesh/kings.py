@@ -25,6 +25,8 @@ import math
 from enum import Enum
 from typing import Iterator, Sequence
 
+from .series import check_order
+
 Perm = tuple[int, ...]
 
 
@@ -311,6 +313,7 @@ def count_class(n: int, king_class: KingClass, method: str = "enumerate") -> int
     member walked).  All four agree; the slow ones keep the fast ones honest."""
     if n < 0:
         raise ValueError("n must be nonnegative")
+    check_order(n)  # the gf route's bound, for every route: none ends for a larger n
     kc = KingClass(king_class)
     if method == "enumerate":  # the census's tasks of length n alone
         from .oracle import class_size

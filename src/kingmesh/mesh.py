@@ -269,6 +269,17 @@ def parse_pattern(text: str) -> MeshPattern:
 # set, so on hosts of a known length each pair of values reads its codes from a
 # `band_table`, built once per length; on others, from the rule itself.
 #
+# A pair of tau 12 whose first entry x has an earlier value between x and v
+# leaves box (0, 1) nonempty.  So when every pattern of tau 12 shades that box,
+# the pair loop visits only a chain of earlier values below v: the largest one,
+# then from each link x the largest below x among the values before x (pre[i]
+# for x at position i), and so on.  Each link has no earlier value between it
+# and v.  A value y it skips lies below a link x and above the next link, if
+# any, which is the largest below x before x; so y comes after x, x is an
+# earlier value between y and v, and y's entry in the hit table is 0.  Tau 21
+# mirrors this above v: the smallest value, then the smallest above x before
+# x.  Any other group visits every earlier value on its side of v.
+#
 # The counts of all the patterns travel as one integer, pattern idx's in the
 # `field` bits from bit field * idx: the `count_field` of the hosts' length when
 # it is known, else 64 bits, which hold any count of candidates tested one by one.
@@ -331,11 +342,15 @@ class CompiledPatterns:
     The patterns are grouped by ``tau``, each member as its (unit, shaded
     mask) pair, where the unit adds one to its count.  A group of length
     k <= 2 becomes a hit table from each of the 2^((k+1)^2) region masks to
-    the packed hits of the patterns it satisfies (``single``, and ``up`` and
-    ``down`` for pairs); the others stay in ``generic``.  ``len()`` is the
-    number of patterns.  Compiled for hosts of length ``n``, the counts take
-    its ``count_field``; ``singles``, built on first read, is its
-    ``single_table``, and ``pairs``, likewise, its ``pair_rows``.
+    the packed hits of the patterns it satisfies (``single``, and the pairs'
+    in ``pair_sides``); the others stay in ``generic``.  ``pair_sides``
+    holds, for tau 12 and then 21 where some pattern has it, the hit table,
+    whether every member shades box (0, 1), so that the pair loop may skip
+    the earlier values no hit can begin at, and whether tau is 12, where
+    the earlier entry is the smaller.  ``len()`` is the number of patterns.
+    Compiled for hosts of length ``n``, the counts take its ``count_field``;
+    ``singles``, built on first read, is its ``single_table``, and
+    ``pairs``, likewise, its ``pair_rows``.
     """
 
     def __init__(self, patterns: Iterable[MeshPattern], *, n: int | None = None):
@@ -346,7 +361,12 @@ class CompiledPatterns:
             groups.setdefault(p.tau, []).append((1 << field * idx, p.box_mask))
         tables = {tau: _hit_table(members, len(tau))
                   for tau, members in groups.items() if len(tau) in (1, 2)}
-        self.single, self.up, self.down = map(tables.get, [(1,), (1, 2), (2, 1)])
+        self.single = tables.get((1,))
+        # bit 1 of a pair's shaded mask is box (0, 1): see "Occurrence counting"
+        self.pair_sides = [
+            (tables[tau], all(shaded & 2 for _, shaded in groups[tau]), tau == (1, 2))
+            for tau in [(1, 2), (2, 1)] if tau in tables
+        ]
         self.generic = [(tau, members) for tau, members in groups.items() if tau not in tables]
         self._by_rule: list[list] = []  # pair_counter's rows on hosts of no known length
 
@@ -380,61 +400,66 @@ class CompiledPatterns:
         return table
 
     def pair_rows(self, n: int, tables: bool = True) -> list[list]:
-        """The pairs on hosts of length n as rows[v][x]: for an earlier entry x
-        and a last entry v, the hit table of their tau (``up`` when x < v,
-        else ``down``) and the band codes of min(x, v) < max(x, v); None where
-        no pattern has that tau, and at x = v or x = 0.  The codes are one
-        ``band_table`` per pair of values, shared by both orders, or with
-        ``tables=False`` the band rule itself, which allocates nothing that
-        grows like 2^n."""
+        """The band codes of the pairs on hosts of length n as rows[v][x]:
+        those of min(x, v) < max(x, v) for two values x != v of 1..n, else
+        None.  They are one ``band_table`` per pair of values, shared by both
+        orders, or with ``tables=False`` the band rule itself, which
+        allocates nothing that grows like 2^n."""
         rows: list[list] = [[None] * (n + 1) for _ in range(n + 1)]
-        if self.up or self.down:
+        if self.pair_sides:
             for a, b in combinations(range(1, n + 1), 2):
-                code = band_table(a, b, n) if tables else BandRule(a, b)
-                if self.up:
-                    rows[b][a] = (self.up, code)  # a, then b: tau 12
-                if self.down:
-                    rows[a][b] = (self.down, code)  # b, then a: tau 21
+                rows[a][b] = rows[b][a] = band_table(a, b, n) if tables else BandRule(a, b)
         return rows
 
     def pair_counter(
-        self, seq: Sequence[int], pre: Sequence[int], full: int
+        self, pre: Sequence[int], pos: Sequence[int], full: int
     ) -> Callable[[int, int, int], int]:
         """``hits(d, v, before)``: the packed hits of every candidate of
-        length 2 whose last entry is v = seq[d], given before = pre[d] and
-        ``full``, read from ``seq`` and ``pre`` as they stand at the call, so
-        that one counter serves a whole walk.  The pair with an earlier entry
-        x = seq[i] looks up row v at x: its region mask is the codes of
-        pre[i], of the values between the two entries and of the values
-        after v.  Hosts of a known length read ``pairs``; others the band
-        rule, on the rows of the longest such host so far, which serve every
-        shorter one."""
+        length 2 whose last entry v is at position d, given before = pre[d]
+        and ``full``, read from ``pre`` and ``pos`` as they stand at the call,
+        so that one counter serves a whole walk; pos[x] is the position of
+        each value x in ``before``.  The pair with an earlier entry x at
+        i = pos[x] reads the hit table of its tau in ``pair_sides`` at the
+        band codes of pre[i], of the values between the two entries and of
+        the values after v.  For each side of v, the loop visits the values
+        of ``before`` there, nearest to v first; with every member of the
+        tau shading box (0, 1), it keeps after each x only those before x.
+        Hosts of a known length read ``pairs``; others the band rule, on the
+        rows of the longest such host so far, which serve every shorter
+        one."""
         if self.n is not None:
             rows = self.pairs
         else:
-            if len(self._by_rule) <= len(seq):
-                self._by_rule = self.pair_rows(len(seq), tables=False)
+            if len(self._by_rule) < len(pre):
+                self._by_rule = self.pair_rows(len(pre) - 1, tables=False)
             rows = self._by_rule
+        sides = self.pair_sides
 
         def hits(d: int, v: int, before: int) -> int:
             row = rows[v]
             after = full ^ before ^ 1 << v
             total = 0
-            for i in range(d):
-                pair = row[seq[i]]
-                if pair:
-                    table, code = pair
+            for table, narrow, up in sides:
+                side = before & (1 << v) - 1 if up else before & -(2 << v)
+                while side:
+                    x = (side if up else side & -side).bit_length() - 1
+                    code, i = row[x], pos[x]
                     total += table[code[pre[i]] | code[before ^ pre[i + 1]] << 3 | code[after] << 6]
+                    side = side & pre[i] if narrow else side ^ 1 << x
             return total
 
         return hits
 
     def pair_hits(self, seq: Sequence[int], pre: Sequence[int], d: int, full: int) -> int:
         """The packed hits of every candidate of length 2 whose last entry is
-        seq[d], given pre[0..d] and ``full``: one call of ``pair_counter``."""
-        if not (self.up or self.down):
+        seq[d], given pre[0..d] and ``full``: one call of ``pair_counter``,
+        with the positions of seq[:d]."""
+        if not self.pair_sides:
             return 0
-        return self.pair_counter(seq, pre, full)(d, seq[d], pre[d])
+        pos = [0] * len(pre)
+        for i in range(d):
+            pos[seq[i]] = i
+        return self.pair_counter(pre, pos, full)(d, seq[d], pre[d])
 
     def whole(self, seq: Sequence[int], pre: Sequence[int]) -> int:
         """The packed hits of the other candidates, the empty one included,

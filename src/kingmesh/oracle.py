@@ -35,9 +35,7 @@ from functools import lru_cache
 from typing import Sequence
 
 from .kings import CLASS_TYPES, KingClass, endpoint_flags, endpoint_type, far_rows, tally_subtree
-from .mesh import (
-    CompiledPatterns, MeshPattern, count_field, packed_count, parse_pattern, render_pattern
-)
+from .mesh import CompiledPatterns, MeshPattern, count_field, parse_pattern, render_pattern
 from .series import UPoly, parse_upoly
 
 
@@ -110,8 +108,10 @@ def _walk(compiled: CompiledPatterns, n: int, first: int):
     single's from ``compiled.singles[v][before]`` and the pairs' from one
     ``compiled.pair_counter`` over the walk's own lists, which reads the
     band tables of length n; the other candidates are counted at each leaf.
-    Like ``tally_subtree``, the walk reuses no subtree and tests every
-    adjacent pair of every host."""
+    A walk that counts pairs keeps, next to ``seq`` and ``pre``, the
+    position of each placed value (``pos``), from which the pair loop reads
+    the values before an earlier entry.  Like ``tally_subtree``, the walk
+    reuses no subtree and tests every adjacent pair of every host."""
     head = 4 * endpoint_flags(first, n)
     type_by_last = [head | endpoint_flags(v, n) for v in range(n + 1)]
     far = far_rows(n)
@@ -119,8 +119,9 @@ def _walk(compiled: CompiledPatterns, n: int, first: int):
     seq = [first] * n
     pre = [0, 1 << first] + [0] * (n - 1)
     pre[n] = full  # all n values precede position n, whatever the order
+    pos = [0] * (n + 1)  # pos[seq[i]] = i for the placed entries, kept in pair walks only
     singles = compiled.singles
-    pairs = compiled.pair_counter(seq, pre, full) if compiled.up or compiled.down else None
+    pairs = compiled.pair_counter(pre, pos, full) if compiled.pair_sides else None
     whole = compiled.whole if compiled.generic else None
     leaves: dict[int, int] = {}
     get = leaves.get
@@ -137,6 +138,7 @@ def _walk(compiled: CompiledPatterns, n: int, first: int):
                     pre[d + 1] = with_v = before | 1 << v
                     key = packed + singles[v][before] + singles[w][with_v]
                     if pairs:
+                        pos[v] = d
                         key += pairs(d, v, before) + pairs(d + 1, w, with_v)
                     if whole:
                         key += whole(seq, pre)
@@ -147,7 +149,10 @@ def _walk(compiled: CompiledPatterns, n: int, first: int):
             if fp[v]:
                 seq[d] = v
                 pre[d + 1] = before | 1 << v
-                hits = packed + singles[v][before] + (pairs(d, v, before) if pairs else 0)
+                hits = packed + singles[v][before]
+                if pairs:
+                    pos[v] = d
+                    hits += pairs(d, v, before)
                 walk(d + 1, rest[:i] + rest[i + 1 :], hits)
 
     walk(1, [v for v in range(1, n + 1) if v != first], singles[first][0])
@@ -212,12 +217,12 @@ class Census:
         if pattern not in self.patterns:
             raise ValueError(f"the census did not count the pattern {render_pattern(pattern)}")
         types, idx = CLASS_TYPES[kc], self.patterns.index(pattern)
-        rows = []
+        rows = []  # each key's field idx, read inline as packed_count reads it
         for n, tally in enumerate(self.tallies[: self.pattern_n_max + 1]):
             row, field = [0] * (math.comb(n, pattern.length) + 1), count_field(self.patterns, n)
             for key, hosts in tally.items():
                 if key & 15 in types:
-                    row[packed_count(key >> 4, idx, field)] += hosts
+                    row[key >> 4 + field * idx & (1 << field) - 1] += hosts
             rows.append(UPoly(row))
         return DistributionTable(pattern, kc, tuple(rows))
 

@@ -363,12 +363,16 @@ class TestUsage:
         assert run(capsys)[0] == 2
 
     # an order above sys.maxsize cannot be a length, so each of these is
-    # refused before anything is built
+    # refused before anything is built; every counting route takes the bound
+    # of the gf route, where it would raise OverflowError or never end
     @pytest.mark.parametrize("argv", [
         "series --name A --order {}",
         "verify --equation EQ_B --order {}",
         "verify --all --order {}",
         "count --n {} --method gf",
+        "count --n {} --method rec",
+        "count --n {} --method explicit",
+        "count --n {} --method enum --allow-large",
     ])
     def test_an_order_no_series_can_hold_is_a_usage_error(self, capsys, argv):
         for order in (sys.maxsize + 1, 10**20):

@@ -1,5 +1,6 @@
 """King permutations: predicates, symmetries, enumeration, counting."""
 
+import sys
 from collections import Counter
 from itertools import permutations
 
@@ -157,6 +158,16 @@ def test_counts_against_known_values(method):
 def test_count_kings_is_the_count_of_the_unrestricted_class(method):
     for n in range(10):
         assert count_kings(n, method) == count_class(n, "all", method), n
+
+
+@pytest.mark.parametrize("method", ["recurrence", "explicit", "gf", "enumerate"])
+@pytest.mark.parametrize("king_class", ["all", "sl"])
+def test_a_length_no_series_can_hold_is_refused_by_every_method(method, king_class):
+    # the explicit sum raised OverflowError at such an n, and the recurrence
+    # never ended; the bound is checked before the class and the method
+    n = sys.maxsize
+    with pytest.raises(ValueError, match=f"^order {n} is above the largest series order, {n - 1}$"):
+        count_class(n, king_class, method)
 
 
 def test_all_methods_agree_at_7():

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import kingmesh.oracle as oracle_mod
-from kingmesh.kings import KingClass, count_class, count_kings, enumerate_kings, in_class
+from kingmesh.kings import KingClass, count_class, count_kings, in_class
 from kingmesh.mesh import (
     CompiledPatterns,
     MeshPattern,
@@ -327,12 +327,36 @@ _ASYMMETRIC_PAIRS = [
 ]
 
 
-def test_census_of_increasing_and_decreasing_pairs_against_the_definition():
+@pytest.fixture(scope="module")
+def pair_rows_by_definition(singles_and_pairs_by_definition):
+    """The rows n <= 8 over ALL of each pair above, by the definition; those
+    of ``_PAIRS`` from the counts the singles' fixture already holds."""
+    columns = [(_kings_by_definition(_ASYMMETRIC_PAIRS, 8), _ASYMMETRIC_PAIRS, 0),
+               (singles_and_pairs_by_definition, _PAIRS, len(_SINGLES))]
+    rows = {}
+    for counts, pairs, offset in columns:
+        for idx, p in enumerate(pairs, offset):
+            hists = [Counter() for _ in range(9)]
+            for host, found in counts.items():
+                hists[len(host)][found[idx]] += 1
+            rows[p] = tuple(UPoly(h[c] for c in range(max(h, default=0) + 1)) for h in hists)
+    return rows
+
+
+def test_census_of_increasing_and_decreasing_pairs_against_the_definition(pair_rows_by_definition):
+    # in a group, each tau has a member that leaves box (0, 1) unshaded, so
+    # the pair loop visits every earlier value on its side of v
     tables = distribution_tables(_ASYMMETRIC_PAIRS, 8)
     for p, table in zip(_ASYMMETRIC_PAIRS, tables):
-        for n in range(9):
-            hist = Counter(occurrences_by_definition(p, host) for host in enumerate_kings(n))
-            assert table.row(n) == UPoly(hist[c] for c in range(max(hist, default=0) + 1)), (p, n)
+        assert table.rows == pair_rows_by_definition[p], p
+
+
+@pytest.mark.parametrize("p", _ASYMMETRIC_PAIRS + _PAIRS, ids=str)
+def test_census_of_each_pair_alone_against_the_definition(pair_rows_by_definition, p):
+    # alone, a pair that shades box (0, 1) narrows the loop of its tau to
+    # the chain of earlier values that can begin a hit (one pair of each
+    # tau here); the others still visit every earlier value
+    assert distribution_table(p, 8).rows == pair_rows_by_definition[p]
 
 
 def test_the_walk_counts_each_node_as_pair_hits_does_by_the_rule(monkeypatch):
@@ -344,13 +368,18 @@ def test_the_walk_counts_each_node_as_pair_hits_does_by_the_rule(monkeypatch):
     def compiled(patterns, n):
         walked, by_rule = CompiledPatterns(patterns, n=n), CompiledPatterns(patterns)
 
-        def pair_counter(seq, pre, full):
-            hits = CompiledPatterns.pair_counter(walked, seq, pre, full)
+        def pair_counter(pre, pos, full):
+            hits = CompiledPatterns.pair_counter(walked, pre, pos, full)
 
             def checked(d, v, before):
                 found = hits(d, v, before)
-                nodes.append((seq[d], pre[d]) == (v, before)
-                             and found == by_rule.pair_hits(seq, pre, d, full))
+                # the entries before v, in the order pos gives them, must be
+                # those of pre[1..d]; then pair_hits reads them as seq
+                seq = sorted((x for x in range(1, n + 1) if before >> x & 1), key=pos.__getitem__)
+                prefixes = [sum(1 << x for x in seq[:i]) for i in range(d + 1)]
+                nodes.append([pos[x] for x in seq] == list(range(d)) and pre[: d + 1] == prefixes
+                             and not before >> v & 1
+                             and found == by_rule.pair_hits([*seq, v], pre, d, full))
                 return found
 
             return checked
