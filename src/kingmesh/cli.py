@@ -222,6 +222,9 @@ def main(argv: list[str] | None = None) -> int:
         message = exc.args[0] if exc.args else exc
         print(f"error: {message}", file=sys.stderr)
         return 2
+    except MemoryError:  # an --allow-large length whose tables outgrow the memory
+        print("error: out of memory; a smaller n needs less", file=sys.stderr)
+        return 2
     except BrokenPipeError:
         return 0
 

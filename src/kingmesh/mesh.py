@@ -256,10 +256,10 @@ def parse_pattern(text: str) -> MeshPattern:
 # in whatever order.  So a host's counts are the sum of the hits of the
 # candidates ending at each position: those of a single, which depend only on v
 # and the set pre[d] (`single_hits`), and those of the pairs, from their loop
-# over the earlier entries (`pair_counter`).  The census adds each node's hits
-# once for all the hosts below it, the singles' from a table built once per
-# length (`single_table`).  Other candidates are scanned on the whole host
-# (`whole`).
+# over the earlier entries (`pair_counter`, one per host or walk); `host_hits`
+# adds them along one host.  The census adds each node's hits once for all
+# the hosts below it, the singles' from a table built once per length
+# (`single_table`).  Other candidates are scanned on the whole host (`whole`).
 #
 # A pair of entries with the values a < b, in either order, has three value
 # bands: below a, between a and b, and above b.  Each of its three column sets
@@ -348,9 +348,8 @@ class CompiledPatterns:
     whether every member shades box (0, 1), so that the pair loop may skip
     the earlier values no hit can begin at, and whether tau is 12, where
     the earlier entry is the smaller.  ``len()`` is the number of patterns.
-    Compiled for hosts of length ``n``, the counts take its ``count_field``;
-    ``singles``, built on first read, is its ``single_table``, and
-    ``pairs``, likewise, its ``pair_rows``.
+    Compiled for hosts of length ``n``, the counts take its ``count_field``,
+    and ``singles``, built on first read, is its ``single_table``.
     """
 
     def __init__(self, patterns: Iterable[MeshPattern], *, n: int | None = None):
@@ -368,10 +367,9 @@ class CompiledPatterns:
             for tau in [(1, 2), (2, 1)] if tau in tables
         ]
         self.generic = [(tau, members) for tau, members in groups.items() if tau not in tables]
-        self._by_rule: list[list] = []  # pair_counter's rows on hosts of no known length
+        self._rows: list[list] = []  # pair_counter's pair_rows, grown on demand
 
     singles = cached_property(lambda self: self.single_table(self.n))
-    pairs = cached_property(lambda self: self.pair_rows(self.n))
 
     def __len__(self) -> int:
         return len(self.patterns)
@@ -399,16 +397,16 @@ class CompiledPatterns:
             table[v][::2] = [self.single_hits(v, before, full) for before in range(0, size, 2)]
         return table
 
-    def pair_rows(self, n: int, tables: bool = True) -> list[list]:
+    def pair_rows(self, n: int) -> list[list]:
         """The band codes of the pairs on hosts of length n as rows[v][x]:
         those of min(x, v) < max(x, v) for two values x != v of 1..n, else
-        None.  They are one ``band_table`` per pair of values, shared by both
-        orders, or with ``tables=False`` the band rule itself, which
+        None.  Compiled for a length, they are one ``band_table`` per pair
+        of values, shared by both orders; else the band rule itself, which
         allocates nothing that grows like 2^n."""
         rows: list[list] = [[None] * (n + 1) for _ in range(n + 1)]
         if self.pair_sides:
             for a, b in combinations(range(1, n + 1), 2):
-                rows[a][b] = rows[b][a] = band_table(a, b, n) if tables else BandRule(a, b)
+                rows[a][b] = rows[b][a] = BandRule(a, b) if self.n is None else band_table(a, b, n)
         return rows
 
     def pair_counter(
@@ -417,23 +415,19 @@ class CompiledPatterns:
         """``hits(d, v, before)``: the packed hits of every candidate of
         length 2 whose last entry v is at position d, given before = pre[d]
         and ``full``, read from ``pre`` and ``pos`` as they stand at the call,
-        so that one counter serves a whole walk; pos[x] is the position of
-        each value x in ``before``.  The pair with an earlier entry x at
-        i = pos[x] reads the hit table of its tau in ``pair_sides`` at the
-        band codes of pre[i], of the values between the two entries and of
-        the values after v.  For each side of v, the loop visits the values
-        of ``before`` there, nearest to v first; with every member of the
-        tau shading box (0, 1), it keeps after each x only those before x.
-        Hosts of a known length read ``pairs``; others the band rule, on the
-        rows of the longest such host so far, which serve every shorter
-        one."""
-        if self.n is not None:
-            rows = self.pairs
-        else:
-            if len(self._by_rule) < len(pre):
-                self._by_rule = self.pair_rows(len(pre) - 1, tables=False)
-            rows = self._by_rule
-        sides = self.pair_sides
+        so that one counter serves a whole walk or host; pos[x] is the
+        position of each value x in ``before``.  The pair with an earlier
+        entry x at i = pos[x] reads the hit table of its tau in
+        ``pair_sides`` at the band codes of pre[i], of the values between the
+        two entries and of the values after v.  For each side of v, the loop
+        visits the values of ``before`` there, nearest to v first; with every
+        member of the tau shading box (0, 1), it keeps after each x only
+        those before x.  The rows are ``pair_rows``, kept for the next
+        counter: those of the compiled length, built once, or else those of
+        the longest host so far, which serve every shorter one."""
+        if len(self._rows) < len(pre):
+            self._rows = self.pair_rows(len(pre) - 1 if self.n is None else self.n)
+        rows, sides = self._rows, self.pair_sides
 
         def hits(d: int, v: int, before: int) -> int:
             row = rows[v]
@@ -450,16 +444,23 @@ class CompiledPatterns:
 
         return hits
 
-    def pair_hits(self, seq: Sequence[int], pre: Sequence[int], d: int, full: int) -> int:
-        """The packed hits of every candidate of length 2 whose last entry is
-        seq[d], given pre[0..d] and ``full``: one call of ``pair_counter``,
-        with the positions of seq[:d]."""
-        if not self.pair_sides:
-            return 0
-        pos = [0] * len(pre)
-        for i in range(d):
-            pos[seq[i]] = i
-        return self.pair_counter(pre, pos, full)(d, seq[d], pre[d])
+    def host_hits(self, perm: Sequence[int]) -> int:
+        """The packed counts of every pattern in the host perm, a permutation
+        of 1..n read left to right: at each position d the hits of the
+        candidates of length 1 and 2 that end there, from one ``pair_counter``
+        (a host of fewer than two entries holds no pair), then ``whole``."""
+        n = len(perm)
+        full = (2 << n) - 2
+        pre, pos = [0] * (n + 1), [0] * (n + 1)
+        pairs = self.pair_counter(pre, pos, full) if self.pair_sides and n > 1 else None
+        packed = 0
+        for d, v in enumerate(perm):
+            packed += self.single_hits(v, pre[d], full)
+            if pairs:
+                pos[v] = d
+                packed += pairs(d, v, pre[d])
+            pre[d + 1] = pre[d] | 1 << v
+        return packed + self.whole(perm, pre)
 
     def whole(self, seq: Sequence[int], pre: Sequence[int]) -> int:
         """The packed hits of the other candidates, the empty one included,
@@ -509,13 +510,7 @@ def occurrence_counts(
     if patterns.n is not None and n > patterns.n:
         raise ValueError(f"a host of length {n} is longer than the n = {patterns.n} "
                          "the patterns were compiled for")
-    full = (2 << n) - 2
-    pre = [0] * (n + 1)
-    packed = 0
-    for d, v in enumerate(perm):
-        packed += patterns.single_hits(v, pre[d], full) + patterns.pair_hits(perm, pre, d, full)
-        pre[d + 1] = pre[d] | 1 << v
-    packed += patterns.whole(perm, pre)
+    packed = patterns.host_hits(perm)
     return [packed_count(packed, idx, patterns.field) for idx in range(len(patterns))]
 
 

@@ -16,7 +16,8 @@ tree, building no host: each node adds the hits of the candidates ending at its
 position to the counts it passes down, once for all the hosts below it.  Those
 of the length-1 candidates come from a table of the kernel's rule, and the
 pairs read their region masks from band tables, both built once per length in
-each process.  A length that counts no pattern needs only
+each process.  The empty host and the host (1,) are counted as single hosts
+(``CompiledPatterns.host_hits``).  A length that counts no pattern needs only
 :func:`kingmesh.kings.tally_subtree`, whose tally by endpoint type is the
 census's tally with nothing packed, and :func:`class_size`, the count by
 enumeration, runs the census's tasks of that one length.
@@ -86,11 +87,9 @@ def _tally(task) -> dict[int, int]:
     ``packed`` its pattern counts as ``CompiledPatterns(patterns, n=n)``
     packs them, in fields of ``count_field(patterns, n)`` bits; no key has zero hosts."""
     patterns, n, first = task
-    if n <= 1:  # the empty host or the host (1,), whose prefix bitsets are [0, 2]
-        host, pre = tuple(range(1, n + 1)), [0, 2][: n + 1]
-        compiled = CompiledPatterns(patterns, n=n)
-        packed = compiled.whole(host, pre) + n * compiled.single_hits(1, 0, pre[n])
-        return {packed << 4 | endpoint_type(host): 1}
+    if n <= 1:  # the empty host or the host (1,), counted as a single host
+        host = tuple(range(1, n + 1))
+        return {CompiledPatterns(patterns, n=n).host_hits(host) << 4 | endpoint_type(host): 1}
     if not patterns:  # a host costs only its type, and packed is 0: count, do not build
         return tally_subtree(n, first)
     return _walk(_compiled(patterns, n=n), n, first)

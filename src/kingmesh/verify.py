@@ -310,18 +310,19 @@ def _avoiders(crosses: CompiledPatterns, n: int) -> Iterator[tuple[int, ...]]:
     """The permutations of 1..n with no hit of either cross, in lexicographic
     order.  A prefix is extended only while it has no hit: a hit is known once
     its last entry is placed, and counts only grow."""
-    pair_hits = crosses.pair_hits  # both crosses have length 2: no single hit
     full = (2 << n) - 2
     seq = [0] * n
     pre = [0] * (n + 1)
+    pos = [0] * (n + 1)
+    hits = crosses.pair_counter(pre, pos, full)  # both crosses have length 2: no single hit
 
     def walk(d: int, rest: list[int]) -> Iterator[tuple[int, ...]]:
         if d == n:
             yield tuple(seq)
         for i, v in enumerate(rest):
-            seq[d] = v
+            seq[d], pos[v] = v, d
             pre[d + 1] = pre[d] | 1 << v
-            if not pair_hits(seq, pre, d, full):
+            if not hits(d, v, pre[d]):
                 yield from walk(d + 1, rest[:i] + rest[i + 1 :])
 
     return walk(0, list(range(1, n + 1)))

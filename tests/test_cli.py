@@ -2,7 +2,10 @@
 
 import hashlib
 import json
+import os
 import re
+import resource
+import subprocess
 import sys
 
 import pytest
@@ -301,6 +304,20 @@ class TestFactorialGuard:
         assert run(capsys, *command.split(), "5")[0] == 2
         with pytest.raises(AssertionError, match="past the guard"):
             run(capsys, *command.split(), "5", "--allow-large")
+
+    @pytest.mark.parametrize("argv", ["list --n 100000", "count --method enum --n 100000"])
+    def test_a_length_that_outgrows_the_memory_is_one_error_line(self, argv):
+        # in a process of its own, whose address space is capped at 600 MB,
+        # so that the run fails where it would take the machine's memory
+        cap = 600 * 2**20
+        done = subprocess.run(
+            [sys.executable, "-m", "kingmesh.cli", *argv.split(), "--allow-large"],
+            capture_output=True, text=True, timeout=50,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)),
+        )
+        assert (done.returncode, done.stdout) == (2, "")
+        assert done.stderr == "error: out of memory; a smaller n needs less\n"
 
 
 @pytest.mark.parametrize(

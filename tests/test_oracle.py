@@ -359,10 +359,10 @@ def test_census_of_each_pair_alone_against_the_definition(pair_rows_by_definitio
     assert distribution_table(p, 8).rows == pair_rows_by_definition[p]
 
 
-def test_the_walk_counts_each_node_as_pair_hits_does_by_the_rule(monkeypatch):
-    # the walk's counter reads the band tables of its length, and pair_hits on
-    # a pattern compiled for no length reads the band rule; one pattern per
-    # census, so that both pack its count alone
+def test_the_walk_counts_each_node_as_the_band_rule_does(monkeypatch):
+    # the walk's counter reads the band tables of its length, and a counter
+    # of the pattern compiled for no length reads the band rule; one pattern
+    # per census, so that both pack its count alone
     nodes = []
 
     def compiled(patterns, n):
@@ -370,16 +370,16 @@ def test_the_walk_counts_each_node_as_pair_hits_does_by_the_rule(monkeypatch):
 
         def pair_counter(pre, pos, full):
             hits = CompiledPatterns.pair_counter(walked, pre, pos, full)
+            rule = by_rule.pair_counter(pre, pos, full)
 
             def checked(d, v, before):
                 found = hits(d, v, before)
                 # the entries before v, in the order pos gives them, must be
-                # those of pre[1..d]; then pair_hits reads them as seq
+                # those of pre[1..d], which both counters read
                 seq = sorted((x for x in range(1, n + 1) if before >> x & 1), key=pos.__getitem__)
                 prefixes = [sum(1 << x for x in seq[:i]) for i in range(d + 1)]
                 nodes.append([pos[x] for x in seq] == list(range(d)) and pre[: d + 1] == prefixes
-                             and not before >> v & 1
-                             and found == by_rule.pair_hits([*seq, v], pre, d, full))
+                             and not before >> v & 1 and found == rule(d, v, before))
                 return found
 
             return checked
@@ -444,7 +444,7 @@ def test_band_tables_are_built_once_per_length(monkeypatch):
     built = []
     build = CompiledPatterns.pair_rows
     monkeypatch.setattr(CompiledPatterns, "pair_rows",
-                        lambda self, n, tables=True: built.append(n) or build(self, n, tables))
+                        lambda self, n: built.append(n) or build(self, n))
     oracle_mod._compiled.cache_clear()
     census([e.pattern for e in catalog()], 8, jobs=1)
     assert sorted(built) == list(range(2, 9))

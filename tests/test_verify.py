@@ -26,6 +26,7 @@ from kingmesh.mesh import (
     avoids,
     catalog,
     catalog_pattern,
+    occurrence_counts,
 )
 from kingmesh.oracle import Census, census, distribution_table
 from kingmesh.series import Series, UPoly, format_upoly, parse_upoly
@@ -626,26 +627,39 @@ def _too_strict_is_king(monkeypatch):
     )
 
 
-def _spurious_kernel_hit(monkeypatch):
-    pair_hits = CompiledPatterns.pair_hits
+def _patch_pair_counter(monkeypatch, fault):
+    # every pair counter reports fault(seq, d, found) for the entry it counts at
+    # d, with seq[:d] rebuilt from pos and before, as the oracle node test does
+    pair_counter = CompiledPatterns.pair_counter
 
-    def faulty(self, seq, pre, d, full):
+    def faulty(self, pre, pos, full):
+        hits = pair_counter(self, pre, pos, full)
+
+        def counted(d, v, before):
+            placed = (x for x in range(1, len(pre)) if before >> x & 1)
+            return fault([*sorted(placed, key=pos.__getitem__), v], d, hits(d, v, before))
+
+        return counted
+
+    monkeypatch.setattr(CompiledPatterns, "pair_counter", faulty)
+
+
+def _spurious_kernel_hit(monkeypatch):
+    def fault(seq, d, found):
         # reads only the prefix through d, as the kernel does
         spurious = d == 6 and seq[0] == 2 and seq[d] - seq[d - 1] == 3
-        return pair_hits(self, seq, pre, d, full) + spurious
+        return found + spurious
 
-    monkeypatch.setattr(CompiledPatterns, "pair_hits", faulty)
+    _patch_pair_counter(monkeypatch, fault)
 
 
 def _missed_kernel_hit(monkeypatch):
-    pair_hits = CompiledPatterns.pair_hits
-
-    def faulty(self, seq, pre, d, full):
+    def fault(seq, d, found):
         # hides hits from the pruning, so subtrees that hold no avoider are walked
         missed = d == 4 and seq[0] == 3 and seq[d] - seq[d - 1] == 1
-        return 0 if missed else pair_hits(self, seq, pre, d, full)
+        return 0 if missed else found
 
-    monkeypatch.setattr(CompiledPatterns, "pair_hits", faulty)
+    _patch_pair_counter(monkeypatch, fault)
 
 
 @pytest.mark.parametrize("plant", [_too_strict_is_king, _spurious_kernel_hit, _missed_kernel_hit])
@@ -678,22 +692,39 @@ def test_avoiders_are_the_avoiders_of_both_crosses_in_lexicographic_order():
 
 
 def test_avoiders_extend_no_prefix_that_has_a_hit(monkeypatch):
-    pair_hits = CompiledPatterns.pair_hits
     calls, hit = [], set()
 
-    def recording(self, seq, pre, d, full):
+    def recording(seq, d, found):
         prefix = tuple(seq[: d + 1])
         calls.append(prefix)
-        found = pair_hits(self, seq, pre, d, full)
         if found:
             hit.add(prefix)
         return found
 
-    monkeypatch.setattr(CompiledPatterns, "pair_hits", recording)
+    _patch_pair_counter(monkeypatch, recording)
     crosses = CompiledPatterns((KING_CROSS_UP, KING_CROSS_DOWN), n=7)
     assert len(list(_avoiders(crosses, 7))) == verify_mod.count_kings(7)
     assert hit  # the pruning had something to cut
     assert not [p for p in calls if any(p[:k] in hit for k in range(1, len(p)))]
+
+
+def test_a_host_and_an_avoider_walk_each_make_one_pair_counter(monkeypatch):
+    # the counter reads the caller's own lists, so none is made per entry or per node
+    made = []
+    pair_counter = CompiledPatterns.pair_counter
+    monkeypatch.setattr(CompiledPatterns, "pair_counter",
+                        lambda self, pre, pos, full: made.append(len(pre) - 1)
+                        or pair_counter(self, pre, pos, full))
+    compiled = CompiledPatterns((KING_CROSS_UP, KING_CROSS_DOWN))
+    hosts = list(permutations(range(1, 6)))
+    for host in hosts:
+        occurrence_counts(compiled, host)
+    assert made == [5] * len(hosts)
+    made.clear()
+    crosses = CompiledPatterns((KING_CROSS_UP, KING_CROSS_DOWN), n=7)
+    for n in range(8):
+        assert len(list(_avoiders(crosses, n))) == verify_mod.count_kings(n)
+    assert made == list(range(8))
 
 
 # The planted-fault matrix: one fault in one input of the battery, and the
