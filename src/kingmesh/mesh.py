@@ -256,10 +256,11 @@ def parse_pattern(text: str) -> MeshPattern:
 # in whatever order.  So a host's counts are the sum of the hits of the
 # candidates ending at each position: those of a single, which depend only on v
 # and the set pre[d] (`single_hits`), and those of the pairs, from their loop
-# over the earlier entries (`pair_counter`, one per host or walk); `host_hits`
-# adds them along one host.  The census adds each node's hits once for all
-# the hosts below it, the singles' from a table built once per length
-# (`single_table`).  Other candidates are scanned on the whole host (`whole`).
+# over the earlier entries (`pair_counter`, one per host or walk, which keeps
+# their positions itself); `host_hits` adds them along one host.  The census
+# adds each node's hits once for all the hosts below it, the singles' from a
+# table built once per length (`single_table`).  Other candidates are scanned
+# on the host read from its bitsets (`whole`), so a walk keeps only pre.
 #
 # A pair of entries with the values a < b, in either order, has three value
 # bands: below a, between a and b, and above b.  Each of its three column sets
@@ -349,7 +350,8 @@ class CompiledPatterns:
     the earlier values no hit can begin at, and whether tau is 12, where
     the earlier entry is the smaller.  ``len()`` is the number of patterns.
     Compiled for hosts of length ``n``, the counts take its ``count_field``,
-    and ``singles``, built on first read, is its ``single_table``.
+    and ``singles``, built on first read, is its ``single_table``.  A walk
+    or host passes ``pair_counter`` and ``whole`` its prefix bitsets alone.
     """
 
     def __init__(self, patterns: Iterable[MeshPattern], *, n: int | None = None):
@@ -409,28 +411,31 @@ class CompiledPatterns:
                 rows[a][b] = rows[b][a] = BandRule(a, b) if self.n is None else band_table(a, b, n)
         return rows
 
-    def pair_counter(
-        self, pre: Sequence[int], pos: Sequence[int], full: int
-    ) -> Callable[[int, int, int], int]:
-        """``hits(d, v, before)``: the packed hits of every candidate of
-        length 2 whose last entry v is at position d, given before = pre[d]
-        and ``full``, read from ``pre`` and ``pos`` as they stand at the call,
-        so that one counter serves a whole walk or host; pos[x] is the
-        position of each value x in ``before``.  The pair with an earlier
-        entry x at i = pos[x] reads the hit table of its tau in
+    def pair_counter(self, pre: Sequence[int]) -> Callable[[int, int], int]:
+        """``hits(d, v)``: the packed hits of every candidate of length 2
+        whose last entry v is at position d, read from the prefix bitsets
+        ``pre`` of a host of length n = len(pre) - 1 as they stand at the
+        call, so that one counter serves a whole walk or host.  The counter
+        keeps the position of each value placed so far: ``hits`` stores d as
+        v's before its loop, and every position starts at 0, so a walk need
+        not pass its first entry, at position 0.  The pair with an earlier
+        entry x at position i reads the hit table of its tau in
         ``pair_sides`` at the band codes of pre[i], of the values between the
         two entries and of the values after v.  For each side of v, the loop
-        visits the values of ``before`` there, nearest to v first; with every
+        visits the values of pre[d] there, nearest to v first; with every
         member of the tau shading box (0, 1), it keeps after each x only
         those before x.  The rows are ``pair_rows``, kept for the next
         counter: those of the compiled length, built once, or else those of
         the longest host so far, which serve every shorter one."""
+        n = len(pre) - 1
         if len(self._rows) < len(pre):
-            self._rows = self.pair_rows(len(pre) - 1 if self.n is None else self.n)
+            self._rows = self.pair_rows(n if self.n is None else self.n)
         rows, sides = self._rows, self.pair_sides
+        full, pos = (2 << n) - 2, [0] * (n + 1)
 
-        def hits(d: int, v: int, before: int) -> int:
-            row = rows[v]
+        def hits(d: int, v: int) -> int:
+            pos[v] = d
+            before, row = pre[d], rows[v]
             after = full ^ before ^ 1 << v
             total = 0
             for table, narrow, up in sides:
@@ -451,22 +456,23 @@ class CompiledPatterns:
         (a host of fewer than two entries holds no pair), then ``whole``."""
         n = len(perm)
         full = (2 << n) - 2
-        pre, pos = [0] * (n + 1), [0] * (n + 1)
-        pairs = self.pair_counter(pre, pos, full) if self.pair_sides and n > 1 else None
+        pre = [0] * (n + 1)
+        pairs = self.pair_counter(pre) if self.pair_sides and n > 1 else None
         packed = 0
         for d, v in enumerate(perm):
             packed += self.single_hits(v, pre[d], full)
             if pairs:
-                pos[v] = d
-                packed += pairs(d, v, pre[d])
+                packed += pairs(d, v)
             pre[d + 1] = pre[d] | 1 << v
-        return packed + self.whole(perm, pre)
+        return packed + self.whole(pre)
 
-    def whole(self, seq: Sequence[int], pre: Sequence[int]) -> int:
-        """The packed hits of the other candidates, the empty one included,
-        given the whole host and all n+1 of its prefix bitsets: each choice of
-        k positions ordered as tau gets a region mask, tested on every member."""
-        n = len(seq)
+    def whole(self, pre: Sequence[int]) -> int:
+        """The packed hits of the other candidates, the empty one included, in
+        the host of length n whose n+1 prefix bitsets are pre, its entry at i
+        the one bit of pre[i + 1] ^ pre[i]: each choice of k positions ordered
+        as tau gets a region mask, tested on every member."""
+        n = len(pre) - 1
+        seq = [(pre[i + 1] ^ pre[i]).bit_length() - 1 for i in range(n)]
         hits = 0
         for tau, members in self.generic:
             k = len(tau)

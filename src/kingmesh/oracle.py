@@ -105,56 +105,50 @@ def _walk(compiled: CompiledPatterns, n: int, first: int):
     begins with ``first``, whatever its class.  Each node adds the hits of the
     candidates ending at its position to the counts it passes down, the
     single's from ``compiled.singles[v][before]`` and the pairs' from one
-    ``compiled.pair_counter`` over the walk's own lists, which reads the
+    ``compiled.pair_counter`` over the walk's prefix bitsets, which reads the
     band tables of length n; the other candidates are counted at each leaf.
-    A walk that counts pairs keeps, next to ``seq`` and ``pre``, the
-    position of each placed value (``pos``), from which the pair loop reads
-    the values before an earlier entry.  Like ``tally_subtree``, the walk
-    reuses no subtree and tests every adjacent pair of every host."""
+    The walk keeps only ``pre``: the counter keeps the position of each
+    value it is passed and reads 0, the position of ``first``, for the one
+    value it is never passed; ``whole`` reads the host from ``pre``; and
+    each call of ``walk`` is passed the far row of the entry before it, as
+    in ``tally_subtree``.  Like ``tally_subtree``, the walk reuses
+    no subtree and tests every adjacent pair of every host."""
     head = 4 * endpoint_flags(first, n)
     type_by_last = [head | endpoint_flags(v, n) for v in range(n + 1)]
     far = far_rows(n)
-    full = (2 << n) - 2
-    seq = [first] * n
     pre = [0, 1 << first] + [0] * (n - 1)
-    pre[n] = full  # all n values precede position n, whatever the order
-    pos = [0] * (n + 1)  # pos[seq[i]] = i for the placed entries, kept in pair walks only
+    pre[n] = (2 << n) - 2  # all n values precede position n, whatever the order
     singles = compiled.singles
-    pairs = compiled.pair_counter(pre, pos, full) if compiled.pair_sides else None
+    pairs = compiled.pair_counter(pre) if compiled.pair_sides else None
     whole = compiled.whole if compiled.generic else None
     leaves: dict[int, int] = {}
     get = leaves.get
 
-    def walk(d: int, rest: list[int], packed: int) -> None:
-        # place position d, after seq[d - 1], from the values not yet placed
+    def walk(d: int, fp: list[bool], rest: list[int], packed: int) -> None:
+        # place position d, after an entry whose row of far is fp, from the rest
         before = pre[d]
-        fp = far[seq[d - 1]]
         if len(rest) == 2:  # the last two entries and their leaf, inline
             a, b = rest
             for v, w in ((a, b), (b, a)):
                 if fp[v] and far[v][w]:
-                    seq[d], seq[d + 1] = v, w
                     pre[d + 1] = with_v = before | 1 << v
                     key = packed + singles[v][before] + singles[w][with_v]
                     if pairs:
-                        pos[v] = d
-                        key += pairs(d, v, before) + pairs(d + 1, w, with_v)
+                        key += pairs(d, v) + pairs(d + 1, w)
                     if whole:
-                        key += whole(seq, pre)
+                        key += whole(pre)
                     key = key << 4 | type_by_last[w]
                     leaves[key] = get(key, 0) + 1
             return
         for i, v in enumerate(rest):
             if fp[v]:
-                seq[d] = v
                 pre[d + 1] = before | 1 << v
                 hits = packed + singles[v][before]
                 if pairs:
-                    pos[v] = d
-                    hits += pairs(d, v, before)
-                walk(d + 1, rest[:i] + rest[i + 1 :], hits)
+                    hits += pairs(d, v)
+                walk(d + 1, far[v], rest[:i] + rest[i + 1 :], hits)
 
-    walk(1, [v for v in range(1, n + 1) if v != first], singles[first][0])
+    walk(1, far[first], [v for v in range(1, n + 1) if v != first], singles[first][0])
     return leaves
 
 

@@ -255,8 +255,7 @@ def verify_theorem(
 def _check_counts_methods(kings: Census) -> CheckReport:
     def legs() -> list[Leg]:
         ns = range(COUNTS_N_MAX + 1)
-        # past the pinned counts the recurrence stands in for them
-        expect = [KING_COUNTS[n] if n < len(KING_COUNTS) else count_kings(n) for n in ns]
+        expect = [KING_COUNTS[n] for n in ns]
         counted = {m: [count_kings(n, m) for n in ns] for m in ("recurrence", "explicit")}
         counted["gf"] = [c.evaluate(0) for c in king_series(COUNTS_N_MAX).coeffs]  # one Terms
         counted["enumerate"] = [kings.size(n, KingClass.ALL) for n in ns]
@@ -310,19 +309,17 @@ def _avoiders(crosses: CompiledPatterns, n: int) -> Iterator[tuple[int, ...]]:
     """The permutations of 1..n with no hit of either cross, in lexicographic
     order.  A prefix is extended only while it has no hit: a hit is known once
     its last entry is placed, and counts only grow."""
-    full = (2 << n) - 2
     seq = [0] * n
     pre = [0] * (n + 1)
-    pos = [0] * (n + 1)
-    hits = crosses.pair_counter(pre, pos, full)  # both crosses have length 2: no single hit
+    hits = crosses.pair_counter(pre)  # both crosses have length 2: no single hit
 
     def walk(d: int, rest: list[int]) -> Iterator[tuple[int, ...]]:
         if d == n:
             yield tuple(seq)
         for i, v in enumerate(rest):
-            seq[d], pos[v] = v, d
+            seq[d] = v
             pre[d + 1] = pre[d] | 1 << v
-            if not hits(d, v, pre[d]):
+            if not hits(d, v):
                 yield from walk(d + 1, rest[:i] + rest[i + 1 :])
 
     return walk(0, list(range(1, n + 1)))

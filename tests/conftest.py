@@ -9,9 +9,9 @@ from kingmesh.oracle import distribution_tables
 
 # Each phase of every test, its setup (fixtures of any scope included), its
 # call and its teardown, must end within this many seconds; the slowest takes
-# about 8 s.  A fault that keeps a loop from ending then fails the test it
+# about 5 s.  A fault that keeps a loop from ending then fails the test it
 # shows in, and the session goes on to the next.
-TIME_LIMIT_S = 60
+TIME_LIMIT_S = 30
 
 
 class TimeLimitExceeded(OutcomeException):

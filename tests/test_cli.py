@@ -307,9 +307,9 @@ class TestFactorialGuard:
 
     @pytest.mark.parametrize("argv", ["list --n 100000", "count --method enum --n 100000"])
     def test_a_length_that_outgrows_the_memory_is_one_error_line(self, argv):
-        # in a process of its own, whose address space is capped at 600 MB,
+        # in a process of its own, whose address space is capped at 200 MB,
         # so that the run fails where it would take the machine's memory
-        cap = 600 * 2**20
+        cap = 200 * 2**20
         done = subprocess.run(
             [sys.executable, "-m", "kingmesh.cli", *argv.split(), "--allow-large"],
             capture_output=True, text=True, timeout=50,

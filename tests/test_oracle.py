@@ -5,7 +5,7 @@ from collections import Counter
 from itertools import combinations, permutations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import kingmesh.oracle as oracle_mod
@@ -280,10 +280,15 @@ def _assert_census_matches(counts, patterns, n_max, jobs):
 
 @pytest.mark.parametrize("jobs", [1, 2])
 @given(st.lists(_any_pattern, min_size=1, max_size=4, unique=True))
+@example(patterns=[MeshPattern((1, 3, 2), frozenset({(0, 2), (1, 1)})),
+                   MeshPattern((2, 1), frozenset({(0, 1), (2, 2)}))])
+@example(patterns=[MeshPattern((), frozenset()), MeshPattern((1, 2), frozenset({(1, 1), (2, 0)}))])
 @settings(max_examples=6, deadline=None)
 def test_census_against_the_definition(jobs, patterns):
     # the walked census, of ALL and of each class, against every permutation
-    # filtered by class membership and counted by the definition
+    # filtered by class membership and counted by the definition; the examples
+    # put a length-3 pattern and the empty one, which the census counts on
+    # the host it reads from the prefix bitsets at each leaf, next to a pair
     _assert_census_matches(_kings_by_definition(patterns, 7), patterns, 7, jobs)
 
 
@@ -368,18 +373,18 @@ def test_the_walk_counts_each_node_as_the_band_rule_does(monkeypatch):
     def compiled(patterns, n):
         walked, by_rule = CompiledPatterns(patterns, n=n), CompiledPatterns(patterns)
 
-        def pair_counter(pre, pos, full):
-            hits = CompiledPatterns.pair_counter(walked, pre, pos, full)
-            rule = by_rule.pair_counter(pre, pos, full)
+        def pair_counter(pre):
+            hits = CompiledPatterns.pair_counter(walked, pre)
+            rule = by_rule.pair_counter(pre)
 
-            def checked(d, v, before):
-                found = hits(d, v, before)
-                # the entries before v, in the order pos gives them, must be
-                # those of pre[1..d], which both counters read
-                seq = sorted((x for x in range(1, n + 1) if before >> x & 1), key=pos.__getitem__)
-                prefixes = [sum(1 << x for x in seq[:i]) for i in range(d + 1)]
-                nodes.append([pos[x] for x in seq] == list(range(d)) and pre[: d + 1] == prefixes
-                             and not before >> v & 1 and found == rule(d, v, before))
+            def checked(d, v):
+                found = hits(d, v)
+                # pre[0..d] must add one value per position, from the empty
+                # set on, and v must not be among them
+                steps = [pre[i + 1] ^ pre[i] for i in range(d)]
+                nodes.append(pre[0] == 0 and all(s and not s & s - 1 and pre[i] & s == 0
+                                                 for i, s in enumerate(steps))
+                             and not pre[d] >> v & 1 and found == rule(d, v))
                 return found
 
             return checked

@@ -629,15 +629,15 @@ def _too_strict_is_king(monkeypatch):
 
 def _patch_pair_counter(monkeypatch, fault):
     # every pair counter reports fault(seq, d, found) for the entry it counts at
-    # d, with seq[:d] rebuilt from pos and before, as the oracle node test does
+    # d, with seq[:d + 1] rebuilt from pre, as the walks hold no other list
     pair_counter = CompiledPatterns.pair_counter
 
-    def faulty(self, pre, pos, full):
-        hits = pair_counter(self, pre, pos, full)
+    def faulty(self, pre):
+        hits = pair_counter(self, pre)
 
-        def counted(d, v, before):
-            placed = (x for x in range(1, len(pre)) if before >> x & 1)
-            return fault([*sorted(placed, key=pos.__getitem__), v], d, hits(d, v, before))
+        def counted(d, v):
+            seq = [(pre[i + 1] ^ pre[i]).bit_length() - 1 for i in range(d)]
+            return fault([*seq, v], d, hits(d, v))
 
         return counted
 
@@ -709,12 +709,11 @@ def test_avoiders_extend_no_prefix_that_has_a_hit(monkeypatch):
 
 
 def test_a_host_and_an_avoider_walk_each_make_one_pair_counter(monkeypatch):
-    # the counter reads the caller's own lists, so none is made per entry or per node
+    # the counter reads the caller's prefix bitsets, so none is made per entry or per node
     made = []
     pair_counter = CompiledPatterns.pair_counter
     monkeypatch.setattr(CompiledPatterns, "pair_counter",
-                        lambda self, pre, pos, full: made.append(len(pre) - 1)
-                        or pair_counter(self, pre, pos, full))
+                        lambda self, pre: made.append(len(pre) - 1) or pair_counter(self, pre))
     compiled = CompiledPatterns((KING_CROSS_UP, KING_CROSS_DOWN))
     hosts = list(permutations(range(1, 6)))
     for host in hosts:
