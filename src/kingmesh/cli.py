@@ -225,6 +225,9 @@ def main(argv: list[str] | None = None) -> int:
     except MemoryError:  # an --allow-large length whose tables outgrow the memory
         print("error: out of memory; a smaller n needs less", file=sys.stderr)
         return 2
+    except (OverflowError, RecursionError):  # a length past a table's size or a walk's depth
+        print("error: n too large to enumerate; a smaller n is needed", file=sys.stderr)
+        return 2
     except BrokenPipeError:
         return 0
 

@@ -504,12 +504,12 @@ def occurrence_counts(
     """Occurrence counts of several patterns in one pass over the host, a
     permutation of 1..n, read left to right.
 
-    Pass a :class:`CompiledPatterns` when counting on many hosts, so that the
-    patterns are grouped and tabulated once; compiled for ``n``, they count
+    A list of patterns is compiled once and kept, as ``count_occurrences``
+    keeps its pattern; a :class:`CompiledPatterns` compiled for ``n`` counts
     hosts of length at most ``n``.
     """
     if not isinstance(patterns, CompiledPatterns):
-        patterns = CompiledPatterns(patterns)
+        patterns = _compiled(tuple(patterns))
     n = len(perm)
     if not is_permutation(perm):
         raise ValueError(f"the host {tuple(perm)} is not a permutation of 1..{n}")
@@ -520,10 +520,10 @@ def occurrence_counts(
     return [packed_count(packed, idx, patterns.field) for idx in range(len(patterns))]
 
 
-# patterns that count_occurrences and avoids keep compiled for library callers,
-# tests and demos (no command counts through them): the catalog and both
-# crosses fit, and each hit table of k = 2 takes about 40 kB, plus the band
-# rule's rows for the longest host counted, (m + 1)^2 slots at length m
+# what occurrence_counts, count_occurrences and avoids keep compiled for library
+# callers, tests and demos (no command counts through them): the catalog and both
+# crosses fit, and each hit table of k = 2 takes about 40 kB, plus the band rule's
+# rows for the longest host counted, (m + 1)^2 slots at length m
 _COMPILED_PATTERNS_KEPT = 64
 _compiled = lru_cache(maxsize=_COMPILED_PATTERNS_KEPT)(CompiledPatterns)
 

@@ -13,10 +13,11 @@ every class's size and distributions, and no walk knows the class; a census of
 a restricted class skips the first values the class forbids, so it answers for
 that class alone.  Below each first value of n >= 2 it walks the backtracking
 tree, building no host: each node adds the hits of the candidates ending at its
-position to the counts it passes down, once for all the hosts below it.  Those
-of the length-1 candidates come from a table of the kernel's rule, and the
-pairs read their region masks from band tables, both built once per length in
-each process.  The empty host and the host (1,) are counted as single hosts
+position to the counts it passes down, once for all the hosts below it, and the
+leaf is recorded where the last entry is placed.  Those of the length-1
+candidates come from a table of the kernel's rule, and the pairs read their
+region masks from band tables, both built once per length in each process.  The
+empty host and the host (1,) are counted as single hosts
 (``CompiledPatterns.host_hits``).  A length that counts no pattern needs only
 :func:`kingmesh.kings.tally_subtree`, whose tally by endpoint type is the
 census's tally with nothing packed, and :func:`class_size`, the count by
@@ -102,53 +103,50 @@ _compiled = lru_cache(maxsize=1)(CompiledPatterns)
 
 def _walk(compiled: CompiledPatterns, n: int, first: int):
     """Tally, as ``_tally`` does, every king permutation of 1..n (n >= 2) that
-    begins with ``first``, whatever its class.  Each node adds the hits of the
-    candidates ending at its position to the counts it passes down, the
-    single's from ``compiled.singles[v][before]`` and the pairs' from one
-    ``compiled.pair_counter`` over the walk's prefix bitsets, which reads the
-    band tables of length n; the other candidates are counted at each leaf.
-    The walk keeps only ``pre``: the counter keeps the position of each
-    value it is passed and reads 0, the position of ``first``, for the one
-    value it is never passed; ``whole`` reads the host from ``pre``; and
-    each call of ``walk`` is passed the far row of the entry before it, as
-    in ``tally_subtree``.  Like ``tally_subtree``, the walk reuses
-    no subtree and tests every adjacent pair of every host."""
-    head = 4 * endpoint_flags(first, n)
-    type_by_last = [head | endpoint_flags(v, n) for v in range(n + 1)]
-    far = far_rows(n)
+    begins with ``first``, whatever its class.  The walk keeps only the prefix
+    bitsets ``pre``: a node at position d places each value not in pre[d], in
+    any order, as the tallies are only summed, sets pre[d + 1] and adds the
+    hits of the candidates ending at d, the single's from ``compiled.singles``
+    and the pairs' from one ``compiled.pair_counter`` over ``pre``, which reads
+    the band tables of length n and puts ``first`` at position 0.  The last
+    entry is placed inline, saving the calls that outnumber all others, and
+    its leaf adds ``whole(pre)``.  Like ``tally_subtree``, the walk reuses no
+    subtree and tests every adjacent pair of every host."""
+    type_by_last = [4 * endpoint_flags(first, n) | endpoint_flags(v, n) for v in range(n + 1)]
+    far, full = far_rows(n), (2 << n) - 2
     pre = [0, 1 << first] + [0] * (n - 1)
-    pre[n] = (2 << n) - 2  # all n values precede position n, whatever the order
     singles = compiled.singles
     pairs = compiled.pair_counter(pre) if compiled.pair_sides else None
     whole = compiled.whole if compiled.generic else None
     leaves: dict[int, int] = {}
     get = leaves.get
 
-    def walk(d: int, fp: list[bool], rest: list[int], packed: int) -> None:
-        # place position d, after an entry whose row of far is fp, from the rest
-        before = pre[d]
-        if len(rest) == 2:  # the last two entries and their leaf, inline
-            a, b = rest
-            for v, w in ((a, b), (b, a)):
-                if fp[v] and far[v][w]:
-                    pre[d + 1] = with_v = before | 1 << v
-                    key = packed + singles[v][before] + singles[w][with_v]
-                    if pairs:
-                        key += pairs(d, v) + pairs(d + 1, w)
-                    if whole:
-                        key += whole(pre)
-                    key = key << 4 | type_by_last[w]
-                    leaves[key] = get(key, 0) + 1
-            return
-        for i, v in enumerate(rest):
+    def walk(d: int, fp: list[bool], packed: int) -> None:
+        before = pre[d]  # fp is the row of far of the entry at d - 1
+        left = full ^ before
+        while left:
+            v = (left & -left).bit_length() - 1
+            left ^= 1 << v
             if fp[v]:
-                pre[d + 1] = before | 1 << v
+                pre[d + 1] = with_v = before | 1 << v
                 hits = packed + singles[v][before]
                 if pairs:
                     hits += pairs(d, v)
-                walk(d + 1, far[v], rest[:i] + rest[i + 1 :], hits)
+                if d + 2 < n:
+                    walk(d + 1, far[v], hits)
+                    continue
+                w = (full ^ with_v).bit_length() - 1  # the last entry, placed inline
+                if far[v][w]:
+                    pre[n] = with_v | 1 << w
+                    hits += singles[w][with_v]
+                    if pairs:
+                        hits += pairs(n - 1, w)
+                    if whole:
+                        hits += whole(pre)
+                    key = hits << 4 | type_by_last[w]
+                    leaves[key] = get(key, 0) + 1
 
-    walk(1, far[first], [v for v in range(1, n + 1) if v != first], singles[first][0])
+    walk(1, far[first], singles[first][0])
     return leaves
 
 

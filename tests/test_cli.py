@@ -323,6 +323,22 @@ class TestFactorialGuard:
 @pytest.mark.parametrize(
     "argv",
     [
+        "count --method enum --n 990",  # the walk recurses once per entry
+        "dist --pattern nr:16 --n-max 62",  # the table of singles holds 2 << 62 entries
+        "dist --pattern mesh(3;123;{}) --n-max 62",  # a set with no single builds it too
+        "verify --n-max 62",
+    ],
+)
+def test_a_length_past_the_walks_limits_is_one_error_line(capsys, argv):
+    # in process, with the enumerations real: each fails in its first walk or table
+    code, out, err = run(capsys, *argv.split(), "--allow-large")
+    assert (code, out) == (2, "")
+    assert err == "error: n too large to enumerate; a smaller n is needed\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
         "count --method enum --n 11",  # walked, not built: one of the end-to-end runs
         "count --n 14",
         "count --n 14 --class s --method gf",

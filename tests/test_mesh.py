@@ -415,6 +415,21 @@ class TestCounting:
         assert set(compiled) == set(pats)
         assert max(compiled.values()) == 1
 
+    def test_a_pattern_list_is_compiled_once_for_many_hosts(self, monkeypatch):
+        built = []
+        init = CompiledPatterns.__init__
+
+        def counting_init(self, patterns):
+            init(self, patterns)
+            built.append(self.patterns)
+
+        monkeypatch.setattr(CompiledPatterns, "__init__", counting_init)
+        mesh_mod._compiled.cache_clear()
+        pats = [e.pattern for e in catalog()]
+        for s in enumerate_kings(7):
+            occurrence_counts(pats, s)
+        assert built == [tuple(pats)]
+
     def test_monotone_in_shading(self):
         # adding a shaded box never increases the count
         kings6 = list(enumerate_kings(6))
