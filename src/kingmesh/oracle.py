@@ -18,10 +18,10 @@ leaf is recorded where the last entry is placed.  Those of the length-1
 candidates come from a table of the kernel's rule, and the pairs read their
 region masks from band tables, both built once per length in each process.  The
 empty host and the host (1,) are counted as single hosts
-(``CompiledPatterns.host_hits``).  A length that counts no pattern needs only
+(``CompiledPatterns.host_hits``).  A census of no pattern needs only
 :func:`kingmesh.kings.tally_subtree`, whose tally by endpoint type is the
-census's tally with nothing packed, and :func:`class_size`, the count by
-enumeration, runs the census's tasks of that one length.
+census's tally with nothing packed; :func:`class_size`, the count by
+enumeration, runs such a census's tasks of one length.
 
 Enumeration can fan out over the choice of the first element; each worker owns
 the subtree below one first value and the partial tallies are added, so the
@@ -173,13 +173,12 @@ def class_size(n: int, king_class: KingClass = KingClass.ALL) -> int:
 
 @dataclass(frozen=True)
 class Census:
-    """The tallies of one pass over a king class, one per length, with the
-    patterns counted through ``pattern_n_max``.  A census of ALL answers for
-    every class; one of a restricted class skips the first values the class
-    forbids, so it answers for that class alone and refuses the others."""
+    """The tallies of one pass over a king class, one per length.  A census
+    of ALL answers for every class; one of a restricted class skips the first
+    values the class forbids, so it answers for that class alone and refuses
+    the others."""
 
     patterns: tuple[MeshPattern, ...]
-    pattern_n_max: int
     tallies: tuple[dict[int, int], ...]
     king_class: KingClass = KingClass.ALL
 
@@ -209,7 +208,7 @@ class Census:
             raise ValueError(f"the census did not count the pattern {render_pattern(pattern)}")
         types, idx = CLASS_TYPES[kc], self.patterns.index(pattern)
         rows = []  # each key's field idx, read inline as packed_count reads it
-        for n, tally in enumerate(self.tallies[: self.pattern_n_max + 1]):
+        for n, tally in enumerate(self.tallies):
             row, field = [0] * (math.comb(n, pattern.length) + 1), count_field(self.patterns, n)
             for key, hosts in tally.items():
                 if key & 15 in types:
@@ -223,26 +222,16 @@ def census(
     n_max: int,
     king_class: KingClass = KingClass.ALL,
     jobs: int = 1,
-    pattern_n_max: int | None = None,
 ) -> Census:
     """Enumerate the kings of each length 0..n_max once, tallying them by
-    endpoint type and counting the patterns through ``pattern_n_max``
-    (default ``n_max``).  The work is split by length and by the first values
-    the class allows; with ``jobs > 1`` one pool of workers takes it, the
-    longest lengths first.
+    endpoint type and counting the patterns.  The work is split by length and
+    by the first values the class allows; with ``jobs > 1`` one pool of
+    workers takes it, the longest lengths first.
     """
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
-    if pattern_n_max is None:
-        pattern_n_max = n_max
-    if not 0 <= pattern_n_max <= n_max:
-        raise ValueError(f"pattern_n_max must lie in 0..n_max = {n_max}, got {pattern_n_max}")
     patterns, kc = tuple(patterns), KingClass(king_class)
-    tasks = [
-        (patterns if n <= pattern_n_max else (), n, first)
-        for n in range(n_max, -1, -1)
-        for first in _firsts(n, kc)
-    ]
+    tasks = [(patterns, n, first) for n in range(n_max, -1, -1) for first in _firsts(n, kc)]
     if jobs > 1 and n_max >= 2:
         import multiprocessing  # only a pooled run pays for the import
 
@@ -253,7 +242,7 @@ def census(
     tallies = [Counter() for _ in range(n_max + 1)]
     for (_, n, _), part in zip(tasks, parts):
         tallies[n].update(part)
-    return Census(patterns, pattern_n_max, tuple(tallies), kc)
+    return Census(patterns, tuple(tallies), kc)
 
 
 def distribution_table(

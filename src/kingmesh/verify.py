@@ -5,8 +5,10 @@ Three kinds of evidence are compared:
 
 * the closed-form series built by :mod:`kingmesh.gfs`;
 * the brute-force census of :mod:`kingmesh.oracle`, taken once per run for
-  n = 0..max(11, n_max) and read by every check on kings: the class sizes,
-  and the catalog's rows over each class through n_max;
+  n = 0..n_max and read by every check of a pattern: the catalog's rows over
+  each class;
+* the class sizes of :mod:`kingmesh.transfer`, counted by state once per run
+  for n = 0..11 and read by the two counts checks;
 * reference expansions pinned below as literal data, so that a regression in
   either computation path is caught even if both drift together.
 
@@ -252,23 +254,27 @@ def verify_theorem(
     return _run(f"theorem:{ident}", f"pattern {ident}: distribution over king permutations", legs)
 
 
-def _check_counts_methods(kings: Census) -> CheckReport:
+# Each class's sizes at n = 0, 1, ..., as transfer.class_sizes gives them; a
+# leg compares only the rows both of its sides have.
+Sizes = dict[KingClass, Sequence[int]]
+
+
+def _check_counts_methods(sizes: Sizes) -> CheckReport:
     def legs() -> list[Leg]:
         ns = range(COUNTS_N_MAX + 1)
         expect = [KING_COUNTS[n] for n in ns]
         counted = {m: [count_kings(n, m) for n in ns] for m in ("recurrence", "explicit")}
         counted["gf"] = [c.evaluate(0) for c in king_series(COUNTS_N_MAX).coeffs]  # one Terms
-        counted["enumerate"] = [kings.size(n, KingClass.ALL) for n in ns]
+        counted["transfer"] = sizes[KingClass.ALL]
         return [(method, expect, values, FAIL) for method, values in counted.items()]
 
     return _run("counts:methods", f"four counting methods agree for n <= {COUNTS_N_MAX}", legs)
 
 
-def _check_class_counts(kings: Census) -> CheckReport:
+def _check_class_counts(sizes: Sizes) -> CheckReport:
     def legs() -> list[Leg]:
         ns = range(CLASSES_N_MAX + 1)
         classes = (KingClass.S, KingClass.L, KingClass.SL, KingClass.LS)
-        sizes = {kc: [kings.size(n, kc) for n in ns] for kc in classes}
         series = {kc: class_series(kc, CLASSES_N_MAX).coeffs for kc in classes}
         # the members of ALL that begin with 1 are 1 followed by a shifted S member
         s, a = sizes[KingClass.S], king_series(CLASSES_N_MAX).coeffs
@@ -415,18 +421,23 @@ def _check_open_mass(ident: str, rows: Sequence[UPoly], n_max: int) -> CheckRepo
 
 @dataclass
 class _Inputs:
-    """The arguments of one run, and the census its checks share, taken on
-    first use.  A theorem run alone (not ``shared``) counts its own pattern."""
+    """The arguments of one run, and the class sizes and the census its checks
+    share, each taken on first use.  A theorem run alone (not ``shared``)
+    counts its own pattern."""
     order: int
     n_max: int
     jobs: int
     shared: bool
 
     @cached_property
+    def sizes(self) -> Sizes:
+        from .transfer import class_sizes  # only the counts checks load the state counts
+
+        return class_sizes(max(COUNTS_N_MAX, CLASSES_N_MAX))
+
+    @cached_property
     def kings(self) -> Census:
-        top = max(COUNTS_N_MAX, CLASSES_N_MAX, self.n_max)
-        patterns = [e.pattern for e in catalog()]
-        return census(patterns, top, KingClass.ALL, self.jobs, pattern_n_max=self.n_max)
+        return census([e.pattern for e in catalog()], self.n_max, KingClass.ALL, self.jobs)
 
     def rows(self, ident: str) -> tuple[UPoly, ...]:
         return self.kings.table(catalog_pattern(ident), KingClass.ALL).rows
@@ -436,8 +447,8 @@ class _Inputs:
 # family functions when they run, not at import, so that a wrapper put on one
 # (a tracer's span, a test's stub) sees every check of its family.
 _CHECKS: dict[str, Callable[[_Inputs], CheckReport]] = {
-    "counts:methods": lambda x: _check_counts_methods(x.kings),
-    "counts:classes": lambda x: _check_class_counts(x.kings),
+    "counts:methods": lambda x: _check_counts_methods(x.sizes),
+    "counts:classes": lambda x: _check_class_counts(x.sizes),
     "kingchar": lambda x: _check_king_characterization(),
     **{f"golden:{key}": lambda x, key=key, subject=subject: _check_pinned_series(
         f"golden:{key}", f"pinned expansion of the {subject}", partial(series_by_name, key), key,

@@ -109,18 +109,6 @@ def test_census_of_all_kings_answers_for_every_class(jobs):
             assert kings.table(p, kc) == table, (kc, p)
 
 
-def test_census_counts_patterns_through_their_own_range():
-    pats = [catalog_pattern("X"), catalog_pattern("63")]
-    full = census(pats, 8)
-    short = census(pats, 8, pattern_n_max=5)
-    for kc in KingClass:
-        assert [short.size(n, kc) for n in range(9)] == [full.size(n, kc) for n in range(9)]
-        for p in pats:
-            assert short.table(p, kc).rows == full.table(p, kc).rows[:6]
-    with pytest.raises(ValueError):
-        census(pats, 4, pattern_n_max=5)
-
-
 def test_restricted_census_walks_only_the_first_values_its_class_allows(monkeypatch):
     # no walk knows the class; an SL census leaves out first value 1, which
     # begins no endpoint type of SL, and so the whole length n = 1
@@ -238,8 +226,6 @@ def test_custom_pattern():
 
 
 def test_census_names_the_bad_pattern_range():
-    with pytest.raises(ValueError, match="pattern_n_max must lie in 0..n_max = 5, got 7"):
-        census([catalog_pattern("X")], 5, pattern_n_max=7)
     with pytest.raises(ValueError, match="^n_max must be nonnegative$"):
         census([catalog_pattern("X")], -1)
 

@@ -1,0 +1,66 @@
+"""Class sizes by state counting, against the census and the pinned rows."""
+
+import ast
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from kingmesh import transfer
+from kingmesh.kings import KingClass, count_kings
+from kingmesh.oracle import census
+from kingmesh.transfer import class_sizes, type_counts
+from kingmesh.verify import reference_rows
+
+
+def test_state_counts_are_the_census_tallies_by_endpoint_type():
+    kings = census((), 9)
+    for n in range(10):
+        assert type_counts(n) == kings.tallies[n], n
+    sizes = class_sizes(9)
+    for kc in KingClass:
+        assert list(sizes[kc]) == [kings.size(n, kc) for n in range(10)], kc
+
+
+def test_state_counts_sum_to_the_king_counts_through_thirteen():
+    for n in range(14):
+        assert sum(type_counts(n).values()) == count_kings(n), n
+
+
+@pytest.mark.parametrize("kc, key", [("s", "B"), ("l", "B"), ("sl", "C"), ("ls", "C")])
+def test_class_sizes_follow_the_pinned_rows(kc, key):
+    pinned = [row.evaluate(0) for row in reference_rows(key)]
+    assert list(class_sizes(len(pinned) - 1)[KingClass(kc)]) == pinned
+
+
+def test_a_negative_length_is_refused():
+    with pytest.raises(ValueError, match="n must be nonnegative"):
+        type_counts(-1)
+
+
+def test_the_route_reads_only_the_class_rule_of_kings():
+    # independent of the oracle and the closed forms: no import of theirs, and
+    # its own adjacency test rather than the walks' table
+    tree = ast.parse(Path(transfer.__file__).read_text())
+    imports = [node for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))]
+    assert {(node.level, node.module) for node in imports} == {(0, "__future__"), (1, "kings")}
+    assert "far_rows" not in {alias.name for node in imports for alias in node.names}
+
+
+def test_only_the_counts_checks_load_the_route():
+    # a command that reads no class size never imports the route
+    code = (
+        "import contextlib, io, sys\nfrom kingmesh import cli\nloaded = []\n"
+        "for argv in (['dist', '--pattern', 'nr:X', '--n-max', '4'], ['series', '--name', 'A', '--order', '5'],\n"
+        "             ['verify', '--equation', 'EQ_B'], ['verify', '--all', '--order', '8', '--n-max', '4']):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        code = cli.main(argv)\n"
+        "    loaded.append((code, 'kingmesh.transfer' in sys.modules))\n"
+        "print(loaded)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,
+                          timeout=50, check=True)
+    assert done.stdout == "[(0, False), (0, False), (0, False), (0, True)]\n"

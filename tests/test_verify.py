@@ -13,6 +13,7 @@ import kingmesh.gfs as gfs_mod
 import kingmesh.kings as kings_mod
 import kingmesh.oracle as oracle_mod
 import kingmesh.series as series_mod
+import kingmesh.transfer as transfer_mod
 import kingmesh.verify as verify_mod
 from kingmesh import cli
 from kingmesh.gfs import class_series, distribution_series, terms
@@ -309,10 +310,10 @@ def test_report_dict_round_trip():
 def test_verify_all_small_run(monkeypatch):
     # a small full run passes, repeats byte-identically, and sorts by id
     a = verify_all(order=8, n_max=4)
-    # the second run counts the king permutations it draws, walked with the
-    # patterns counted through n_max and only tallied past it: each length
-    # through the counting range n = 11 exactly once, below each first value
-    # once, the empty host and the host (1,) included
+    # the second run counts the king permutations its census draws: each
+    # length through n_max exactly once, below each first value once, the
+    # empty host and the host (1,) included; the class sizes of the counts
+    # checks, through n = 11, are counted by state and walk no king
     hosts = 0
     tasks = []
     tally = oracle_mod._tally
@@ -326,8 +327,8 @@ def test_verify_all_small_run(monkeypatch):
 
     monkeypatch.setattr(oracle_mod, "_tally", counting_tally)
     b = verify_all(order=8, n_max=4)
-    assert hosts == sum(KING_COUNTS[:12]) == 5_829_714
-    assert sorted(tasks) == [(n, f) for n in range(12) for f in range(1, max(n, 1) + 1)]
+    assert hosts == sum(KING_COUNTS[:5]) == 4
+    assert sorted(tasks) == [(n, f) for n in range(5) for f in range(1, max(n, 1) + 1)]
     assert reports_to_json(a) == reports_to_json(b)
     # the report as the code before the shared census produced it
     assert hashlib.sha256(reports_to_json(a).encode()).hexdigest() == (
@@ -373,7 +374,7 @@ def test_strong_point_checks_catch_an_off_by_one_avoider_count():
             return replace(table, rows=tuple(rows))
 
     real = census([x, catalog_pattern("X'")], 7)
-    faulty = OffByOne(real.patterns, real.pattern_n_max, real.tallies)
+    faulty = OffByOne(real.patterns, real.tallies)
     assert _check_strong_point_sets(real, 8).status == PASS
     assert _check_strong_point_class(KingClass.SL, real, 8).status == PASS
     for report in (
@@ -409,7 +410,7 @@ def test_strong_point_checks_reach_every_census_row_below_the_order():
             return replace(table, rows=tuple(rows))
 
     real = census([x, catalog_pattern("X'")], 7)
-    faulty = OffByOne(real.patterns, real.pattern_n_max, real.tallies)
+    faulty = OffByOne(real.patterns, real.tallies)
     assert _check_strong_point_sets(real, 3).status == PASS
     assert _check_strong_point_class(KingClass.SL, real, 3).status == PASS
     for report in (
@@ -510,16 +511,16 @@ def test_verify_all_rejects_a_negative_order_before_the_census(monkeypatch):
 
 
 @pytest.fixture(scope="module")
-def sizes_census():
-    """Class sizes through the counting range, no pattern counted."""
-    return census((), COUNTS_N_MAX)
+def sizes():
+    """Class sizes through the counting range, counted by state."""
+    return transfer_mod.class_sizes(COUNTS_N_MAX)
 
 
-def test_counts_methods_names_the_method_that_is_off(monkeypatch, sizes_census):
-    assert _check_counts_methods(sizes_census).status == PASS
+def test_counts_methods_names_the_method_that_is_off(monkeypatch, sizes):
+    assert _check_counts_methods(sizes).status == PASS
     right = kings_mod._count_by_explicit
     monkeypatch.setattr(kings_mod, "_count_by_explicit", lambda n: right(n) + (n == 7))
-    report = _check_counts_methods(sizes_census)
+    report = _check_counts_methods(sizes)
     assert report.status == FAIL
     assert report.subject.endswith("(explicit)")
     assert (report.witness.n, report.witness.expected, report.witness.actual) == (
@@ -527,21 +528,21 @@ def test_counts_methods_names_the_method_that_is_off(monkeypatch, sizes_census):
     )
 
 
-def test_counts_methods_cache_one_order_of_terms(sizes_census):
+def test_counts_methods_cache_one_order_of_terms(sizes):
     # the gf leg reads all twelve lengths from one series, not one order each
     terms.cache_clear()
-    assert _check_counts_methods(sizes_census).status == PASS
+    assert _check_counts_methods(sizes).status == PASS
     assert terms.cache_info().currsize == 1
 
 
-def test_class_counts_name_the_class_that_is_off(sizes_census):
-    class OffAtNine(Census):
-        def size(self, n, king_class):
-            return super().size(n, king_class) + (n == 9 and king_class is KingClass.LS)
+def _off_at_nine(sizes, king_class):
+    """The class sizes with one member too many of ``king_class`` at n = 9."""
+    return {**sizes, king_class: [size + (n == 9) for n, size in enumerate(sizes[king_class])]}
 
-    assert _check_class_counts(sizes_census).status == PASS
-    faulty = OffAtNine(sizes_census.patterns, sizes_census.pattern_n_max, sizes_census.tallies)
-    report = _check_class_counts(faulty)
+
+def test_class_counts_name_the_class_that_is_off(sizes):
+    assert _check_class_counts(sizes).status == PASS
+    report = _check_class_counts(_off_at_nine(sizes, KingClass.LS))
     assert report.status == FAIL
     assert report.subject.endswith("(LS)")
     assert report.witness.n == 9
@@ -585,7 +586,7 @@ def test_strong_point_oracle_leg_expects_the_closed_form():
             return replace(table, rows=tuple(rows))
 
     real = census([x, catalog_pattern("X'")], 7)
-    faulty = OffByOne(real.patterns, real.pattern_n_max, real.tallies)
+    faulty = OffByOne(real.patterns, real.tallies)
     report = _check_strong_point_class(KingClass.SL, faulty, 8)
     assert report.status == FAIL
     assert report.subject.endswith("(oracle vs series)")
@@ -730,16 +731,15 @@ def test_a_host_and_an_avoider_walk_each_make_one_pair_counter(monkeypatch):
 # exact set of checks that fail (mutation testing of the battery; DeMillo,
 # Lipton and Sayward, "Hints on test data selection", 1978).  Every plant runs
 # on one shared census, patched in as verify's census or a faulted subclass
-# of it, at order 12 and n_max 7.
+# of it, at order 12 and n_max 7; a plant in the class sizes patches the
+# state counts instead.
 MATRIX_ORDER, MATRIX_N_MAX = 12, 7
 
 
 @pytest.fixture(scope="module")
 def matrix_census():
     """The census a run at n_max 7 takes."""
-    top = max(COUNTS_N_MAX, verify_mod.CLASSES_N_MAX, MATRIX_N_MAX)
-    patterns = [entry.pattern for entry in catalog()]
-    return census(patterns, top, KingClass.ALL, pattern_n_max=MATRIX_N_MAX)
+    return census([entry.pattern for entry in catalog()], MATRIX_N_MAX)
 
 
 def _failed(monkeypatch, kings, prefixes):
@@ -781,16 +781,18 @@ def test_a_builder_fault_fails_exactly_the_checks_that_read_it(monkeypatch, matr
     )
 
 
-def _planted_census(kings, plant):
-    """``kings`` with one extra host: at n = 9 of a class size (``("size",
-    class)``), or at u^0 in row 6 of a table (``(pattern id, class)``)."""
+def _planted_census(monkeypatch, kings, plant):
+    """``kings`` with one extra host at u^0 in row 6 of a table (``(pattern
+    id, class)``); or ``kings`` as it is, and one extra member at n = 9 of a
+    class in the state counts (``("size", class)``)."""
     where, kc = plant
-    target = None if where == "size" else catalog_pattern(where)
+    if where == "size":
+        real = transfer_mod.class_sizes
+        monkeypatch.setattr(transfer_mod, "class_sizes", lambda n_max: _off_at_nine(real(n_max), kc))
+        return kings
+    target = catalog_pattern(where)
 
     class Planted(Census):
-        def size(self, n, king_class):
-            return super().size(n, king_class) + (target is None and n == 9 and king_class == kc)
-
         def table(self, pattern, king_class):
             table = super().table(pattern, king_class)
             if (pattern, king_class) != (target, kc):
@@ -799,7 +801,7 @@ def _planted_census(kings, plant):
             rows[6] += UPoly.one()
             return replace(table, rows=tuple(rows))
 
-    return Planted(kings.patterns, kings.pattern_n_max, kings.tallies, kings.king_class)
+    return Planted(kings.patterns, kings.tallies, kings.king_class)
 
 
 CENSUS_PLANTS = [
@@ -820,7 +822,7 @@ CENSUS_PLANTS = [
 def test_a_census_fault_fails_exactly_the_checks_that_read_it(
     monkeypatch, matrix_census, plant, expected
 ):
-    kings = _planted_census(matrix_census, plant)
+    kings = _planted_census(monkeypatch, matrix_census, plant)
     prefixes = ("counts:", "theorem:", "strongpoint:", "halving:", "mass:")
     assert _failed(monkeypatch, kings, prefixes) == dict.fromkeys(expected, FAIL)
 
@@ -830,4 +832,5 @@ def test_checks_that_read_no_census_pass_without_one(monkeypatch):
         def __getattr__(self, name):
             raise AssertionError(f"a check read the census's {name}")
 
-    assert _failed(monkeypatch, NoCensus(), ("kingchar", "golden:", "equation:")) == {}
+    prefixes = ("counts:", "kingchar", "golden:", "equation:")
+    assert _failed(monkeypatch, NoCensus(), prefixes) == {}
