@@ -9,7 +9,8 @@ building them, and four independent ways of counting, which :func:`count_class`
 alone dispatches.  Every walk reads one adjacency table, :func:`far_rows`.
 Every restricted class forbids only some first and last entries, so one table,
 ``CLASS_TYPES``, says which endpoint types each class holds; the walks know no
-class, and the table decides which of the kings they reach are members.
+class: :func:`first_values` (where its members begin) and :func:`class_total`
+(how many hosts of a tally it holds) read the table for every route.
 
 >>> is_king((2, 4, 1, 3))
 True
@@ -149,6 +150,27 @@ def endpoint_type(p: Sequence[int]) -> int:
     """The endpoint type of a permutation (see ``CLASS_TYPES``)."""
     n = len(p)
     return 4 * endpoint_flags(p[0], n) | endpoint_flags(p[-1], n) if p else 0
+
+
+def first_values(n: int, king_class: KingClass) -> list[int]:
+    """The first values of 1..n (n >= 1) that begin an endpoint type the class holds.
+
+    >>> first_values(5, KingClass.SL), first_values(1, KingClass.S)
+    ([2, 3, 4, 5], [])
+    """
+    heads = {t >> 2 for t in CLASS_TYPES[KingClass(king_class)]}
+    return [first for first in range(1, n + 1) if endpoint_flags(first, n) in heads]
+
+
+def class_total(tally: dict[int, int], king_class: KingClass) -> int:
+    """How many hosts of a tally the class holds: those whose key
+    ``packed << 4 | type`` has an endpoint type the class holds.
+
+    >>> class_total(tally_subtree(5, 2), KingClass.L)  # not 24135, which ends on the largest
+    2
+    """
+    types = CLASS_TYPES[KingClass(king_class)]
+    return sum(hosts for key, hosts in tally.items() if key & 15 in types)
 
 
 def in_class(p: Sequence[int], king_class: KingClass = KingClass.ALL) -> bool:
@@ -315,10 +337,9 @@ def count_class(n: int, king_class: KingClass, method: str = "enumerate") -> int
         raise ValueError("n must be nonnegative")
     check_order(n)  # the gf route's bound, for every route: none ends for a larger n
     kc = KingClass(king_class)
-    if method == "enumerate":  # the census's tasks of length n alone
-        from .oracle import class_size
-
-        return class_size(n, kc)
+    if method == "enumerate":  # every member walked, below each first value the class allows
+        walked = (class_total(tally_subtree(n, first), kc) for first in first_values(n, kc))
+        return sum(walked) if n else 1  # the empty king belongs to every class
     if method == "gf":
         from .gfs import class_series
 

@@ -20,8 +20,9 @@ region masks from band tables, both built once per length in each process.  The
 empty host and the host (1,) are counted as single hosts
 (``CompiledPatterns.host_hits``).  A census of no pattern needs only
 :func:`kingmesh.kings.tally_subtree`, whose tally by endpoint type is the
-census's tally with nothing packed; :func:`class_size`, the count by
-enumeration, runs such a census's tasks of one length.
+census's tally with nothing packed.  The first values a class walks and the
+sum of a tally by class come from :func:`kingmesh.kings.first_values` and
+:func:`kingmesh.kings.class_total`.
 
 Enumeration can fan out over the choice of the first element; each worker owns
 the subtree below one first value and the partial tallies are added, so the
@@ -36,7 +37,15 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
 
-from .kings import CLASS_TYPES, KingClass, endpoint_flags, endpoint_type, far_rows, tally_subtree
+from .kings import (
+    CLASS_TYPES,
+    KingClass,
+    endpoint_flags,
+    endpoint_type,
+    far_rows,
+    first_values,
+    tally_subtree,
+)
 from .mesh import CompiledPatterns, MeshPattern, count_field, parse_pattern, render_pattern
 from .series import UPoly, parse_upoly
 
@@ -150,27 +159,6 @@ def _walk(compiled: CompiledPatterns, n: int, first: int):
     return leaves
 
 
-def _firsts(n: int, king_class: KingClass) -> list[int]:
-    """The first values that begin a type the class holds at length n; 1 at n = 0."""
-    heads = {t >> 2 for t in CLASS_TYPES[KingClass(king_class)]}
-    return [first for first in range(1, max(n, 1) + 1) if not n or endpoint_flags(first, n) in heads]
-
-
-def _class_hosts(tally: dict[int, int], king_class: KingClass) -> int:
-    """How many hosts of a tally the class holds: those of the types it holds."""
-    types = CLASS_TYPES[KingClass(king_class)]
-    return sum(hosts for key, hosts in tally.items() if key & 15 in types)
-
-
-def class_size(n: int, king_class: KingClass = KingClass.ALL) -> int:
-    """Number of class members of length n (n >= 0) by enumeration: the
-    census's tasks of length n alone, tallied with no pattern."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    tallies = (_tally(((), n, first)) for first in _firsts(n, king_class))
-    return sum(_class_hosts(tally, king_class) for tally in tallies)
-
-
 @dataclass(frozen=True)
 class Census:
     """The tallies of one pass over a king class, one per length.  A census
@@ -182,28 +170,19 @@ class Census:
     tallies: tuple[dict[int, int], ...]
     king_class: KingClass = KingClass.ALL
 
-    def _holds(self, king_class: KingClass) -> KingClass:
+    def table(self, pattern: MeshPattern, king_class: KingClass) -> DistributionTable:
+        """The pattern's distribution rows over the class: row n sums u^k over
+        its members of length n with k occurrences.
+
+        >>> x = parse_pattern("nr:X'")
+        >>> kings = census([x], 5)
+        >>> print(kings.table(x, KingClass.ALL).row(5), kings.table(x, "sl").row(5))
+        10+4u 6+4u
+        """
         kc = KingClass(king_class)
         if self.king_class not in (KingClass.ALL, kc):
             raise ValueError(f"a census of class {self.king_class.value} answers for "
                              f"{self.king_class.value} alone, not for {kc.value}")
-        return kc
-
-    def size(self, n: int, king_class: KingClass) -> int:
-        """Number of class members of length n: the hosts of the types the
-        class holds.
-
-        >>> kings = census((), 5)
-        >>> kings.size(5, KingClass.ALL), kings.size(5, "sl")
-        (14, 10)
-        """
-        if not 0 <= n < len(self.tallies):
-            raise IndexError(f"length n={n} outside 0..{len(self.tallies) - 1}")
-        return _class_hosts(self.tallies[n], self._holds(king_class))
-
-    def table(self, pattern: MeshPattern, king_class: KingClass) -> DistributionTable:
-        """The pattern's distribution rows over the class."""
-        kc = self._holds(king_class)
         if pattern not in self.patterns:
             raise ValueError(f"the census did not count the pattern {render_pattern(pattern)}")
         types, idx = CLASS_TYPES[kc], self.patterns.index(pattern)
@@ -231,7 +210,8 @@ def census(
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
     patterns, kc = tuple(patterns), KingClass(king_class)
-    tasks = [(patterns, n, first) for n in range(n_max, -1, -1) for first in _firsts(n, kc)]
+    tasks = [(patterns, n, first) for n in range(n_max, -1, -1)
+             for first in (first_values(n, kc) if n else [1])]  # n = 0: the empty host's task
     if jobs > 1 and n_max >= 2:
         import multiprocessing  # only a pooled run pays for the import
 

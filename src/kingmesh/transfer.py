@@ -24,7 +24,7 @@ own adjacency test and shares no code with the oracle or the closed forms.
 
 from __future__ import annotations
 
-from .kings import CLASS_TYPES, LARGEST, SMALLEST, KingClass, endpoint_flags
+from .kings import LARGEST, SMALLEST, KingClass, class_total, endpoint_flags, endpoint_type
 
 
 def type_counts(n: int) -> dict[int, int]:
@@ -33,8 +33,8 @@ def type_counts(n: int) -> dict[int, int]:
     no pattern does."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    if n <= 1:  # the empty king, or the king (1,) whose entry carries both flags
-        return {0: 1} if n == 0 else {4 * (SMALLEST | LARGEST) | SMALLEST | LARGEST: 1}
+    if n <= 1:  # the empty king, or the king (1,)
+        return {endpoint_type(tuple(range(1, n + 1))): 1}
     flags = [endpoint_flags(v, n) for v in range(n + 1)]
     nexts = [[v for v in range(1, n + 1) if abs(v - last) > 1] for last in range(n + 1)]
     shift = n.bit_length()
@@ -62,7 +62,4 @@ def class_sizes(n_max: int) -> dict[KingClass, tuple[int, ...]]:
     """The size of every class at each length 0..n_max: the kings of the
     endpoint types the class holds."""
     counts = [type_counts(n) for n in range(n_max + 1)]
-    return {
-        kc: tuple(sum(kings for t, kings in tally.items() if t in types) for tally in counts)
-        for kc, types in CLASS_TYPES.items()
-    }
+    return {kc: tuple(class_total(tally, kc) for tally in counts) for kc in KingClass}

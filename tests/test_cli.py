@@ -432,6 +432,13 @@ CONTRACT = [
     ("series --name E:16 --order 8 --format json", 0, "99acfa9020a62158d73160fffee7866dee121f1e3b10c23150a9b969f80059e7"),
     ("verify --all --order 8 --n-max 4", 0, "41a5f7f4a9ef80ce5d9051fbcd5abd028223e3b03dcfc9987992d286dbcf89e4"),
     ("verify --theorem 16 --order 8 --n-max 5 --format json", 0, "55f3ae758c437bc42ab4c9872885806924d54273b234c4e20781e02254ff2645"),
+    # the three outputs ROADMAP.md lists as kept byte-identical, each taken from
+    # the CLI's stdout (`python -m kingmesh.cli ... | sha256sum`) at commit ed67d00
+    ("verify --all --format json", 0, "04eabb7844d2c69f4ad64690d2002fb2aa763d45030f577d5554ff3324cb5f7c"),
+    # the benchmark's `battery` run, with JSON output; same commit
+    ("verify --all --order 30 --n-max 8 --format json", 0, "67f37b8b5185c813c6ac256d153c472c3265be2c4623b5e4b4f2ebc7df5ee274"),
+    # the benchmark's `sweep` run, with JSON output; same commit
+    ("dist --all --n-max 9 --format json", 0, "b6d457cf7d99012860f81d7de5cce1a55999cc630b6073ed75b60eac8a7e22af"),
 ]
 
 

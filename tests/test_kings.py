@@ -8,14 +8,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import kingmesh.kings as kings_mod
+import kingmesh.oracle as oracle_mod
 from kingmesh.kings import (
     CLASS_TYPES,
     KingClass,
+    class_total,
     complement,
     count_class,
     count_kings,
     endpoint_type,
     enumerate_kings,
+    first_values,
     in_class,
     is_king,
     reduced,
@@ -112,7 +116,11 @@ def test_class_rule_matches_its_literal_definition(kc):
         assert sorted(enumerate_kings(n, kc)) == literal, n
         assert [p for p in permutations(range(1, n + 1)) if in_class(p, kc)] == literal, n
         assert count_class(n, kc, "enumerate") == len(literal), n
-        assert members.size(n, kc) == len(literal), n
+        assert class_total(members.tallies[n], kc) == len(literal), n
+        if n:  # every member's first value is walked, and from n = 5 on each begins one
+            firsts = sorted({p[0] for p in literal})
+            assert set(firsts) <= set(first_values(n, kc)), n
+            assert n < 5 or first_values(n, kc) == firsts, n
 
 
 def test_class_sizes_at_5():
@@ -275,11 +283,33 @@ def test_enumerate_kings_runs_in_lexicographic_order(kc):
 def test_census_without_patterns_counts_every_length():
     # every length of a pattern-free census is walked, not streamed
     kings = census((), 11)
-    assert [kings.size(n, KingClass.ALL) for n in range(12)] == KING_COUNTS
+    assert [class_total(kings.tallies[n], KingClass.ALL) for n in range(12)] == KING_COUNTS
     for kc in (KingClass.S, KingClass.L, KingClass.SL, KingClass.LS):
-        assert [kings.size(n, kc) for n in range(12)] == [
+        assert [class_total(kings.tallies[n], kc) for n in range(12)] == [
             count_class(n, kc, "gf") for n in range(12)
         ], kc
+
+
+def test_counting_by_enumeration_walks_below_the_first_values_of_its_class(monkeypatch):
+    # one counting walk per first value the class allows at length 7, none
+    # with first value 1, which begins no member of SL; n = 0 walks nothing,
+    # and the oracle's tally, which compiles patterns, is never called
+    walked = []
+    tally = kings_mod.tally_subtree
+    monkeypatch.setattr(kings_mod, "tally_subtree",
+                        lambda n, first: walked.append((n, first)) or tally(n, first))
+    monkeypatch.setattr(oracle_mod, "_tally", None)
+    assert count_class(7, "sl", "enumerate") == 500
+    assert walked == [(7, first) for first in first_values(7, "sl")]
+    assert walked == [(7, first) for first in range(2, 8)]
+    walked.clear()
+    assert count_kings(7, "enumerate") == 646
+    assert walked == [(7, first) for first in range(1, 8)]
+    walked.clear()
+    assert [count_class(0, kc, "enumerate") for kc in KingClass] == [1] * 5
+    assert walked == []
+    with pytest.raises(ValueError, match="^n must be nonnegative$"):
+        count_class(-1, "sl", "enumerate")
 
 
 @pytest.mark.parametrize("kc", [KingClass.S, KingClass.L, KingClass.SL, KingClass.LS])

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import kingmesh.oracle as oracle_mod
-from kingmesh.kings import KingClass, count_class, count_kings, in_class
+from kingmesh.kings import KingClass, class_total, count_class, count_kings, in_class
 from kingmesh.mesh import (
     CompiledPatterns,
     MeshPattern,
@@ -103,7 +103,7 @@ def test_census_of_all_kings_answers_for_every_class(jobs):
     pats = [catalog_pattern(i) for i in ("X", "X'", "16", "3")]
     kings = census(pats, 7, jobs=jobs)
     for kc in KingClass:
-        sizes = [kings.size(n, kc) for n in range(8)]
+        sizes = [class_total(kings.tallies[n], kc) for n in range(8)]
         assert sizes == [count_class(n, kc, "enumerate") for n in range(8)], kc
         for p, table in zip(pats, distribution_tables(pats, 7, kc, jobs)):
             assert kings.table(p, kc) == table, (kc, p)
@@ -120,18 +120,19 @@ def test_restricted_census_walks_only_the_first_values_its_class_allows(monkeypa
 
 def test_restricted_census_answers_for_its_own_class_alone():
     # an SL census never walked first value 1, so it cannot answer for ALL:
-    # its ALL size at n = 6 would read 78 where A_6 = 90
+    # its ALL row at n = 6 would sum to 78 where A_6 = 90
     x = catalog_pattern("X")
     sl = census([x], 6, KingClass.SL)
     assert sl.king_class is KingClass.SL
     assert census([x], 6).king_class is KingClass.ALL
     with pytest.raises(ValueError, match="census of class sl answers for sl alone, not for all"):
-        sl.size(6, "all")
+        sl.table(x, "all")
     with pytest.raises(ValueError, match="not for all"):
         sl.table(x, KingClass.ALL)
     with pytest.raises(ValueError, match="not for ls"):
-        sl.size(6, KingClass.LS)
-    assert [sl.size(n, "sl") for n in range(7)] == [count_class(n, "sl", "gf") for n in range(7)]
+        sl.table(x, KingClass.LS)
+    sizes = [class_total(tally, "sl") for tally in sl.tallies]
+    assert sizes == [count_class(n, "sl", "gf") for n in range(7)]
     assert sl.table(x, KingClass.SL) == census([x], 6).table(x, KingClass.SL)
 
 
@@ -143,31 +144,13 @@ def test_census_table_names_a_pattern_it_did_not_count():
         kings.table(catalog_pattern("10"), KingClass.ALL)
 
 
-def test_counting_by_enumeration_runs_the_census_tasks_of_one_length(monkeypatch):
-    # the tasks of length 7 alone, with no pattern, and none with first value
-    # 1, which begins no member of SL
-    tasks = []
-    tally = oracle_mod._tally
-    monkeypatch.setattr(oracle_mod, "_tally", lambda task: tasks.append(task) or tally(task))
-    assert count_class(7, "sl", "enumerate") == 500
-    assert tasks == [((), 7, first) for first in range(2, 8)]
-    tasks.clear()
-    assert count_kings(7, "enumerate") == 646
-    assert tasks == [((), 7, first) for first in range(1, 8)]
-    with pytest.raises(ValueError, match="^n must be nonnegative$"):
-        oracle_mod.class_size(-1)
-
-
 @pytest.mark.parametrize("bad_n", [-1, 6])
 def test_a_length_outside_the_range_is_an_index_error(bad_n):
     # -1 read the last length before, and n_max + 1 a bare tuple index error
-    kings = census((), 5)
-    with pytest.raises(IndexError, match=re.escape(f"length n={bad_n} outside 0..5")):
-        kings.size(bad_n, "all")
     table = distribution_table(catalog_pattern("X"), 5)
     with pytest.raises(IndexError, match=re.escape(f"row n={bad_n} outside 0..5")):
         table.row(bad_n)
-    assert (kings.size(5, "all"), table.row(5)) == (14, table.rows[5])
+    assert table.row(5) == table.rows[5]
 
 
 def test_repeated_runs_identical():
@@ -416,7 +399,7 @@ def test_empty_host_builds_no_single_table(monkeypatch):
     monkeypatch.setattr(CompiledPatterns, "single_table",
                         lambda self, n: built.append(n) or build(self, n))
     oracle_mod._compiled.cache_clear()
-    assert census([e.pattern for e in catalog()], 0).size(0, KingClass.ALL) == 1
+    assert class_total(census([e.pattern for e in catalog()], 0).tallies[0], KingClass.ALL) == 1
     assert built == []
 
 

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from kingmesh import transfer
-from kingmesh.kings import KingClass, count_kings
+from kingmesh.kings import KingClass, class_total, count_kings
 from kingmesh.oracle import census
 from kingmesh.transfer import class_sizes, type_counts
 from kingmesh.verify import reference_rows
@@ -21,7 +21,7 @@ def test_state_counts_are_the_census_tallies_by_endpoint_type():
         assert type_counts(n) == kings.tallies[n], n
     sizes = class_sizes(9)
     for kc in KingClass:
-        assert list(sizes[kc]) == [kings.size(n, kc) for n in range(10)], kc
+        assert list(sizes[kc]) == [class_total(kings.tallies[n], kc) for n in range(10)], kc
 
 
 def test_state_counts_sum_to_the_king_counts_through_thirteen():
