@@ -17,6 +17,7 @@ import argparse
 import json
 import os
 import sys
+from functools import lru_cache
 
 from .kings import COUNT_METHODS, KingClass, count_class, enumerate_kings, perm_text
 from .mesh import catalog, parse_pattern, render_pattern
@@ -147,10 +148,13 @@ def _parent(*flags, **kwargs) -> argparse.ArgumentParser:
     return parent
 
 
+@lru_cache(maxsize=1)
 def _build_parser() -> argparse.ArgumentParser:
     # Every option reaches its subcommands through a parent parser, so that an
     # option shared by several is declared once and each subcommand's parents
-    # list its options in usage-line order.
+    # list its options in usage-line order.  Built once per process: parsing
+    # leaves the parser as it was, and a process that calls main for many
+    # commands would otherwise build it again for each.
     n = _parent("--n", type=int, required=True)
     king_class = _parent(
         "--class", dest="king_class", choices=[c.value for c in KingClass], default="all"

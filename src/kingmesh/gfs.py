@@ -42,11 +42,12 @@ class Terms:
     @cached_property
     def a(self) -> Series:
         # sum of n! t^n (1-t)^n / (1+t)^n; term n is divisible by t^n, so
-        # summing n = 0..order is exact at the truncation order
-        step = (self.one - self.t) / self.opt * self.t
+        # summing n = 0..order is exact at the truncation order.  Each term is
+        # the one before times n t (1-t) / (1+t), taken as a difference, a
+        # shift and one division by 1 + t, each linear in the order.
         total = term = self.one
         for n in range(1, self.order + 1):
-            term = term * step * n
+            term = (term - term.mul_t(1)).mul_t(1) / self.opt * n
             if term.is_zero():
                 break
             total = total + term

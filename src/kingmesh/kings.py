@@ -6,7 +6,10 @@ placed on adjacent columns of a board.  This module provides the symmetry
 operations, membership tests, a streaming backtracking enumerator, a counting
 walk that tallies the kings below one first value by endpoint type without
 building them, and four independent ways of counting, which :func:`count_class`
-alone dispatches.  Every walk reads one adjacency table, :func:`far_rows`.
+alone dispatches.  Every walk reads one adjacency table, :func:`far_rows`;
+the census of :mod:`kingmesh.oracle` reads each row ``far[a]`` as a bitset,
+bit b set when b may stand next to a, so that one AND with the bitset of the
+values not yet placed gives the values a node may place after a.
 Every restricted class forbids only some first and last entries, so one table,
 ``CLASS_TYPES``, says which endpoint types each class holds; the walks know no
 class: :func:`first_values` (where its members begin) and :func:`class_total`

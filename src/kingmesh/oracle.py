@@ -12,13 +12,14 @@ under its endpoint type.  A class is the set of endpoint types that
 every class's size and distributions, and no walk knows the class; a census of
 a restricted class skips the first values the class forbids, so it answers for
 that class alone.  Below each first value of n >= 2 it walks the backtracking
-tree, building no host: each node adds the hits of the candidates ending at its
-position to the counts it passes down, once for all the hosts below it, and the
-leaf is recorded where the last entry is placed.  Those of the length-1
-candidates come from a table of the kernel's rule, and the pairs read their
-region masks from band tables, both built once per length in each process.  The
-empty host and the host (1,) are counted as single hosts
-(``CompiledPatterns.host_hits``).  A census of no pattern needs only
+tree, building no host: each node takes the values that may come next from a
+table of the values of every subset, adds the hits of the candidates ending at
+its position to the counts it passes down, once for all the hosts below it,
+and the node before the last two entries places both inline and records the
+leaves.  The hits of the length-1 candidates come from a table of the kernel's
+rule, and the pairs read their region masks from band tables, all built once
+per length in each process.  The empty host and the host (1,) are counted as
+single hosts (``CompiledPatterns.host_hits``).  A census of no pattern needs only
 :func:`kingmesh.kings.tally_subtree`, whose tally by endpoint type is the
 census's tally with nothing packed.  The first values a class walks and the
 sum of a tally by class come from :func:`kingmesh.kings.first_values` and
@@ -110,52 +111,84 @@ def _tally(task) -> dict[int, int]:
 _compiled = lru_cache(maxsize=1)(CompiledPatterns)
 
 
+@lru_cache(maxsize=1)
+def _members(n: int) -> list[tuple[int, ...]]:
+    """The values of every subset of 1..n in ascending order, at the index
+    ``s >> 1`` of the set's bitset s, in which bit v stands for the value v:
+    2^n tuples, built once per length in each process, as ``_compiled`` is.
+
+    >>> _members(3)
+    [(), (1,), (2,), (1, 2), (3,), (1, 3), (2, 3), (1, 2, 3)]
+    """
+    table = [()]
+    for v in range(1, n + 1):
+        table += [m + (v,) for m in table]
+    return table
+
+
 def _walk(compiled: CompiledPatterns, n: int, first: int):
     """Tally, as ``_tally`` does, every king permutation of 1..n (n >= 2) that
     begins with ``first``, whatever its class.  The walk keeps only the prefix
-    bitsets ``pre``: a node at position d places each value not in pre[d], in
-    any order, as the tallies are only summed, sets pre[d + 1] and adds the
-    hits of the candidates ending at d, the single's from ``compiled.singles``
-    and the pairs' from one ``compiled.pair_counter`` over ``pre``, which reads
-    the band tables of length n and puts ``first`` at position 0.  The last
-    entry is placed inline, saving the calls that outnumber all others, and
-    its leaf adds ``whole(pre)``.  Like ``tally_subtree``, the walk reuses no
-    subtree and tests every adjacent pair of every host."""
+    bitsets ``pre``.  A node at position d takes the values not in pre[d]
+    that may stand next to the entry at d - 1 from ``_members``, at the
+    bitset ``apart[last] & ~pre[d]``, where ``apart[a]`` is the row of
+    ``far_rows`` for a read as a bitset.  It places each, in any order, as
+    the tallies are only summed, sets pre[d + 1] and adds the hits of the
+    candidates ending at d: the single's from ``compiled.singles`` and the
+    pairs' from one ``compiled.pair_counter`` over ``pre``, which reads the
+    band tables of length n and puts ``first`` at position 0.  The node at
+    n - 3 places the last two entries inline, saving the calls for position
+    n - 2, which outnumber all others: each of the two values left that may
+    follow its entry, then the other, and each leaf adds ``whole(pre)``.
+    The first call is at position 1, which is n - 3 at n = 4.  At n = 2 and
+    3 fewer than two values follow the entry it places, and every host it
+    starts fails the test of an adjacent pair, as no king has 2 or 3
+    entries.  Like ``tally_subtree``, the walk reuses no subtree and tests
+    every adjacent pair of every host."""
     type_by_last = [4 * endpoint_flags(first, n) | endpoint_flags(v, n) for v in range(n + 1)]
-    far, full = far_rows(n), (2 << n) - 2
-    pre = [0, 1 << first] + [0] * (n - 1)
+    full = (2 << n) - 2
+    pre = [0, 1 << first] + [0] * (n - 2) + [full]
     singles = compiled.singles
     pairs = compiled.pair_counter(pre) if compiled.pair_sides else None
+    # after the single table, which is larger, so that a length too long for
+    # either fails there, at once, and not while this one grows
+    members = _members(n)
+    apart = [sum(1 << b for b in range(1, n + 1) if row[b]) for row in far_rows(n)]
     whole = compiled.whole if compiled.generic else None
     leaves: dict[int, int] = {}
     get = leaves.get
 
-    def walk(d: int, fp: list[bool], packed: int) -> None:
-        before = pre[d]  # fp is the row of far of the entry at d - 1
-        left = full ^ before
-        while left:
-            v = (left & -left).bit_length() - 1
-            left ^= 1 << v
-            if fp[v]:
-                pre[d + 1] = with_v = before | 1 << v
+    def walk(d: int, last: int, packed: int) -> None:
+        before = pre[d]
+        legal = members[(apart[last] & ~before) >> 1]
+        if d + 3 < n:
+            for v in legal:
+                pre[d + 1] = before | 1 << v
                 hits = packed + singles[v][before]
                 if pairs:
                     hits += pairs(d, v)
-                if d + 2 < n:
-                    walk(d + 1, far[v], hits)
-                    continue
-                w = (full ^ with_v).bit_length() - 1  # the last entry, placed inline
-                if far[v][w]:
-                    pre[n] = with_v | 1 << w
-                    hits += singles[w][with_v]
+                walk(d + 1, v, hits)
+            return
+        for v in legal:  # d = n - 3 from n = 4 on: v, then the last two entries y, z inline
+            pre[d + 1] = with_v = before | 1 << v
+            hits = packed + singles[v][before]
+            if pairs:
+                hits += pairs(d, v)
+            left = full ^ with_v
+            for y in members[(apart[v] & left) >> 1]:
+                z_bit = left ^ 1 << y
+                if apart[y] & z_bit:
+                    z = z_bit.bit_length() - 1
+                    pre[n - 1] = with_y = with_v | 1 << y
+                    last_two = hits + singles[y][with_v] + singles[z][with_y]
                     if pairs:
-                        hits += pairs(n - 1, w)
+                        last_two += pairs(n - 2, y) + pairs(n - 1, z)
                     if whole:
-                        hits += whole(pre)
-                    key = hits << 4 | type_by_last[w]
+                        last_two += whole(pre)
+                    key = last_two << 4 | type_by_last[z]
                     leaves[key] = get(key, 0) + 1
 
-    walk(1, far[first], singles[first][0])
+    walk(1, first, singles[first][0])
     return leaves
 
 

@@ -467,3 +467,26 @@ def test_subcommand_help_lists_its_options(capsys, command, options):
     # every option appears in the usage line, in this order
     positions = [re.search(re.escape(option) + r"(?![\w-])", usage).start() for option in options]
     assert positions == sorted(positions), usage
+
+
+def test_main_called_again_in_one_process_answers_as_fresh_processes(capsys, monkeypatch):
+    # the parser is built once per process and parses every later command as a
+    # fresh one would: the same stdout, stderr and exit code, usage errors too
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps its usage line to the terminal
+    monkeypatch.delenv("KINGMESH_JOBS", raising=False)
+    commands = [
+        "dist --pattern nr:16 --n-max 6",
+        "dist --pattern nr:16",  # --n-max missing: exit 2
+        "series --name Ctu --order 8",
+        "verify --equation EQ_PX --order 8",
+    ]
+    in_process = [run(capsys, *argv.split()) for argv in commands]
+    assert cli._build_parser() is cli._build_parser()
+    fresh = [
+        subprocess.run([sys.executable, "-m", "kingmesh.cli", *argv.split()],
+                       capture_output=True, text=True, timeout=60,
+                       env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+        for argv in commands
+    ]
+    assert in_process == [(done.returncode, done.stdout, done.stderr) for done in fresh]
+    assert [code for code, _, _ in in_process] == [0, 2, 0, 0]

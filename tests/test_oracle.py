@@ -9,12 +9,22 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import kingmesh.oracle as oracle_mod
-from kingmesh.kings import KingClass, class_total, count_class, count_kings, in_class
+from kingmesh.kings import (
+    KingClass,
+    class_total,
+    count_class,
+    count_kings,
+    endpoint_type,
+    in_class,
+    is_king,
+    tally_subtree,
+)
 from kingmesh.mesh import (
     CompiledPatterns,
     MeshPattern,
     catalog,
     catalog_pattern,
+    count_field,
     count_occurrences,
 )
 from kingmesh.oracle import (
@@ -365,6 +375,45 @@ def test_the_walk_counts_each_node_as_the_band_rule_does(monkeypatch):
     for p in _ASYMMETRIC_PAIRS + _PAIRS:
         census([p], 8)
     assert len(nodes) > 10_000 and all(nodes)
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_members_lists_each_subset_in_ascending_order(n):
+    # the node's candidates: entry s >> 1 holds the values of the bitset s,
+    # in which bit v stands for the value v, smallest first
+    table = oracle_mod._members(n)
+    assert len(table) == 2**n
+    for half, values in enumerate(table):
+        s = half << 1
+        assert values == tuple(v for v in range(1, n + 1) if s >> v & 1), (n, s)
+
+
+# a single, a pair of each tau and a pattern of length 3, read at the leaf
+_SHORT_WALK_PATTERNS = [
+    catalog_pattern("X"),
+    catalog_pattern("16"),
+    MeshPattern((2, 1), frozenset({(1, 1)})),
+    MeshPattern((1, 3, 2), frozenset({(0, 2)})),
+]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_the_walk_below_each_first_value_of_a_short_length(n):
+    # n = 2 and 3 hold no king; at n = 4 the first call is already the node
+    # that places the last two entries inline, and at n = 5 it calls that node.
+    # With the patterns against the definition, without them against
+    # tally_subtree
+    field, kings = count_field(_SHORT_WALK_PATTERNS, n), 0
+    for first in range(1, n + 1):
+        hosts = [host for host in permutations(range(1, n + 1)) if host[0] == first and is_king(host)]
+        packed = [sum(occurrences_by_definition(p, host) << field * idx
+                      for idx, p in enumerate(_SHORT_WALK_PATTERNS)) for host in hosts]
+        expected = Counter(hits << 4 | endpoint_type(host) for host, hits in zip(hosts, packed))
+        walked = oracle_mod._walk(CompiledPatterns(_SHORT_WALK_PATTERNS, n=n), n, first)
+        assert walked == dict(expected), (n, first)
+        assert oracle_mod._walk(CompiledPatterns((), n=n), n, first) == tally_subtree(n, first)
+        kings += len(hosts)
+    assert kings == [0, 0, 2, 14][n - 2]
 
 
 def test_positional_width_is_rejected():
