@@ -14,6 +14,8 @@ from __future__ import annotations
 
 import re
 import sys
+from itertools import compress
+from operator import add, neg, sub
 from typing import Iterable
 
 
@@ -101,12 +103,7 @@ class UPoly:
         if other is NotImplemented:
             return NotImplemented
         a, b = self._c, other._c
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return UPoly(out)
+        return UPoly((*map(add, a, b), *a[len(b):], *b[len(a):]))
 
     __radd__ = __add__
 
@@ -114,16 +111,17 @@ class UPoly:
         other = _as_upoly(other)
         if other is NotImplemented:
             return NotImplemented
-        return self + (-other)
+        a, b = self._c, other._c
+        return UPoly((*map(sub, a, b), *a[len(b):], *map(neg, b[len(a):])))
 
     def __rsub__(self, other):
         other = _as_upoly(other)
         if other is NotImplemented:
             return NotImplemented
-        return other + (-self)
+        return other - self
 
     def __neg__(self):
-        return UPoly(-c for c in self._c)
+        return UPoly(map(neg, self._c))
 
     def __mul__(self, other):
         other = _as_upoly(other)
@@ -163,8 +161,9 @@ def _as_upoly(value) -> "UPoly":
 
 
 def _nonzero(p: UPoly) -> list[tuple[int, int]]:
-    """The nonzero (power, coefficient) pairs of p, ascending in power."""
-    return [(k, c) for k, c in enumerate(p._c) if c]
+    """The nonzero (power, coefficient) pairs of p, ascending in power; the
+    scan runs at C speed, so a long slot with one term costs little."""
+    return list(compress(enumerate(p._c), p._c))
 
 
 def _add_product(row: list[int], xs, ys, sign: int = 1) -> None:
@@ -172,9 +171,13 @@ def _add_product(row: list[int], xs, ys, sign: int = 1) -> None:
     nonzero (power, coefficient) pairs; the row first grows to the top power.
 
     This is the one product kernel of the ring.  A sparse loop costs
-    len(xs) * len(ys), so monomial and constant operands need no shortcut."""
+    len(xs) * len(ys), so monomial and constant operands need no shortcut.
+    The operand with fewer terms is the outer loop, so each inner loop runs
+    over the longer one and sign is applied once per outer term."""
     if not xs or not ys:
         return
+    if len(xs) > len(ys):
+        xs, ys = ys, xs
     top = xs[-1][0] + ys[-1][0] + 1
     if len(row) < top:
         row.extend([0] * (top - len(row)))

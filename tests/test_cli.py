@@ -21,6 +21,18 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def run_capped(argv):
+    """Run the CLI in a process of its own whose address space is capped at
+    200 MB, so that a run that would take the machine's memory fails instead."""
+    cap = 200 * 2**20
+    return subprocess.run(
+        [sys.executable, "-m", "kingmesh.cli", *argv],
+        capture_output=True, text=True, timeout=50,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)),
+    )
+
+
 class TestCount:
     def test_plain(self, capsys):
         code, out, _ = run(capsys, "count", "--n", "5")
@@ -307,15 +319,7 @@ class TestFactorialGuard:
 
     @pytest.mark.parametrize("argv", ["list --n 100000", "count --method enum --n 100000"])
     def test_a_length_that_outgrows_the_memory_is_one_error_line(self, argv):
-        # in a process of its own, whose address space is capped at 200 MB,
-        # so that the run fails where it would take the machine's memory
-        cap = 200 * 2**20
-        done = subprocess.run(
-            [sys.executable, "-m", "kingmesh.cli", *argv.split(), "--allow-large"],
-            capture_output=True, text=True, timeout=50,
-            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
-            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)),
-        )
+        done = run_capped([*argv.split(), "--allow-large"])
         assert (done.returncode, done.stdout) == (2, "")
         assert done.stderr == "error: out of memory; a smaller n needs less\n"
 
@@ -323,17 +327,21 @@ class TestFactorialGuard:
 @pytest.mark.parametrize(
     "argv",
     [
-        "count --method enum --n 990",  # the walk recurses once per entry
+        # the walk recurses once per entry, so its depth passes the default
+        # recursion limit of 1000 however shallow the caller's stack
+        "count --method enum --n 1500",
         "dist --pattern nr:16 --n-max 62",  # the table of singles holds 2 << 62 entries
         "dist --pattern mesh(3;123;{}) --n-max 62",  # a set with no single builds it too
         "verify --n-max 62",
     ],
 )
-def test_a_length_past_the_walks_limits_is_one_error_line(capsys, argv):
-    # in process, with the enumerations real: each fails in its first walk or table
-    code, out, err = run(capsys, *argv.split(), "--allow-large")
-    assert (code, out) == (2, "")
-    assert err == "error: n too large to enumerate; a smaller n is needed\n"
+def test_a_length_past_the_walks_limits_is_one_error_line(argv):
+    # with the enumerations real, each fails in its first walk or table; under
+    # the memory cap, so a table that grows step by step fails the test
+    # instead of taking the machine's memory
+    done = run_capped([*argv.split(), "--allow-large"])
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr == "error: n too large to enumerate; a smaller n is needed\n"
 
 
 @pytest.mark.parametrize(

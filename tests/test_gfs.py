@@ -1,5 +1,6 @@
 """Closed-form series builders against pinned expansions and identities."""
 
+import hashlib
 from collections import Counter
 from dataclasses import replace
 
@@ -66,6 +67,15 @@ def test_strong_point_series_expansions():
     ]
     assert strong_point_series(KingClass.L, 8) == strong_point_series(KingClass.S, 8)
     assert strong_point_series(KingClass.LS, 9) == strong_point_series(KingClass.SL, 9)
+
+
+def test_pattern_16_rows_at_order_60_are_pinned():
+    # E:16, the strong-point sum, multiplies dense slots by the long one-term
+    # slots of subst_ut, so a fault in the ring's product kernel shows here
+    text = "\n".join(rows(distribution_series("16", 60)))
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "f1d8c548381a0f86351581abc1d797d58b5b757043f1a0a6377dd7d8ad4de065"
+    )
 
 
 def test_strong_point_avoiders_expansion():

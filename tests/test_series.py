@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import kingmesh.series as series_mod
 from kingmesh.series import (
     NonUnitConstantTermError,
     NotDivisibleError,
@@ -92,6 +93,15 @@ def as_dicts(s):
     return [as_dict(c) for c in s.coeffs]
 
 
+def dict_combine(a, b, sign):
+    out = dict(a)
+    for k, c in b.items():
+        out[k] = out.get(k, 0) + sign * c
+        if not out[k]:
+            del out[k]
+    return out
+
+
 class TestUPoly:
     def test_canonical_form_trims_trailing_zeros(self):
         assert UPoly((1, 2, 0, 0)).coeffs == (1, 2)
@@ -108,6 +118,7 @@ class TestUPoly:
         assert p * 0 == UPoly()
         assert 2 * p == UPoly((2, 4))
         assert p + 1 == UPoly((2, 2))
+        assert p - 3 == UPoly((-2, 2)) and 3 - p == UPoly((2, -2))
 
     def test_dense_times_dense(self):
         p = UPoly((1, 1))
@@ -147,6 +158,32 @@ class TestUPoly:
         expected = {}
         dict_add_product(expected, as_dict(a), as_dict(b))
         assert as_dict(a * b) == expected
+
+    @given(upolys(max_degree=8, max_coeff=10**6), upolys(max_degree=8, max_coeff=10**6))
+    def test_sum_difference_and_negation_match_the_dict_reference(self, a, b):
+        # the lengths differ freely, so either operand may be the longer
+        for p, expected in ((a + b, dict_combine(as_dict(a), as_dict(b), 1)),
+                            (a - b, dict_combine(as_dict(a), as_dict(b), -1)),
+                            (b - a, dict_combine(as_dict(b), as_dict(a), -1)),
+                            (-b, dict_combine({}, as_dict(b), -1))):
+            assert as_dict(p) == expected and (not p.coeffs or p.coeffs[-1])  # canonical
+
+    @pytest.mark.parametrize("a, b, total, difference", [
+        ((1, 2, 3), (4,), (5, 2, 3), (-3, 2, 3)),  # a the longer
+        ((4,), (1, 2, 3), (5, 2, 3), (3, -2, -3)),  # b the longer
+        ((1, 2, 3), (0, 0, -3), (1, 2), (1, 2, 6)),  # the top terms cancel in the sum
+        ((1, 2, 3), (0, 2, 3), (1, 4, 6), (1,)),  # and in the difference
+    ])
+    def test_sum_and_difference_of_unequal_lengths(self, a, b, total, difference):
+        a, b = UPoly(a), UPoly(b)
+        assert (a + b).coeffs == (b + a).coeffs == total
+        assert (a - b).coeffs == difference
+        assert (b - a).coeffs == (-(a - b)).coeffs
+
+    @given(upolys(max_degree=8, max_coeff=10**6))
+    def test_a_polynomial_minus_itself_is_the_canonical_zero(self, p):
+        for zero in (p - p, p + (-p), -p + p):
+            assert zero.coeffs == () and zero == 0 and hash(zero) == 0
 
     @given(upolys(max_degree=6, max_coeff=999))
     def test_string_round_trip(self, p):
@@ -241,6 +278,38 @@ class TestSeries:
         # b is a unit, so q is the quotient exactly when b * q == a
         q = a / b
         assert dict_series_mul(as_dicts(b), as_dicts(q)) == as_dicts(a)
+
+    def test_products_and_quotients_put_either_operand_outside(self, monkeypatch):
+        # the kernel loops over the operand with fewer terms outside; these
+        # cases reach it with each operand the sparser one, for sign +1 and -1
+        kernel = series_mod._add_product
+        orders = set()
+
+        def spy(row, xs, ys, sign=1):
+            if len(xs) != len(ys):
+                orders.add((sign, len(xs) < len(ys)))
+            kernel(row, xs, ys, sign)
+
+        monkeypatch.setattr(series_mod, "_add_product", spy)
+        dense = UPoly((1, -2, 3, -4, 5))
+        mono = UPoly.monomial(7, -3)
+        expected = {7 + k: -3 * c for k, c in as_dict(dense).items()}
+        assert as_dict(mono * dense) == as_dict(dense * mono) == expected
+        assert orders == {(1, True), (1, False)}
+
+        order = 6
+        a = Series(order, [dense, mono, 0, dense, UPoly((0, 1, 1))])
+        b = Series(order, [mono, dense, 2])
+        assert as_dicts(a * b) == as_dicts(b * a) == dict_series_mul(as_dicts(a), as_dicts(b))
+        # a divisor with multi-term slots: each b_m * q_(k-m) is subtracted
+        # with either factor the one of fewer terms
+        orders.clear()
+        for unit in (1, -1):
+            divisor = Series(order, [unit, UPoly((1, 1, 1)), UPoly.monomial(5, 2), dense])
+            for numerator in (Series.one(order), a):
+                q = numerator / divisor
+                assert dict_series_mul(as_dicts(divisor), as_dicts(q)) == as_dicts(numerator)
+        assert {(-1, True), (-1, False)} <= orders
 
     def test_coefficients_must_be_ints_or_upolys(self):
         with pytest.raises(TypeError):
