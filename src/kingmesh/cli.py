@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from functools import lru_cache
 
@@ -26,18 +25,10 @@ from .gfs import BASE_NAMES, series_by_name
 from .verify import CHECK_IDS, DEFAULT_N_MAX, DEFAULT_ORDER, report_to_dict, run_checks
 
 def _jobs(args) -> int:
-    """Worker count from ``--jobs``, else ``KINGMESH_JOBS``, else 1."""
-    if args.jobs is not None:
-        source, text = "--jobs", str(args.jobs)
-    else:
-        source, text = "KINGMESH_JOBS", os.environ.get("KINGMESH_JOBS", "1")
-    try:
-        jobs = int(text)
-    except ValueError:
-        jobs = 0
-    if jobs < 1:
-        raise ValueError(f"{source} must be a positive integer, got {text!r}")
-    return jobs
+    """Worker count from ``--jobs``, which defaults to 1."""
+    if args.jobs < 1:
+        raise ValueError(f"--jobs must be a positive integer, got '{args.jobs}'")
+    return args.jobs
 
 
 # The longest lengths run without --allow-large: counting patterns costs
@@ -160,7 +151,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--class", dest="king_class", choices=[c.value for c in KingClass], default="all"
     )
     method = _parent("--method", choices=tuple(COUNT_METHODS), default=None)
-    jobs = _parent("--jobs", type=int, default=None)
+    jobs = _parent("--jobs", type=int, default=1)
     allow_large = _parent(
         "--allow-large",
         action="store_true",

@@ -19,9 +19,8 @@ and the node before the last two entries places both inline and records the
 leaves.  The hits of the length-1 candidates come from a table of the kernel's
 rule, and the pairs read their region masks from band tables, all built once
 per length in each process.  The empty host and the host (1,) are counted as
-single hosts (``CompiledPatterns.host_hits``).  A census of no pattern needs only
-:func:`kingmesh.kings.tally_subtree`, whose tally by endpoint type is the
-census's tally with nothing packed.  The first values a class walks and the
+single hosts (``CompiledPatterns.host_hits``).  A census of no pattern takes
+the same walk, and every host packs 0.  The first values a class walks and the
 sum of a tally by class come from :func:`kingmesh.kings.first_values` and
 :func:`kingmesh.kings.class_total`.
 
@@ -45,7 +44,6 @@ from .kings import (
     endpoint_type,
     far_rows,
     first_values,
-    tally_subtree,
 )
 from .mesh import CompiledPatterns, MeshPattern, count_field, parse_pattern, render_pattern
 from .series import UPoly, parse_upoly
@@ -101,8 +99,6 @@ def _tally(task) -> dict[int, int]:
     if n <= 1:  # the empty host or the host (1,), counted as a single host
         host = tuple(range(1, n + 1))
         return {CompiledPatterns(patterns, n=n).host_hits(host) << 4 | endpoint_type(host): 1}
-    if not patterns:  # a host costs only its type, and packed is 0: count, do not build
-        return tally_subtree(n, first)
     return _walk(_compiled(patterns, n=n), n, first)
 
 

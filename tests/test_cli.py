@@ -183,20 +183,6 @@ class TestDist:
         assert code == 2 and out == ""
         assert err == "error: --jobs must be a positive integer, got '-3'\n"
 
-    @pytest.mark.parametrize("value", ["abc", "0", "-2"])
-    def test_bad_jobs_env_is_usage_error(self, capsys, monkeypatch, value):
-        monkeypatch.setenv("KINGMESH_JOBS", value)
-        code, out, err = run(capsys, "dist", "--pattern", "nr:X", "--n-max", "3")
-        assert code == 2 and out == ""
-        assert err == f"error: KINGMESH_JOBS must be a positive integer, got '{value}'\n"
-
-    def test_jobs_env_default(self, capsys, monkeypatch):
-        monkeypatch.setenv("KINGMESH_JOBS", "2")
-        _, baseline, _ = run(capsys, "dist", "--pattern", "nr:X", "--n-max", "5", "--format", "json")
-        monkeypatch.setenv("KINGMESH_JOBS", "1")
-        _, serial, _ = run(capsys, "dist", "--pattern", "nr:X", "--n-max", "5", "--format", "json")
-        assert baseline == serial
-
 
 class TestSeries:
     def test_table_row(self, capsys):
@@ -360,10 +346,9 @@ def test_runs_within_the_guard_need_no_opt_in(capsys, argv):
         assert int(out) == count_kings(11) == 5_296_790
 
 
-def test_catalog_census_through_ten_is_pinned(capsys, monkeypatch):
+def test_catalog_census_through_ten_is_pinned(capsys):
     # every catalog pattern over all kings through n = 10, with two workers,
     # pinned from the output of the streaming census that preceded the walk
-    monkeypatch.delenv("KINGMESH_JOBS", raising=False)
     argv = "dist --all --n-max 10 --jobs 2 --format json".split()
     code, out, err = run(capsys, *argv)
     assert code == 0, err
@@ -380,12 +365,9 @@ def test_catalog_census_through_ten_is_pinned(capsys, monkeypatch):
         ("nr:X'", "ls", "be8d32ba5009ce95797321bce16aad765446130f2eff0a27de86f751ae5a76fd"),
     ],
 )
-def test_strong_point_census_through_ten_is_pinned(
-    capsys, monkeypatch, pattern, king_class, digest
-):
+def test_strong_point_census_through_ten_is_pinned(capsys, pattern, king_class, digest):
     # the strong points over their classes through n = 10, with two workers,
     # pinned from the output of the walk that called the kernel at every node
-    monkeypatch.delenv("KINGMESH_JOBS", raising=False)
     argv = f"dist --pattern {pattern} --class {king_class} --n-max 10 --jobs 2 --format json"
     code, out, err = run(capsys, *argv.split())
     assert code == 0, err
@@ -451,8 +433,7 @@ CONTRACT = [
 
 
 @pytest.mark.parametrize("argv, code, digest", CONTRACT, ids=[c[0] for c in CONTRACT])
-def test_contract_output_is_pinned(capsys, monkeypatch, argv, code, digest):
-    monkeypatch.delenv("KINGMESH_JOBS", raising=False)
+def test_contract_output_is_pinned(capsys, argv, code, digest):
     got, out, err = run(capsys, *argv.split())
     assert got == code, err
     assert hashlib.sha256(out.encode()).hexdigest() == digest
@@ -481,7 +462,6 @@ def test_main_called_again_in_one_process_answers_as_fresh_processes(capsys, mon
     # the parser is built once per process and parses every later command as a
     # fresh one would: the same stdout, stderr and exit code, usage errors too
     monkeypatch.setenv("COLUMNS", "80")  # argparse wraps its usage line to the terminal
-    monkeypatch.delenv("KINGMESH_JOBS", raising=False)
     commands = [
         "dist --pattern nr:16 --n-max 6",
         "dist --pattern nr:16",  # --n-max missing: exit 2

@@ -27,6 +27,7 @@ from kingmesh.kings import (
     tally_subtree,
 )
 from kingmesh.oracle import census
+from kingmesh.transfer import type_counts
 
 # the sequence 1, 1, 0, 0, 2, 14, ... of king-permutation counts
 KING_COUNTS = [1, 1, 0, 0, 2, 14, 90, 646, 5242, 47622, 479306, 5296790]
@@ -258,8 +259,8 @@ def test_tally_subtree_matches_the_stream(kc):
 
 
 def test_tally_subtree_holds_only_the_types_that_occur():
-    # no type is listed with zero hosts, and a census of no pattern keeps
-    # the tally as it is, so neither do its tallies
+    # no type is listed with zero hosts, nor in the tallies of a census of
+    # no pattern, which the census's walk takes
     for n in range(1, 10):
         for first in range(1, n + 1):
             assert 0 not in tally_subtree(n, first).values(), (n, first)
@@ -281,8 +282,10 @@ def test_enumerate_kings_runs_in_lexicographic_order(kc):
 
 
 def test_census_without_patterns_counts_every_length():
-    # every length of a pattern-free census is walked, not streamed
-    kings = census((), 11)
+    # every length of a pattern-free census is walked, not streamed, by the
+    # census's own walk on two workers: its tallies are the state counts
+    kings = census((), 11, jobs=2)
+    assert [dict(tally) for tally in kings.tallies] == [type_counts(n) for n in range(12)]
     assert [class_total(kings.tallies[n], KingClass.ALL) for n in range(12)] == KING_COUNTS
     for kc in (KingClass.S, KingClass.L, KingClass.SL, KingClass.LS):
         assert [class_total(kings.tallies[n], kc) for n in range(12)] == [
