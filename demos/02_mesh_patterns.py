@@ -3,7 +3,8 @@
 A mesh pattern is a tiny permutation plus shaded boxes; an occurrence is a
 matching subsequence of a host permutation whose shaded regions are empty of
 other points.  The package ships a catalog of the length-1 and length-2
-patterns it knows results for.
+patterns it knows results for; ``kingmesh.gfs.SOLVED`` holds the closed forms
+of the solved ones.
 """
 
 from kingmesh import (
@@ -14,10 +15,12 @@ from kingmesh import (
     parse_pattern,
     render_pattern,
 )
+from kingmesh.gfs import SOLVED
 
 print("The catalog:")
 for entry in catalog():
-    print(f"  {entry.ident:>3} [{entry.status:>6}]  {render_pattern(entry.pattern)}")
+    status = "solved" if entry.ident in SOLVED else "open"
+    print(f"  {entry.ident:>3} [{status:>6}]  {render_pattern(entry.pattern)}")
 
 x = catalog_pattern("X")
 host = (1, 3, 5, 2, 4)

@@ -10,9 +10,9 @@ with the sentinels q_0 = r_0 = 0 and q_{k+1} = r_{k+1} = n+1, every shaded box
 strictly between positions q_i and q_{i+1} with value strictly between r_j and
 r_{j+1}.
 
-The module also carries the catalog of short patterns this package knows
-closed distribution results for ("solved") or only exhaustive data for
-("open"), plus a compact text format with a parser and renderer.
+The module also carries the catalog of short patterns, each under its
+identifier from the literature, plus a compact text format with a parser and
+renderer.  Which of them have closed forms is recorded in ``gfs.SOLVED``.
 """
 
 from __future__ import annotations
@@ -72,13 +72,13 @@ class MeshPattern:
 class CatalogEntry:
     ident: str
     pattern: MeshPattern
-    status: str  # "solved" or "open"
 
 
 # Catalog of length-1 and length-2 patterns.  Identifiers follow the numbering
 # used across the mesh-pattern literature; X and X' are the two length-1
-# patterns whose occurrences are the "strong" points of a permutation.
-_SOLVED_SPECS: tuple[tuple[str, tuple[int, ...], tuple[Box, ...]], ...] = (
+# patterns whose occurrences are the "strong" points of a permutation.  The
+# solved patterns come first, in the order of ``gfs.SOLVED``.
+_SPECS: tuple[tuple[str, tuple[int, ...], tuple[Box, ...]], ...] = (
     ("X", (1,), ((0, 1), (1, 0))),
     ("X'", (1,), ((0, 0), (1, 1))),
     ("10", (1, 2), ((0, 0), (0, 1), (0, 2), (2, 0), (2, 1), (2, 2))),
@@ -101,9 +101,6 @@ _SOLVED_SPECS: tuple[tuple[str, tuple[int, ...], tuple[Box, ...]], ...] = (
     ("55", (1, 2), ((0, 0), (0, 1), (1, 1), (1, 2), (2, 0), (2, 1))),
     ("63", (1, 2), ((0, 0), (0, 1), (1, 2), (2, 0), (2, 1))),
     ("64", (1, 2), ((0, 1), (0, 2), (1, 1), (1, 2), (2, 0))),
-)
-
-_OPEN_SPECS: tuple[tuple[str, tuple[int, ...], tuple[Box, ...]], ...] = (
     ("3", (1, 2), ((0, 0), (0, 1), (1, 2))),
     ("5", (1, 2), ((0, 0), (0, 1), (0, 2))),
     ("8", (1, 2), ((0, 0), (0, 1), (1, 0), (1, 1))),
@@ -117,14 +114,9 @@ _OPEN_SPECS: tuple[tuple[str, tuple[int, ...], tuple[Box, ...]], ...] = (
 )
 
 _CATALOG: tuple[CatalogEntry, ...] = tuple(
-    CatalogEntry(ident, MeshPattern(tau, frozenset(boxes)), status)
-    for specs, status in ((_SOLVED_SPECS, "solved"), (_OPEN_SPECS, "open"))
-    for ident, tau, boxes in specs
+    CatalogEntry(ident, MeshPattern(tau, frozenset(boxes))) for ident, tau, boxes in _SPECS
 )
 _BY_IDENT = {e.ident: e for e in _CATALOG}
-
-SOLVED_IDS: tuple[str, ...] = tuple(e.ident for e in _CATALOG if e.status == "solved")
-OPEN_IDS: tuple[str, ...] = tuple(e.ident for e in _CATALOG if e.status == "open")
 
 # A permutation is a king permutation exactly when it avoids both of these:
 # an adjacent pair of consecutive increasing values, and the decreasing twin.
@@ -137,15 +129,11 @@ def catalog() -> tuple[CatalogEntry, ...]:
     return _CATALOG
 
 
-def catalog_entry(ident: str | int) -> CatalogEntry:
+def catalog_pattern(ident: str | int) -> MeshPattern:
     entry = _BY_IDENT.get(str(ident))
     if entry is None:
         raise KeyError(f"no catalog pattern {ident!r}")
-    return entry
-
-
-def catalog_pattern(ident: str | int) -> MeshPattern:
-    return catalog_entry(ident).pattern
+    return entry.pattern
 
 
 # ---------------------------------------------------------------------------

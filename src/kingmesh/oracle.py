@@ -46,7 +46,7 @@ from .kings import (
     first_values,
 )
 from .mesh import CompiledPatterns, MeshPattern, count_field, parse_pattern, render_pattern
-from .series import UPoly, parse_upoly
+from .series import UPoly
 
 
 @dataclass(frozen=True)
@@ -72,22 +72,6 @@ class DistributionTable:
             "class": self.king_class.value,
             "rows": [{"n": n, "coeff": str(c)} for n, c in enumerate(self.rows)],
         }
-
-    @staticmethod
-    def from_json_dict(data: dict) -> "DistributionTable":
-        rows = [None] * len(data["rows"])
-        for item in data["rows"]:
-            n = item["n"]
-            if type(n) is not int or not 0 <= n < len(rows):
-                raise ValueError(f"row n={n!r} outside 0..{len(rows) - 1} in distribution table")
-            rows[n] = parse_upoly(item["coeff"])
-        if any(r is None for r in rows):
-            raise ValueError("missing row in distribution table")
-        return DistributionTable(
-            parse_pattern(data["pattern"]),
-            KingClass(data["class"]),
-            tuple(rows),
-        )
 
 
 def _tally(task) -> dict[int, int]:

@@ -30,16 +30,13 @@ on.  Any other exception propagates.
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass
 from functools import cached_property, partial
 from itertools import permutations, zip_longest
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .kings import KingClass, count_kings, is_king, perm_text
-from .mesh import (
-    KING_CROSS_DOWN, KING_CROSS_UP, OPEN_IDS, CompiledPatterns, catalog, catalog_pattern,
-)
+from .mesh import KING_CROSS_DOWN, KING_CROSS_UP, CompiledPatterns, catalog, catalog_pattern
 from .oracle import Census, census, distribution_table
 from .gfs import (
     A_ROW, SOLVED, Residual, Terms, avoidance_series, class_series, distribution_series,
@@ -409,6 +406,10 @@ def _check_halving(n_max: int, oracle_rows: Sequence[UPoly]) -> CheckReport:
     return _run("halving:10", subject, lambda: legs)
 
 
+# the catalog patterns without a closed form: the battery checks only their rows' mass
+OPEN_IDS = tuple(e.ident for e in catalog() if e.ident not in SOLVED)
+
+
 def _check_open_mass(ident: str, rows: Sequence[UPoly], n_max: int) -> CheckReport:
     subject = f"pattern {ident}: exhaustive rows are nonnegative with total mass A_n"
     rows = rows[: n_max + 1]
@@ -489,16 +490,3 @@ def report_to_dict(report: CheckReport) -> dict:
     if report.witness is not None:
         data["witness"] = asdict(report.witness)
     return data
-
-
-def report_from_dict(data: dict) -> CheckReport:
-    w = data.get("witness")
-    return CheckReport(data["id"], data["subject"], data["status"], Witness(**w) if w else None)
-
-
-def reports_to_json(reports: Iterable[CheckReport]) -> str:
-    return json.dumps([report_to_dict(r) for r in reports], sort_keys=True)
-
-
-def reports_from_json(text: str) -> list[CheckReport]:
-    return [report_from_dict(d) for d in json.loads(text)]

@@ -15,8 +15,6 @@ import pytest
 from kingmesh.cli import main as cli_main
 from kingmesh.kings import KingClass, count_kings, enumerate_kings
 from kingmesh.mesh import (
-    OPEN_IDS,
-    SOLVED_IDS,
     PatternSyntaxError,
     avoids,
     catalog,
@@ -38,6 +36,11 @@ from kingmesh.verify import EQUATIONS, PASS, verify_equation
 from kingmesh.kings import complement
 
 KING_COUNTS = [1, 1, 0, 0, 2, 14, 90, 646, 5242, 47622, 479306, 5296790]
+
+# the catalog patterns with a closed distribution, and those without
+SOLVED_IDS = ("X", "X'", "10", "11", "12", "13", "14", "16", "17", "19", "20", "22", "27", "28",
+              "30", "33", "34", "36", "45", "55", "63", "64")
+OPEN_IDS = ("3", "5", "8", "9", "15", "18", "21", "56", "65", "66")
 
 # initial expansions as printed, ascending in t; omitted powers are zero
 PINNED = {

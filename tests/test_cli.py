@@ -126,26 +126,30 @@ class TestDist:
         assert "12+2u^4" in out
 
     def test_json_schema_round_trips(self, capsys):
-        from kingmesh.oracle import DistributionTable
+        from kingmesh.mesh import catalog_pattern
+        from kingmesh.oracle import distribution_table
 
         code, out, _ = run(
             capsys, "dist", "--pattern", "nr:63", "--n-max", "6", "--format", "json"
         )
         assert code == 0
-        table = DistributionTable.from_json_dict(json.loads(out))
-        assert str(table.row(5)) == "12+2u"
+        data = json.loads(out)
+        assert data == distribution_table(catalog_pattern("63"), 6).to_json_dict()
+        assert data["rows"][5] == {"n": 5, "coeff": "12+2u"}
 
     def test_empty_pattern_text_round_trips(self, capsys):
         from kingmesh.mesh import MeshPattern
-        from kingmesh.oracle import DistributionTable
+        from kingmesh.oracle import distribution_table
 
         text = "mesh(0;;{(0,0)})"
         code, out, err = run(capsys, "dist", "--pattern", text, "--n-max", "3", "--format", "json")
         assert code == 0, err
-        table = DistributionTable.from_json_dict(json.loads(out))
-        assert table.pattern == MeshPattern((), frozenset({(0, 0)}))
+        data = json.loads(out)
+        empty = MeshPattern((), frozenset({(0, 0)}))
+        assert data == distribution_table(empty, 3).to_json_dict()
+        assert data["pattern"] == text
         # the one empty occurrence survives only in the empty host
-        assert [str(r) for r in table.rows] == ["u", "1", "0", "0"]
+        assert [item["coeff"] for item in data["rows"]] == ["u", "1", "0", "0"]
 
     def test_malformed_pattern_is_usage_error(self, capsys):
         code, _, err = run(capsys, "dist", "--pattern", "mesh(2;12;{(3,0)})", "--n-max", "4")

@@ -18,8 +18,6 @@ from kingmesh.kings import complement, enumerate_kings, is_king, reverse
 from kingmesh.mesh import (
     KING_CROSS_DOWN,
     KING_CROSS_UP,
-    OPEN_IDS,
-    SOLVED_IDS,
     BandRule,
     CatalogEntry,
     CompiledPatterns,
@@ -28,7 +26,6 @@ from kingmesh.mesh import (
     avoids,
     band_table,
     catalog,
-    catalog_entry,
     catalog_pattern,
     count_occurrences,
     occurrence_counts,
@@ -125,10 +122,8 @@ class TestCatalog:
     def test_shape(self):
         entries = catalog()
         assert len(entries) == 32
-        assert [e.ident for e in entries if e.status == "solved"] == list(SOLVED_IDS)
-        assert [e.ident for e in entries if e.status == "open"] == list(OPEN_IDS)
-        assert len(SOLVED_IDS) == 22
-        assert OPEN_IDS == ("3", "5", "8", "9", "15", "18", "21", "56", "65", "66")
+        assert all(isinstance(e, CatalogEntry) for e in entries)
+        assert len({e.ident for e in entries}) == 32
 
     def test_known_entries(self):
         assert catalog_pattern("10").shaded == frozenset(
@@ -143,9 +138,9 @@ class TestCatalog:
         assert catalog_pattern("X'") == MeshPattern((1,), frozenset({(0, 0), (1, 1)}))
 
     def test_lookup_errors(self):
-        with pytest.raises(KeyError):
+        with pytest.raises(KeyError, match="no catalog pattern '999'"):
             catalog_pattern("999")
-        assert isinstance(catalog_entry(16), CatalogEntry)
+        assert catalog_pattern(16) == catalog_pattern("16")
 
 
 class TestPatternType:

@@ -170,27 +170,6 @@ def test_repeated_runs_identical():
     assert a == b
 
 
-def test_json_round_trip():
-    t = distribution_table(catalog_pattern("63"), 6, KingClass.ALL)
-    assert DistributionTable.from_json_dict(t.to_json_dict()) == t
-
-
-@pytest.mark.parametrize("bad_n", [-1, 7, 12, "6", True])
-def test_json_row_outside_the_table_is_rejected(bad_n):
-    data = distribution_table(catalog_pattern("63"), 6, KingClass.ALL).to_json_dict()
-    data["rows"][-1]["n"] = bad_n
-    with pytest.raises(ValueError, match=re.escape(f"row n={bad_n!r} outside 0..6")):
-        DistributionTable.from_json_dict(data)
-
-
-def test_json_coefficient_without_a_sign_between_terms_is_rejected():
-    # read as 2 + 2u before the polynomial reader required a sign between terms
-    data = distribution_table(catalog_pattern("63"), 6, KingClass.ALL).to_json_dict()
-    data["rows"][-1]["coeff"] = "2u2"
-    with pytest.raises(ValueError, match=re.escape("expected '+' or '-' at position 2 in '2u2'")):
-        DistributionTable.from_json_dict(data)
-
-
 def test_mass_equals_class_count(catalog_sweep_9):
     for ident, table in catalog_sweep_9.items():
         for n in range(10):

@@ -2,6 +2,7 @@
 
 import hashlib
 import io
+import json
 import math
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import replace
@@ -21,8 +22,6 @@ from kingmesh.kings import KingClass, perm_text
 from kingmesh.mesh import (
     KING_CROSS_DOWN,
     KING_CROSS_UP,
-    OPEN_IDS,
-    SOLVED_IDS,
     CompiledPatterns,
     avoids,
     catalog,
@@ -38,6 +37,7 @@ from kingmesh.verify import (
     PASS,
     REFERENCE_MISMATCH,
     KING_COUNTS,
+    OPEN_IDS,
     CheckReport,
     Witness,
     _avoiders,
@@ -50,14 +50,27 @@ from kingmesh.verify import (
     _check_strong_point_sets,
     _first_king_mismatch,
     reference_rows,
-    report_from_dict,
     report_to_dict,
-    reports_from_json,
-    reports_to_json,
     verify_all,
     verify_equation,
     verify_theorem,
 )
+
+SOLVED_IDS = tuple(gfs_mod.SOLVED)
+
+
+def test_solved_and_open_ids_partition_the_catalog():
+    # a pattern is solved exactly when gfs.SOLVED holds its record: the 22
+    # solved ids lead the catalog, the 10 after them are open, and each group
+    # gets its own family of checks
+    assert OPEN_IDS == ("3", "5", "8", "9", "15", "18", "21", "56", "65", "66")
+    assert SOLVED_IDS + OPEN_IDS == tuple(e.ident for e in catalog())
+    by_family = {}
+    for check_id in verify_mod.CHECK_IDS:
+        family, _, ident = check_id.partition(":")
+        by_family.setdefault(family, []).append(ident)
+    assert by_family["theorem"] == sorted(SOLVED_IDS)
+    assert by_family["mass"] == sorted(OPEN_IDS)
 
 
 def test_equation_registry_is_complete():
@@ -211,12 +224,12 @@ def test_builder_fault_fails_one_check_and_the_battery_runs_on(plant_in_halving)
     with redirect_stdout(out), redirect_stderr(err):
         code = cli.main(["verify", "--all", "--order", "12", "--n-max", "6", "--format", "json"])
     assert code == 1 and err.getvalue() == ""
-    reports = reports_from_json(out.getvalue())
-    assert len(reports) == 79 and [r.check_id for r in reports] == list(verify_mod.CHECK_IDS)
-    assert [r for r in reports if r.status != PASS] == [CheckReport(
+    reports = json.loads(out.getvalue())
+    assert len(reports) == 79 and [r["id"] for r in reports] == list(verify_mod.CHECK_IDS)
+    assert [r for r in reports if r["status"] != PASS] == [report_to_dict(CheckReport(
         "theorem:10", "pattern 10: distribution over king permutations (division by 2)",
         FAIL, Witness(9, "a multiple of 2", "47623"),
-    )]
+    ))]
 
 
 @pytest.mark.parametrize("error", [RuntimeError("a bug"), ZeroDivisionError("a bug")])
@@ -297,16 +310,6 @@ def test_reference_mismatch_is_distinguished(monkeypatch, catalog_sweep_9):
     assert report.witness.actual == "12+2u^4"
 
 
-def test_report_dict_round_trip():
-    reports = [
-        CheckReport("theorem:16", "subject", PASS),
-        CheckReport("equation:EQ_B", "subject", FAIL, Witness(3, "0", "1+u")),
-    ]
-    for r in reports:
-        assert report_from_dict(report_to_dict(r)) == r
-    assert reports_from_json(reports_to_json(reports)) == reports
-
-
 def test_verify_all_small_run(monkeypatch):
     # a small full run passes, repeats byte-identically, and sorts by id
     a = verify_all(order=8, n_max=4)
@@ -329,9 +332,10 @@ def test_verify_all_small_run(monkeypatch):
     b = verify_all(order=8, n_max=4)
     assert hosts == sum(KING_COUNTS[:5]) == 4
     assert sorted(tasks) == [(n, f) for n in range(5) for f in range(1, max(n, 1) + 1)]
-    assert reports_to_json(a) == reports_to_json(b)
+    assert a == b
     # the report as the code before the shared census produced it
-    assert hashlib.sha256(reports_to_json(a).encode()).hexdigest() == (
+    text = json.dumps([report_to_dict(r) for r in a], sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
         "20e36871a34c0226e27b8fbc23286b8971ecae6b19b53b9a5397bbda7273f13c"
     )
     ids = [r.check_id for r in a]
