@@ -18,11 +18,8 @@ import json
 import sys
 from functools import lru_cache
 
-from .kings import COUNT_METHODS, KingClass, count_class, enumerate_kings, perm_text
-from .mesh import catalog, parse_pattern, render_pattern
-from .oracle import distribution_tables
-from .gfs import BASE_NAMES, series_by_name
-from .verify import CHECK_IDS, DEFAULT_N_MAX, DEFAULT_ORDER, report_to_dict, run_checks
+# Each handler imports the modules it runs, so that a command loads only those.
+from .kings import BASE_NAMES, COUNT_METHODS, KingClass, count_class, enumerate_kings, perm_text
 
 def _jobs(args) -> int:
     """Worker count from ``--jobs``, which defaults to 1."""
@@ -69,6 +66,9 @@ def _cmd_list(args) -> int:
 
 
 def _cmd_dist(args) -> int:
+    from .mesh import catalog, parse_pattern, render_pattern
+    from .oracle import distribution_tables
+
     # faults are reported in this order: the size opt-in, the worker count,
     # then the pattern text
     _check_size(args, "--n-max", args.n_max, PATTERN_N_LIMIT)
@@ -91,6 +91,8 @@ def _cmd_dist(args) -> int:
 
 
 def _cmd_series(args) -> int:
+    from .gfs import series_by_name
+
     series = series_by_name(args.name, args.order)
     if args.format == "json":
         rows = [{"n": n, "coeff": str(c)} for n, c in enumerate(series.coeffs)]
@@ -104,8 +106,13 @@ def _cmd_series(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .verify import CHECK_IDS, DEFAULT_N_MAX, DEFAULT_ORDER, report_to_dict, run_checks
+
+    # the battery's defaults live in verify, which the parser does not load
+    order = DEFAULT_ORDER if args.order is None else args.order
+    n_max = DEFAULT_N_MAX if args.n_max is None else args.n_max
     if not args.equation:  # an equation check enumerates nothing
-        _check_size(args, "--n-max", args.n_max, PATTERN_N_LIMIT)
+        _check_size(args, "--n-max", n_max, PATTERN_N_LIMIT)
     jobs = _jobs(args)
     if args.theorem:
         check_ids = [f"theorem:{args.theorem}"]
@@ -113,7 +120,7 @@ def _cmd_verify(args) -> int:
         check_ids = [f"equation:{args.equation}"]
     else:
         check_ids = CHECK_IDS
-    reports = run_checks(check_ids, args.order, args.n_max, jobs)
+    reports = run_checks(check_ids, order, n_max, jobs)
     fails = sum(not r.ok for r in reports)
     if args.format == "json":
         _emit_json([report_to_dict(r) for r in reports])
@@ -181,8 +188,8 @@ def _build_parser() -> argparse.ArgumentParser:
     group.add_argument("--theorem", help="check one solved catalog pattern")
     group.add_argument("--equation", help="check one registered identity")
     group.add_argument("--all", action="store_true", help="full battery (default)")
-    verify.add_argument("--order", type=int, default=DEFAULT_ORDER)
-    verify.add_argument("--n-max", type=int, default=DEFAULT_N_MAX)
+    verify.add_argument("--order", type=int)
+    verify.add_argument("--n-max", type=int)
 
     parser = argparse.ArgumentParser(
         prog="kingmesh",

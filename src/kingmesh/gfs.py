@@ -26,10 +26,8 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Callable
 
-from .kings import KingClass
+from .kings import BASE_NAMES, KingClass
 from .series import NotDivisibleError, Series, UPoly
-
-BASE_NAMES = ("A", "B", "C", "Atu", "Btu", "Ctu")
 
 
 class Terms:

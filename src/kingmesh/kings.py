@@ -29,8 +29,6 @@ import math
 from enum import Enum
 from typing import Iterator, Sequence
 
-from .series import check_order
-
 Perm = tuple[int, ...]
 
 
@@ -59,6 +57,10 @@ class KingClass(str, Enum):
 
 # the four counting methods of count_class, under their short names
 COUNT_METHODS = {"rec": "recurrence", "explicit": "explicit", "gf": "gf", "enum": "enumerate"}
+
+# the six series every closed form of kingmesh.gfs is built from: the counting
+# series of the classes ALL, S/L and SL/LS, and their strong-point distributions
+BASE_NAMES = ("A", "B", "C", "Atu", "Btu", "Ctu")
 
 
 def is_permutation(values: Sequence[int]) -> bool:
@@ -336,6 +338,8 @@ def count_class(n: int, king_class: KingClass, method: str = "enumerate") -> int
     ``recurrence`` and ``explicit`` (closed arithmetic, ALL only), ``gf`` (the
     t^n coefficient of the class's counting series) and ``enumerate`` (every
     member walked).  All four agree; the slow ones keep the fast ones honest."""
+    from .series import check_order  # here, not at the top: the CLI's parser loads kings alone
+
     if n < 0:
         raise ValueError("n must be nonnegative")
     check_order(n)  # the gf route's bound, for every route: none ends for a larger n

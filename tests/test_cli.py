@@ -10,6 +10,8 @@ import sys
 
 import pytest
 
+import kingmesh.oracle as oracle_mod
+import kingmesh.verify as verify_mod
 from kingmesh import cli
 from kingmesh.cli import main
 from kingmesh.kings import count_kings
@@ -230,8 +232,6 @@ class TestVerify:
         assert code == 2 and "EQ_NOPE" in err
 
     def test_failing_check_exits_one(self, capsys, monkeypatch):
-        import kingmesh.verify as verify_mod
-
         spec = verify_mod.EQUATIONS["EQ_B"]
         broken = verify_mod.EquationSpec(spec.subject, lambda r: spec.residual(r) + r.t, spec.margin)
         monkeypatch.setitem(verify_mod.EQUATIONS, "EQ_B", broken)
@@ -271,8 +271,11 @@ class TestFactorialGuard:
         def refuse(*args, **kwargs):
             raise AssertionError("enumeration started past the guard")
 
-        for name in ("count_class", "enumerate_kings", "distribution_tables", "run_checks"):
+        for name in ("count_class", "enumerate_kings"):
             monkeypatch.setattr(cli, name, refuse)
+        # the handlers of dist and verify read these from their home modules
+        monkeypatch.setattr(oracle_mod, "distribution_tables", refuse)
+        monkeypatch.setattr(verify_mod, "run_checks", refuse)
 
     @pytest.mark.parametrize(
         "argv, option, limit",

@@ -1,10 +1,14 @@
 """The package's own promises about itself."""
 
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+import kingmesh
 
 ROOT = Path(__file__).resolve().parents[1]
 MODULES = sorted((ROOT / "src" / "kingmesh").glob("*.py"))
@@ -34,3 +38,69 @@ def test_the_package_declares_no_dependencies():
     tomllib = pytest.importorskip("tomllib")
     pyproject = tomllib.loads((ROOT / "pyproject.toml").read_text())
     assert pyproject["project"]["dependencies"] == []
+
+
+def run_fresh(code: str) -> str:
+    """Run code in a fresh interpreter and return its stdout."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,
+                          timeout=50, check=True)
+    return done.stdout
+
+
+# the kingmesh modules each command loads besides cli: kings for the parser,
+# and then only what the command runs; ORACLE is the oracle and its imports
+ORACLE = {"kings", "series", "mesh", "oracle"}
+LOADED = {
+    "--help": {"kings"},
+    "count --n 5": {"kings", "series"},  # series only bounds the order
+    "list --n 5": {"kings"},
+    "dist --pattern nr:X --n-max 4": ORACLE,
+    "series --name A --order 5": {"kings", "series", "gfs"},
+    "verify --equation EQ_B": ORACLE | {"gfs", "verify"},
+    "verify --all --order 8 --n-max 4": ORACLE | {"gfs", "verify", "transfer"},
+}
+
+
+@pytest.mark.parametrize("argv", list(LOADED))
+def test_each_command_loads_only_the_modules_it_runs(argv):
+    code = (
+        "import contextlib, io, sys\nfrom kingmesh import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    code = cli.main({argv.split()!r})\n"
+        "print(code, sorted(name for name in sys.modules if name.startswith('kingmesh.')))\n"
+    )
+    expected = sorted(f"kingmesh.{name}" for name in LOADED[argv] | {"cli"})
+    assert run_fresh(code) == f"0 {expected}\n"
+
+
+def test_importing_the_package_loads_no_module():
+    code = (
+        "import sys\nimport kingmesh\n"
+        "print(kingmesh.__version__, sorted(name for name in sys.modules if 'kingmesh' in name))\n"
+        "from kingmesh import cli, gfs, kings, mesh, oracle, verify\n"
+        "print([module.__name__ for module in (cli, gfs, kings, mesh, oracle, verify)])\n"
+    )
+    modules = [f"kingmesh.{name}" for name in ("cli", "gfs", "kings", "mesh", "oracle", "verify")]
+    assert run_fresh(code) == f"0.1.0 ['kingmesh']\n{modules}\n"
+
+
+def test_every_public_name_is_the_object_of_its_home_module():
+    for name in kingmesh.__all__:
+        value = getattr(kingmesh, name)
+        home = value.__module__
+        assert home.startswith("kingmesh.") and getattr(sys.modules[home], name) is value, name
+    assert set(kingmesh.__all__) <= set(dir(kingmesh))
+
+
+def test_a_star_import_binds_every_public_name():
+    namespace: dict = {}
+    exec("from kingmesh import *", namespace)
+    assert all(namespace[name] is getattr(kingmesh, name) for name in kingmesh.__all__)
+
+
+def test_an_unknown_name_is_an_attribute_error():
+    with pytest.raises(AttributeError, match="module 'kingmesh' has no attribute 'count'"):
+        kingmesh.count
+    with pytest.raises(ImportError, match="cannot import name 'count'"):
+        from kingmesh import count  # noqa: F401
