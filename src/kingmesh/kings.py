@@ -26,6 +26,7 @@ True
 from __future__ import annotations
 
 import math
+import sys
 from enum import Enum
 from typing import Iterator, Sequence
 
@@ -327,6 +328,20 @@ def _count_by_explicit(n: int) -> int:
     return total
 
 
+# The largest order of a series: its order + 1 coefficients fill one tuple.
+# It bounds every route of count_class too, as the gf route reads the class's
+# series at order n.
+MAX_ORDER = sys.maxsize - 1
+
+
+def check_order(order: int) -> None:
+    """Reject an order that no series can hold, before anything is built."""
+    if order < 0:
+        raise ValueError("order must be nonnegative")
+    if order > MAX_ORDER:
+        raise ValueError(f"order {order} is above the largest series order, {MAX_ORDER}")
+
+
 def count_kings(n: int, method: str = "recurrence") -> int:
     """Number of king permutations of length n, by one of four routes: the
     count of the unrestricted class by :func:`count_class`."""
@@ -338,8 +353,6 @@ def count_class(n: int, king_class: KingClass, method: str = "enumerate") -> int
     ``recurrence`` and ``explicit`` (closed arithmetic, ALL only), ``gf`` (the
     t^n coefficient of the class's counting series) and ``enumerate`` (every
     member walked).  All four agree; the slow ones keep the fast ones honest."""
-    from .series import check_order  # here, not at the top: the CLI's parser loads kings alone
-
     if n < 0:
         raise ValueError("n must be nonnegative")
     check_order(n)  # the gf route's bound, for every route: none ends for a larger n

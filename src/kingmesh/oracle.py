@@ -15,14 +15,17 @@ that class alone.  Below each first value of n >= 2 it walks the backtracking
 tree, building no host: each node takes the values that may come next from a
 table of the values of every subset, adds the hits of the candidates ending at
 its position to the counts it passes down, once for all the hosts below it,
-and the node before the last two entries places both inline and records the
-leaves.  The hits of the length-1 candidates come from a table of the kernel's
-rule, and the pairs read their region masks from band tables, all built once
-per length in each process.  The empty host and the host (1,) are counted as
-single hosts (``CompiledPatterns.host_hits``).  A census of no pattern takes
-the same walk, and every host packs 0.  The first values a class walks and the
-sum of a tally by class come from :func:`kingmesh.kings.first_values` and
-:func:`kingmesh.kings.class_total`.
+and the node before the last four entries places its own and the last three
+inline, the last two from a list of the orders of each pair of values left,
+and records the leaves.  The hits of the length-1 candidates come from a
+table of the kernel's rule, and the pairs read their region masks from band
+tables, all built once per length in each process.  The empty host and the
+host (1,) are counted as single hosts (``CompiledPatterns.host_hits``).  A
+census of no pattern takes the same walk, and every host packs 0.  The first
+values a class walks and the sum of a tally by class come from
+:func:`kingmesh.kings.first_values` and :func:`kingmesh.kings.class_total`.
+A census decodes all the tables a caller asks for in one pass over each
+tally's keys.
 
 Enumeration can fan out over the choice of the first element; each worker owns
 the subtree below one first value and the partial tallies are added, so the
@@ -112,36 +115,51 @@ def _walk(compiled: CompiledPatterns, n: int, first: int):
     bitsets ``pre``.  A node at position d takes the values not in pre[d]
     that may stand next to the entry at d - 1 from ``_members``, at the
     bitset ``apart[last] & ~pre[d]``, where ``apart[a]`` is the row of
-    ``far_rows`` for a read as a bitset.  It places each, in any order, as
-    the tallies are only summed, sets pre[d + 1] and adds the hits of the
-    candidates ending at d: the single's from ``compiled.singles`` and the
-    pairs' from one ``compiled.pair_counter`` over ``pre``, which reads the
-    band tables of length n and puts ``first`` at position 0.  The node at
-    n - 3 places the last two entries inline, saving the calls for position
-    n - 2, which outnumber all others: each of the two values left that may
-    follow its entry, then the other, and each leaf adds ``whole(pre)``.
-    The first call is at position 1, which is n - 3 at n = 4.  At n = 2 and
-    3 fewer than two values follow the entry it places, and every host it
-    starts fails the test of an adjacent pair, as no king has 2 or 3
-    entries.  Like ``tally_subtree``, the walk reuses no subtree and tests
-    every adjacent pair of every host."""
+    ``far_rows`` for a read as a bitset; the walk starts at position 0 from
+    the row ``apart[0]``, which allows only ``first``, as ``tally_subtree``
+    does.  A node places each value, in any order, as the tallies are only
+    summed, sets pre[d + 1] and adds the hits of the candidates ending at d:
+    the single's from ``compiled.singles`` and the pairs' from one
+    ``compiled.pair_counter`` over ``pre``, which reads the band tables of
+    length n.  The node at n - 4 is the bottom: after each value v of its
+    own it places the last three entries inline, saving the calls for
+    position n - 3, which outnumber all others.  It takes each value w that
+    may follow v, then each order (y, z) of the two values left from
+    ``ends``, at the index of their bitset shifted right by one.  ``ends``
+    holds, for each order whose values ``far_rows`` lets stand side by
+    side, y and the order's part of the key: the singles of y and z, above
+    the endpoint type of a host that ends on z.  Each leaf tests w against
+    y, adds its own pairs and ``whole`` and updates the tally once.  The
+    first call is the bottom at n = 4 and calls it at n = 5; at n = 2 and 3
+    it is the bottom too, and fewer than two values are left after w, as no
+    king has 2 or 3 entries.  Like ``tally_subtree``, the walk reuses no
+    subtree and tests every adjacent pair of every host."""
     type_by_last = [4 * endpoint_flags(first, n) | endpoint_flags(v, n) for v in range(n + 1)]
     full = (2 << n) - 2
-    pre = [0, 1 << first] + [0] * (n - 2) + [full]
+    pre = [0] * n + [full]
     singles = compiled.singles
     pairs = compiled.pair_counter(pre) if compiled.pair_sides else None
-    # after the single table, which is larger, so that a length too long for
-    # either fails there, at once, and not while this one grows
-    members = _members(n)
-    apart = [sum(1 << b for b in range(1, n + 1) if row[b]) for row in far_rows(n)]
     whole = compiled.whole if compiled.generic else None
+    counted = bool(pairs or whole)
+    # after the single table, which is larger, so that a length too long for
+    # either fails there, at once, and not while these grow
+    members = _members(n)
+    far = far_rows(n)
+    apart = [1 << first] + [sum(1 << b for b in range(1, n + 1) if row[b]) for row in far[1:]]
+    ends: list[tuple[tuple[int, int], ...]] = [()] * (1 << n)
+    for y in range(1, n + 1):
+        for z in range(1, n + 1):
+            if z != y and far[y][z]:
+                rest = full ^ 1 << z
+                part = (singles[y][rest ^ 1 << y] + singles[z][rest]) << 4 | type_by_last[z]
+                ends[(1 << y | 1 << z) >> 1] += ((y, part),)
     leaves: dict[int, int] = {}
     get = leaves.get
 
     def walk(d: int, last: int, packed: int) -> None:
         before = pre[d]
         legal = members[(apart[last] & ~before) >> 1]
-        if d + 3 < n:
+        if d + 4 < n:
             for v in legal:
                 pre[d + 1] = before | 1 << v
                 hits = packed + singles[v][before]
@@ -149,26 +167,33 @@ def _walk(compiled: CompiledPatterns, n: int, first: int):
                     hits += pairs(d, v)
                 walk(d + 1, v, hits)
             return
-        for v in legal:  # d = n - 3 from n = 4 on: v, then the last two entries y, z inline
+        for v in legal:  # d = n - 4 from n = 4 on: v, then w, y, z inline
             pre[d + 1] = with_v = before | 1 << v
             hits = packed + singles[v][before]
             if pairs:
                 hits += pairs(d, v)
-            left = full ^ with_v
-            for y in members[(apart[v] & left) >> 1]:
-                z_bit = left ^ 1 << y
-                if apart[y] & z_bit:
-                    z = z_bit.bit_length() - 1
-                    pre[n - 1] = with_y = with_v | 1 << y
-                    last_two = hits + singles[y][with_v] + singles[z][with_y]
-                    if pairs:
-                        last_two += pairs(n - 2, y) + pairs(n - 1, z)
-                    if whole:
-                        last_two += whole(pre)
-                    key = last_two << 4 | type_by_last[z]
-                    leaves[key] = get(key, 0) + 1
+            for w in members[(apart[v] & ~with_v) >> 1]:
+                pre[d + 2] = with_w = with_v | 1 << w
+                base = hits + singles[w][with_v]
+                if pairs:
+                    base += pairs(d + 1, w)
+                base <<= 4
+                to_w = apart[w]
+                for y, part in ends[(full ^ with_w) >> 1]:
+                    if to_w >> y & 1:
+                        key = base + part
+                        if counted:
+                            pre[n - 1] = with_y = with_w | 1 << y
+                            more = 0
+                            if pairs:
+                                z = (full ^ with_y).bit_length() - 1
+                                more = pairs(n - 2, y) + pairs(n - 1, z)
+                            if whole:
+                                more += whole(pre)
+                            key += more << 4
+                        leaves[key] = get(key, 0) + 1
 
-    walk(1, first, singles[first][0])
+    walk(0, 0, 0)
     return leaves
 
 
@@ -185,28 +210,47 @@ class Census:
 
     def table(self, pattern: MeshPattern, king_class: KingClass) -> DistributionTable:
         """The pattern's distribution rows over the class: row n sums u^k over
-        its members of length n with k occurrences.
+        its members of length n with k occurrences.  It decodes this pattern
+        alone, as ``tables`` does for the one pattern.
 
         >>> x = parse_pattern("nr:X'")
         >>> kings = census([x], 5)
         >>> print(kings.table(x, KingClass.ALL).row(5), kings.table(x, "sl").row(5))
         10+4u 6+4u
         """
+        return self.tables(king_class, [pattern])[0]
+
+    def tables(self, king_class: KingClass,
+               patterns: Sequence[MeshPattern] | None = None) -> list[DistributionTable]:
+        """The tables over the class of the patterns asked for, all that the
+        census counted by default, in their order, from one pass over each
+        tally's keys: each key of a type the class holds adds its hosts to
+        the row of every pattern, at the count in the pattern's field, read
+        inline as ``packed_count`` reads it."""
         kc = KingClass(king_class)
         if self.king_class not in (KingClass.ALL, kc):
             raise ValueError(f"a census of class {self.king_class.value} answers for "
                              f"{self.king_class.value} alone, not for {kc.value}")
-        if pattern not in self.patterns:
-            raise ValueError(f"the census did not count the pattern {render_pattern(pattern)}")
-        types, idx = CLASS_TYPES[kc], self.patterns.index(pattern)
-        rows = []  # each key's field idx, read inline as packed_count reads it
+        if patterns is None:
+            patterns, indices = self.patterns, range(len(self.patterns))
+        else:
+            for p in patterns:
+                if p not in self.patterns:
+                    raise ValueError(f"the census did not count the pattern {render_pattern(p)}")
+            indices = [self.patterns.index(p) for p in patterns]
+        types, rows = CLASS_TYPES[kc], [[] for _ in patterns]
         for n, tally in enumerate(self.tallies):
-            row, field = [0] * (math.comb(n, pattern.length) + 1), count_field(self.patterns, n)
+            field = count_field(self.patterns, n)
+            hists = [[0] * (math.comb(n, p.length) + 1) for p in patterns]
+            reads = [(hist, 4 + field * idx) for hist, idx in zip(hists, indices)]
+            mask = (1 << field) - 1
             for key, hosts in tally.items():
                 if key & 15 in types:
-                    row[key >> 4 + field * idx & (1 << field) - 1] += hosts
-            rows.append(UPoly(row))
-        return DistributionTable(pattern, kc, tuple(rows))
+                    for hist, shift in reads:
+                        hist[key >> shift & mask] += hosts
+            for row, hist in zip(rows, hists):
+                row.append(UPoly(hist))
+        return [DistributionTable(p, kc, tuple(row)) for p, row in zip(patterns, rows)]
 
 
 def census(
@@ -261,5 +305,4 @@ def distribution_tables(
     shares the walk and compiles the patterns once per length in each
     process, but every pattern still costs.
     """
-    result = census(patterns, n_max, king_class, jobs)
-    return [result.table(p, king_class) for p in result.patterns]
+    return census(patterns, n_max, king_class, jobs).tables(king_class)

@@ -13,10 +13,11 @@ problem).
 from __future__ import annotations
 
 import re
-import sys
 from itertools import compress
 from operator import add, neg, sub
 from typing import Iterable
+
+from .kings import check_order
 
 
 class NotDivisibleError(ValueError):
@@ -239,18 +240,6 @@ def parse_upoly(text: str) -> UPoly:
         coeffs[k] = coeffs.get(k, 0) + (-1 if sign == "-" else 1) * int(mag or 1)
         at = term.end()
     return UPoly(coeffs.get(d, 0) for d in range(max(coeffs) + 1))
-
-
-# The largest order of a series: its order + 1 coefficients fill one tuple.
-MAX_ORDER = sys.maxsize - 1
-
-
-def check_order(order: int) -> None:
-    """Reject an order that no series can hold, before anything is built."""
-    if order < 0:
-        raise ValueError("order must be nonnegative")
-    if order > MAX_ORDER:
-        raise ValueError(f"order {order} is above the largest series order, {MAX_ORDER}")
 
 
 class Series:

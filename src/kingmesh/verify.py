@@ -35,16 +35,16 @@ from functools import cached_property, partial
 from itertools import permutations, zip_longest
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .kings import KingClass, count_kings, is_king, perm_text
-from .mesh import KING_CROSS_DOWN, KING_CROSS_UP, CompiledPatterns, catalog, catalog_pattern
+from .kings import KingClass, check_order, count_kings, is_king, perm_text
+from .mesh import (
+    KING_CROSS_DOWN, KING_CROSS_UP, CompiledPatterns, MeshPattern, catalog, catalog_pattern
+)
 from .oracle import Census, census, distribution_table
 from .gfs import (
     A_ROW, SOLVED, Residual, Terms, avoidance_series, class_series, distribution_series,
     king_series, series_by_name, strong_point_avoiders, strong_point_series, terms,
 )
-from .series import (
-    NonUnitConstantTermError, NotDivisibleError, Series, UPoly, check_order, parse_upoly
-)
+from .series import NonUnitConstantTermError, NotDivisibleError, Series, UPoly, parse_upoly
 
 PASS = "PASS"
 FAIL = "FAIL"
@@ -440,8 +440,13 @@ class _Inputs:
     def kings(self) -> Census:
         return census([e.pattern for e in catalog()], self.n_max, KingClass.ALL, self.jobs)
 
+    @cached_property
+    def rows_over_all(self) -> dict[MeshPattern, tuple[UPoly, ...]]:
+        """The census's rows over all kings of every catalog pattern, decoded at once."""
+        return {table.pattern: table.rows for table in self.kings.tables(KingClass.ALL)}
+
     def rows(self, ident: str) -> tuple[UPoly, ...]:
-        return self.kings.table(catalog_pattern(ident), KingClass.ALL).rows
+        return self.rows_over_all[catalog_pattern(ident)]
 
 
 # The battery: each check id and the call that runs it.  The calls name the

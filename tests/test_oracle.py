@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import kingmesh.kings as kings_mod
 import kingmesh.oracle as oracle_mod
 from kingmesh.kings import (
     KingClass,
@@ -109,14 +110,18 @@ def test_worker_splits_agree_on_restricted_class():
 def test_census_of_all_kings_answers_for_every_class(jobs):
     # one pass over ALL, summed by endpoint type, against a separate pass
     # over each class, from n = 0 on: at n = 0 there are no end entries and
-    # at n = 1 the only entry is both the smallest and the largest
-    pats = [catalog_pattern(i) for i in ("X", "X'", "16", "3")]
-    kings = census(pats, 7, jobs=jobs)
+    # at n = 1 the only entry is both the smallest and the largest.  Each
+    # census's tables, decoded at once, against its tables read one by one
+    pats = [e.pattern for e in catalog()] + _ASYMMETRIC_PAIRS
+    kings = census(pats, 8, jobs=jobs)
     for kc in KingClass:
-        sizes = [class_total(kings.tallies[n], kc) for n in range(8)]
-        assert sizes == [count_class(n, kc, "enumerate") for n in range(8)], kc
-        for p, table in zip(pats, distribution_tables(pats, 7, kc, jobs)):
-            assert kings.table(p, kc) == table, (kc, p)
+        sizes = [class_total(kings.tallies[n], kc) for n in range(9)]
+        assert sizes == [count_class(n, kc, "enumerate") for n in range(9)], kc
+        own = census(pats, 8, kc, jobs)
+        one_pass = kings.tables(kc)
+        assert one_pass == [kings.table(p, kc) for p in pats], kc
+        assert own.tables(kc) == [own.table(p, kc) for p in pats] == one_pass, kc
+        assert kings.tables(kc, pats[::-3]) == one_pass[::-3], kc
 
 
 def test_restricted_census_walks_only_the_first_values_its_class_allows(monkeypatch):
@@ -376,12 +381,12 @@ _SHORT_WALK_PATTERNS = [
 ]
 
 
-@pytest.mark.parametrize("n", [2, 3, 4, 5])
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
 def test_the_walk_below_each_first_value_of_a_short_length(n):
-    # n = 2 and 3 hold no king; at n = 4 the first call is already the node
-    # that places the last two entries inline, and at n = 5 it calls that node.
-    # With the patterns against the definition, without them against
-    # tally_subtree
+    # n = 2 and 3 hold no king; n = 4 is the first length whose first call
+    # is the bottom, the node that places the last three entries inline, and
+    # n = 5 the first whose first call calls it.  With the patterns against
+    # the definition, without them against tally_subtree
     field, kings = count_field(_SHORT_WALK_PATTERNS, n), 0
     for first in range(1, n + 1):
         hosts = [host for host in permutations(range(1, n + 1)) if host[0] == first and is_king(host)]
@@ -392,7 +397,28 @@ def test_the_walk_below_each_first_value_of_a_short_length(n):
         assert walked == dict(expected), (n, first)
         assert oracle_mod._walk(CompiledPatterns((), n=n), n, first) == tally_subtree(n, first)
         kings += len(hosts)
-    assert kings == [0, 0, 2, 14][n - 2]
+    assert kings == [0, 0, 2, 14, 90, 646][n - 2]
+
+
+def test_the_walk_reads_which_values_may_stand_side_by_side_from_far_rows(monkeypatch):
+    # a plant in far_rows, as kings and oracle both bind it, lets 4 and 5
+    # stand side by side at n = 7: the walk of no pattern follows it, in its
+    # nodes, at w and in the list of the last two entries, as tally_subtree
+    # does, and so tallies other hosts than without it
+    real = kings_mod.far_rows
+
+    def planted(n):
+        far = real(n)
+        if n == 7:
+            far[4][5] = far[5][4] = True
+        return far
+
+    plain = [oracle_mod._walk(CompiledPatterns((), n=7), 7, first) for first in range(1, 8)]
+    monkeypatch.setattr(kings_mod, "far_rows", planted)
+    monkeypatch.setattr(oracle_mod, "far_rows", planted)
+    for first in range(1, 8):
+        walked = oracle_mod._walk(CompiledPatterns((), n=7), 7, first)
+        assert walked == tally_subtree(7, first) != plain[first - 1], first
 
 
 def test_positional_width_is_rejected():

@@ -53,7 +53,7 @@ def run_fresh(code: str) -> str:
 ORACLE = {"kings", "series", "mesh", "oracle"}
 LOADED = {
     "--help": {"kings"},
-    "count --n 5": {"kings", "series"},  # series only bounds the order
+    "count --n 5": {"kings"},
     "list --n 5": {"kings"},
     "dist --pattern nr:X --n-max 4": ORACLE,
     "series --name A --order 5": {"kings", "series", "gfs"},

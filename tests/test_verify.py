@@ -796,14 +796,16 @@ def _planted_census(monkeypatch, kings, plant):
         return kings
     target = catalog_pattern(where)
 
-    class Planted(Census):
-        def table(self, pattern, king_class):
-            table = super().table(pattern, king_class)
-            if (pattern, king_class) != (target, kc):
-                return table
-            rows = list(table.rows)
-            rows[6] += UPoly.one()
-            return replace(table, rows=tuple(rows))
+    def planted(table):
+        if (table.pattern, table.king_class) != (target, kc):
+            return table
+        rows = list(table.rows)
+        rows[6] += UPoly.one()
+        return replace(table, rows=tuple(rows))
+
+    class Planted(Census):  # every table is decoded by ``tables``, ``table``'s too
+        def tables(self, king_class, patterns=None):
+            return [planted(table) for table in super().tables(king_class, patterns)]
 
     return Planted(kings.patterns, kings.tallies, kings.king_class)
 
