@@ -39,17 +39,18 @@ class Terms:
 
     @cached_property
     def a(self) -> Series:
-        # sum of n! t^n (1-t)^n / (1+t)^n; term n is divisible by t^n, so
-        # summing n = 0..order is exact at the truncation order.  Each term is
-        # the one before times n t (1-t) / (1+t), taken as a difference, a
-        # shift and one division by 1 + t, each linear in the order.
-        total = term = self.one
-        for n in range(1, self.order + 1):
-            term = (term - term.mul_t(1)).mul_t(1) / self.opt * n
-            if term.is_zero():
-                break
-            total = total + term
-        return total
+        # sum of n! t^n (1-t)^n / (1+t)^n on integer rows; term n is divisible
+        # by t^n, so summing n = 0..order is exact at the truncation order.
+        # Term n is the one before times n t (1-t) / (1+t): one pass from t^n
+        # up takes the difference, the shift and the division by 1 + t at once.
+        order = self.order
+        total = term = [1] + [0] * order
+        for n in range(1, order + 1):
+            before, below, term = [0, *term], 0, [0] * (order + 1)
+            for k in range(n, order + 1):
+                below = term[k] = n * (before[k] - before[k - 1]) - below
+                total[k] += below
+        return Series(order, total)
 
     b = cached_property(lambda r: r.a / r.opt)
     c = cached_property(lambda r: r.t / r.opt + r.a / (r.opt * r.opt))

@@ -28,6 +28,7 @@ from __future__ import annotations
 import math
 import sys
 from enum import Enum
+from operator import sub
 from typing import Iterator, Sequence
 
 Perm = tuple[int, ...]
@@ -83,6 +84,9 @@ def perm_text(p: Sequence[int], sep: str) -> str:
     return (sep if p and max(p) > 9 else "").join(map(str, p))
 
 
+_NEAR = frozenset((-1, 0, 1))  # the differences no two adjacent entries of a king have
+
+
 def is_king(p: Sequence[int]) -> bool:
     """True when all adjacent entries differ by more than 1 (vacuous for n <= 1).
 
@@ -91,7 +95,7 @@ def is_king(p: Sequence[int]) -> bool:
     >>> is_king(())
     True
     """
-    return all(abs(p[i + 1] - p[i]) > 1 for i in range(len(p) - 1))
+    return _NEAR.isdisjoint(map(sub, p[1:], p))
 
 
 def reverse(p: Sequence[int]) -> Perm:

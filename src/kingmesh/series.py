@@ -259,6 +259,13 @@ class Series:
         self._order = order
         self._c = tuple(c)
 
+    @classmethod
+    def _wrap(cls, order: int, coeffs: Iterable[UPoly]) -> "Series":
+        """order + 1 canonical UPolys the ring built itself, taken unchecked."""
+        s = object.__new__(cls)
+        s._order, s._c = order, tuple(coeffs)
+        return s
+
     # -- constructors -------------------------------------------------------
 
     @staticmethod
@@ -311,7 +318,7 @@ class Series:
         if other is NotImplemented:
             return NotImplemented
         self._check_order(other)
-        return Series(self._order, (a + b for a, b in zip(self._c, other._c)))
+        return Series._wrap(self._order, map(add, self._c, other._c))
 
     __radd__ = __add__
 
@@ -320,13 +327,13 @@ class Series:
         if other is NotImplemented:
             return NotImplemented
         self._check_order(other)
-        return Series(self._order, (a - b for a, b in zip(self._c, other._c)))
+        return Series._wrap(self._order, map(sub, self._c, other._c))
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __neg__(self):
-        return Series(self._order, (-a for a in self._c))
+        return Series._wrap(self._order, map(neg, self._c))
 
     def __mul__(self, other):
         other = self._coerce(other)
@@ -343,7 +350,7 @@ class Series:
                 if i + j > n:
                     break
                 _add_product(rows[i + j], x, y)
-        return Series(n, map(UPoly, rows))
+        return Series._wrap(n, map(UPoly, rows))
 
     __rmul__ = __mul__
 
@@ -377,7 +384,7 @@ class Series:
             q = UPoly(inv * c for c in row)
             out.append(q)
             qs.append(_nonzero(q))
-        return Series(self._order, out)
+        return Series._wrap(self._order, out)
 
     def _coerce(self, other):
         if isinstance(other, Series):
@@ -394,7 +401,7 @@ class Series:
             raise ValueError("power must be nonnegative")
         if power == 0:
             return self
-        return Series(
+        return Series._wrap(
             self._order, (c.shift(power * n) for n, c in enumerate(self._c))
         )
 
@@ -408,7 +415,8 @@ class Series:
             raise ValueError("power must be nonnegative; use div_t for division")
         if power == 0:
             return self
-        return Series(self._order, (_UP_ZERO,) * power + self._c[: self._order + 1 - power])
+        power = min(power, self._order + 1)
+        return Series._wrap(self._order, (_UP_ZERO,) * power + self._c[: self._order + 1 - power])
 
     def div_t(self, power: int) -> "Series":
         """Exact division by t**power; the result order drops by power."""
@@ -421,24 +429,25 @@ class Series:
         for n, c in enumerate(self._c[:power]):
             if not c.is_zero:
                 raise NotDivisibleError(n, c, f"t^{power}")
-        return Series(self._order - power, self._c[power:])
+        return Series._wrap(self._order - power, self._c[power:])
 
     def div_u(self) -> "Series":
         """Exact division of every coefficient by u."""
         for n, c in enumerate(self._c):
             if c.coeff(0):
                 raise NotDivisibleError(n, c, "u")
-        return Series(self._order, (c.shift(-1) for c in self._c))
+        return Series._wrap(self._order, (c.shift(-1) for c in self._c))
 
     def scale_u(self, power: int) -> "Series":
         """Multiply every coefficient by u**power."""
-        return Series(self._order, (c.shift(power) for c in self._c))
+        return Series._wrap(self._order, (c.shift(power) for c in self._c))
 
     def truncated(self, order: int) -> "Series":
         """Forget coefficients above the given (smaller or equal) order."""
+        check_order(order)
         if order > self._order:
             raise ValueError("cannot extend a truncated series")
-        return Series(order, self._c[: order + 1])
+        return Series._wrap(order, self._c[: order + 1])
 
     # -- misc ----------------------------------------------------------------
 

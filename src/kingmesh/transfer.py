@@ -8,9 +8,10 @@ method; Stanley, *EC1* §4.7, and Flajolet and Sedgewick 2009, ch. V).  A
 state is one int, ``placed << shift | last``.
 
 A king's endpoint type (see :data:`kingmesh.kings.CLASS_TYPES`) also reads its
-first entry's flags, so the kings of each kind of first entry (the smallest,
-the largest, neither) are counted in their own pass; the last entry's flags
-are read from the last value of each final state.
+first entry's flags, so one packed pass counts the kings of each kind of first
+entry (neither end, the smallest, the largest) in its own field of one int per
+state, the field at those flags times ``n * n.bit_length()`` bits, which bounds
+n!; the last entry's flags are read from the last value of each final state.
 
 The route is a count, not an enumeration: no king is built, and each state's
 extensions are tested once for all the prefixes it stands for.  It keeps its
@@ -39,22 +40,24 @@ def type_counts(n: int) -> dict[int, int]:
     nexts = [[v for v in range(1, n + 1) if abs(v - last) > 1] for last in range(n + 1)]
     shift = n.bit_length()
     low = (1 << shift) - 1
+    width = n * shift  # n! < 2**width, so no field carries into the next
+    states = {1 << first << shift | first: 1 << width * flags[first] for first in range(1, n + 1)}
+    for _ in range(n - 1):  # place one more value in every state
+        after: dict[int, int] = {}
+        get = after.get
+        for state, packed in states.items():
+            placed = state >> shift
+            for v in nexts[state & low]:
+                if not placed >> v & 1:
+                    key = (placed | 1 << v) << shift | v
+                    after[key] = get(key, 0) + packed
+        states = after
     tally: dict[int, int] = {}
-    for head in (SMALLEST, LARGEST, 0):
-        states = {1 << first << shift | first: 1 for first in range(1, n + 1) if flags[first] == head}
-        for _ in range(n - 1):  # place one more value in every state
-            after: dict[int, int] = {}
-            get = after.get
-            for state, kings in states.items():
-                placed = state >> shift
-                for v in nexts[state & low]:
-                    if not placed >> v & 1:
-                        key = (placed | 1 << v) << shift | v
-                        after[key] = get(key, 0) + kings
-            states = after
-        for state, kings in states.items():
-            t = 4 * head | flags[state & low]
-            tally[t] = tally.get(t, 0) + kings
+    for state, packed in states.items():
+        for head in (0, SMALLEST, LARGEST):
+            if kings := packed >> width * head & (1 << width) - 1:
+                t = 4 * head | flags[state & low]
+                tally[t] = tally.get(t, 0) + kings
     return tally
 
 

@@ -1,6 +1,7 @@
 """Closed-form series builders against pinned expansions and identities."""
 
 import hashlib
+import math
 from collections import Counter
 from dataclasses import replace
 
@@ -35,6 +36,18 @@ def rows(series):
 
 def test_king_series_matches_counts():
     assert ints(king_series(12)) == KING_COUNTS
+
+
+@pytest.mark.parametrize("order", [0, 1, 2, 3, 30, 101])
+def test_king_series_is_the_sum_that_defines_it(order):
+    # sum of n! t^n (1-t)^n / (1+t)^n, every term built by the series ring
+    one, t = Series.one(order), Series.t(order)
+    step = t * (one - t) / (one + t)
+    total = power = one
+    for n in range(1, order + 1):
+        power = power * step
+        total = total + power * math.factorial(n)
+    assert gfs_mod.Terms(order).a == total
 
 
 def test_class_series():

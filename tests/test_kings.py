@@ -41,6 +41,14 @@ def test_is_king():
     assert not is_king((2, 1))
 
 
+@given(st.lists(st.integers(min_value=-4, max_value=4), max_size=9), st.booleans())
+@settings(max_examples=300, deadline=None)
+def test_is_king_is_the_written_out_rule(entries, as_tuple):
+    # a narrow range of values, so that repeats and neighbours are common
+    p = tuple(entries) if as_tuple else entries
+    assert is_king(p) == all(abs(a - b) > 1 for a, b in zip(p, p[1:]))
+
+
 def test_reverse_complement_reduced():
     assert reverse((2, 4, 3, 1)) == (1, 3, 4, 2)
     assert complement((2, 4, 3, 1)) == (3, 1, 2, 4)

@@ -311,6 +311,25 @@ class TestSeries:
                 assert dict_series_mul(as_dicts(divisor), as_dicts(q)) == as_dicts(numerator)
         assert {(-1, True), (-1, False)} <= orders
 
+    @given(series(order=8), series(order=8), unit_series(order=8),
+           st.integers(min_value=0, max_value=11), st.integers(min_value=0, max_value=3),
+           st.integers(min_value=0, max_value=8))
+    @settings(max_examples=60, deadline=None)
+    def test_ring_built_results_are_what_the_constructor_makes(self, a, b, unit, tpow, upow, order):
+        # the ring wraps its own results without the public constructor's
+        # checks, so each must already be a canonical series of its order
+        shift = min(tpow, 8)
+        results = [
+            a + b, a - b, a - a, a + (-a), -a, a * b, a / unit, b / unit * unit,
+            a + 3, 2 - a, a * UPoly((0, -1)),
+            a.mul_t(tpow), a.mul_t(shift).div_t(shift), a.scale_u(1).div_u(),
+            a.scale_u(upow), a.subst_ut(upow), a.truncated(order),
+        ]
+        for s in results:
+            assert s == Series(s.order, s.coeffs)
+            assert len(s.coeffs) == s.order + 1
+            assert all(isinstance(c, UPoly) and c.coeffs[-1:] != (0,) for c in s.coeffs)
+
     def test_coefficients_must_be_ints_or_upolys(self):
         with pytest.raises(TypeError):
             Series(3, [object()])

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from kingmesh import transfer
-from kingmesh.kings import KingClass, class_total, count_kings
+from kingmesh.kings import KingClass, class_total, count_kings, tally_subtree
 from kingmesh.oracle import census
 from kingmesh.transfer import class_sizes, type_counts
 from kingmesh.verify import reference_rows
@@ -22,6 +22,18 @@ def test_state_counts_are_the_census_tallies_by_endpoint_type():
     sizes = class_sizes(9)
     for kc in KingClass:
         assert list(sizes[kc]) == [class_total(kings.tallies[n], kc) for n in range(10)], kc
+
+
+def test_one_packed_pass_counts_what_the_walk_counts_below_each_first_value():
+    # the kinds of first entry share one int per state; the walk counts the
+    # kings below one first value at a time
+    assert type_counts(0) == {0: 1}
+    for n in range(1, 10):
+        walked: dict[int, int] = {}
+        for first in range(1, n + 1):
+            for t, kings in tally_subtree(n, first).items():
+                walked[t] = walked.get(t, 0) + kings
+        assert type_counts(n) == walked, n
 
 
 def test_state_counts_sum_to_the_king_counts_through_thirteen():
