@@ -30,6 +30,12 @@ tally's keys.
 Enumeration can fan out over the choice of the first element; each worker owns
 the subtree below one first value and the partial tallies are added, so the
 result is identical for any worker count.
+
+:func:`distribution_tables` answers a request whose patterns all have length 1
+from :func:`kingmesh.transfer.single_rows` instead, which counts by state
+(placed set, last value) in the calling process, so ``jobs`` starts no pool
+for it; every other request takes one census.  The battery's checks of a
+pattern read only the census.
 """
 
 from __future__ import annotations
@@ -297,12 +303,22 @@ def distribution_tables(
     king_class: KingClass = KingClass.ALL,
     jobs: int = 1,
 ) -> list[DistributionTable]:
-    """Batched tables from one census of the class: each length is enumerated
-    once for all the patterns, and each table sums its class's endpoint types.
+    """The tables of the patterns over the class.  When every pattern asked
+    for has length 1, each is counted by state (``transfer.single_rows``) in
+    this process, and ``jobs`` starts no pool; any other batch comes from one
+    census of the class: each length is enumerated once for all the
+    patterns, and each table sums its class's endpoint types.
 
-    Occurrence counting takes most of the time, though the walk finds the
-    hits of each candidate once for all the hosts that share it.  A batch
-    shares the walk and compiles the patterns once per length in each
-    process, but every pattern still costs.
+    In a census, occurrence counting takes most of the time, though the walk
+    finds the hits of each candidate once for all the hosts that share it.
+    A batch shares the walk and compiles the patterns once per length in
+    each process, but every pattern still costs.
     """
+    patterns = tuple(patterns)
+    if patterns and all(p.length == 1 for p in patterns):
+        from .transfer import single_rows  # only a batch of singles loads the state route
+
+        kc = KingClass(king_class)
+        return [DistributionTable(p, kc, tuple(map(UPoly, single_rows(p.shaded, n_max, kc))))
+                for p in patterns]
     return census(patterns, n_max, king_class, jobs).tables(king_class)

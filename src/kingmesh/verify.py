@@ -39,7 +39,7 @@ from .kings import KingClass, check_order, count_kings, is_king, perm_text
 from .mesh import (
     KING_CROSS_DOWN, KING_CROSS_UP, CompiledPatterns, MeshPattern, catalog, catalog_pattern
 )
-from .oracle import Census, census, distribution_table
+from .oracle import Census, census
 from .gfs import (
     A_ROW, SOLVED, Residual, Terms, avoidance_series, class_series, distribution_series,
     king_series, series_by_name, strong_point_avoiders, strong_point_series, terms,
@@ -234,7 +234,8 @@ def verify_theorem(
     ident = str(ident)
     _validate([f"theorem:{ident}"], order, n_max)
     if oracle_rows is None:
-        oracle_rows = distribution_table(catalog_pattern(ident), n_max, KingClass.ALL, jobs).rows
+        p = catalog_pattern(ident)  # from the census, as verify --all reads it, single or not
+        oracle_rows = census([p], n_max, KingClass.ALL, jobs).table(p, KingClass.ALL).rows
     pinned = reference_rows(f"E:{ident}")
 
     def legs() -> list[Leg]:

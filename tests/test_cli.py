@@ -14,7 +14,9 @@ import kingmesh.oracle as oracle_mod
 import kingmesh.verify as verify_mod
 from kingmesh import cli
 from kingmesh.cli import main
-from kingmesh.kings import count_kings
+from kingmesh.kings import KingClass, count_kings
+from kingmesh.mesh import parse_pattern
+from kingmesh.oracle import census
 
 
 def run(capsys, *argv):
@@ -324,6 +326,7 @@ class TestFactorialGuard:
         # recursion limit of 1000 however shallow the caller's stack
         "count --method enum --n 1500",
         "dist --pattern nr:16 --n-max 62",  # the table of singles holds 2 << 62 entries
+        "dist --pattern nr:X --n-max 62",  # so does the state table, times 64
         "dist --pattern mesh(3;123;{}) --n-max 62",  # a set with no single builds it too
         "verify --n-max 62",
     ],
@@ -380,6 +383,10 @@ def test_strong_point_census_through_ten_is_pinned(capsys, pattern, king_class, 
     assert code == 0, err
     assert len(out.encode()) == 352
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+    # the command counts a single by state; the census must give the same bytes
+    p, kc = parse_pattern(pattern), KingClass(king_class)
+    table = census([p], 10, kc).table(p, kc)
+    assert hashlib.sha256((json.dumps(table.to_json_dict(), sort_keys=True) + "\n").encode()).hexdigest() == digest
 
 
 class TestUsage:

@@ -99,10 +99,11 @@ def test_worker_splits_agree():
 
 
 def test_worker_splits_agree_on_restricted_class():
+    # the census itself: distribution_table counts a single by state
     p = catalog_pattern("X")
     for kc in (KingClass.S, KingClass.L, KingClass.SL, KingClass.LS):
-        serial = distribution_table(p, 7, kc, jobs=1)
-        parallel = distribution_table(p, 7, kc, jobs=3)
+        serial = census([p], 7, kc, jobs=1).table(p, kc)
+        parallel = census([p], 7, kc, jobs=3).table(p, kc)
         assert serial == parallel
 
 

@@ -55,7 +55,8 @@ LOADED = {
     "--help": {"kings"},
     "count --n 5": {"kings"},
     "list --n 5": {"kings"},
-    "dist --pattern nr:X --n-max 4": ORACLE,
+    "dist --pattern nr:16 --n-max 4": ORACLE,
+    "dist --pattern nr:X --n-max 4": ORACLE | {"transfer"},  # a single's rows come by state
     "series --name A --order 5": {"kings", "series", "gfs"},
     "verify --equation EQ_B": ORACLE | {"gfs", "verify"},
     "verify --all --order 8 --n-max 4": ORACLE | {"gfs", "verify", "transfer"},

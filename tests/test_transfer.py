@@ -1,4 +1,5 @@
-"""Class sizes by state counting, against the census and the pinned rows."""
+"""Class sizes and the rows of singles by state counting, against the census,
+the closed forms and the pinned rows."""
 
 import ast
 import os
@@ -8,10 +9,13 @@ from pathlib import Path
 
 import pytest
 
-from kingmesh import transfer
+from kingmesh import oracle, transfer
+from kingmesh.gfs import strong_point_series
 from kingmesh.kings import KingClass, class_total, count_kings, tally_subtree
-from kingmesh.oracle import census
-from kingmesh.transfer import class_sizes, type_counts
+from kingmesh.mesh import MeshPattern, catalog_pattern
+from kingmesh.oracle import census, distribution_table
+from kingmesh.series import UPoly
+from kingmesh.transfer import class_sizes, single_rows, type_counts
 from kingmesh.verify import reference_rows
 
 
@@ -50,6 +54,38 @@ def test_class_sizes_follow_the_pinned_rows(kc, key):
 def test_a_negative_length_is_refused():
     with pytest.raises(ValueError, match="n must be nonnegative"):
         type_counts(-1)
+    with pytest.raises(ValueError, match="n_max must be nonnegative"):
+        single_rows(frozenset(), -1)
+
+
+# every mesh pattern of length 1: the 16 sets of its four boxes
+SINGLES = [MeshPattern((1,), frozenset(box for bit, box in enumerate([(0, 0), (0, 1), (1, 0), (1, 1)])
+                                       if mask >> bit & 1)) for mask in range(16)]
+
+
+@pytest.mark.parametrize("kc", list(KingClass))
+def test_the_rows_of_every_single_are_the_census_rows(kc):
+    tables = census(SINGLES, 9, kc).tables(kc)
+    for p, table in zip(SINGLES, tables):
+        assert tuple(map(UPoly, single_rows(p.shaded, 9, kc))) == table.rows, p
+
+
+@pytest.mark.parametrize("ident, kc", [("X", "all"), ("X", "s"), ("X", "sl"), ("X'", "ls")])
+def test_the_strong_points_follow_the_closed_forms_past_the_census(ident, kc):
+    # n = 11 to 13 lie past what the census walks in the suite
+    rows = single_rows(catalog_pattern(ident).shaded, 13, kc)
+    assert tuple(map(UPoly, rows)) == strong_point_series(KingClass(kc), 13).coeffs
+
+
+def test_the_oracle_counts_only_a_batch_of_singles_by_state(monkeypatch):
+    x, p16 = catalog_pattern("X"), catalog_pattern("16")
+    assert distribution_table(x, 6, KingClass.SL).rows == census([x], 6, "sl").table(x, "sl").rows
+    # the route is chosen from the patterns themselves, so an iterator of them is read once
+    assert oracle.distribution_tables(iter([p16, x]), 6, "sl") == census([p16, x], 6, "sl").tables("sl")
+    # a batch that holds a pair takes the census, whose tables agree
+    monkeypatch.setattr(transfer, "single_rows", None)
+    tables = oracle.distribution_tables([x, p16], 6, KingClass.SL)
+    assert tables == census([x, p16], 6, "sl").tables("sl")
 
 
 def test_the_route_reads_only_the_class_rule_of_kings():
@@ -62,11 +98,14 @@ def test_the_route_reads_only_the_class_rule_of_kings():
 
 
 def test_only_the_counts_checks_load_the_route():
-    # a command that reads no class size never imports the route
+    # only a command that reads a class size or the rows of a single imports
+    # the route; the battery reads its singles from the census
     code = (
         "import contextlib, io, sys\nfrom kingmesh import cli\nloaded = []\n"
-        "for argv in (['dist', '--pattern', 'nr:X', '--n-max', '4'], ['series', '--name', 'A', '--order', '5'],\n"
-        "             ['verify', '--equation', 'EQ_B'], ['verify', '--all', '--order', '8', '--n-max', '4']):\n"
+        "for argv in (['dist', '--pattern', 'nr:16', '--n-max', '4'], ['series', '--name', 'A', '--order', '5'],\n"
+        "             ['verify', '--equation', 'EQ_B'], ['verify', '--theorem', 'X', '--n-max', '4'],\n"
+        "             ['dist', '--pattern', 'nr:X', '--n-max', '4'],\n"
+        "             ['verify', '--all', '--order', '8', '--n-max', '4']):\n"
         "    with contextlib.redirect_stdout(io.StringIO()):\n"
         "        code = cli.main(argv)\n"
         "    loaded.append((code, 'kingmesh.transfer' in sys.modules))\n"
@@ -75,4 +114,4 @@ def test_only_the_counts_checks_load_the_route():
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,
                           timeout=50, check=True)
-    assert done.stdout == "[(0, False), (0, False), (0, False), (0, True)]\n"
+    assert done.stdout == "[(0, False), (0, False), (0, False), (0, False), (0, True), (0, True)]\n"
