@@ -12,8 +12,9 @@ bit b set when b may stand next to a, so that one AND with the bitset of the
 values not yet placed gives the values a node may place after a.
 Every restricted class forbids only some first and last entries, so one table,
 ``CLASS_TYPES``, says which endpoint types each class holds; the walks know no
-class: :func:`first_values` (where its members begin) and :func:`class_total`
-(how many hosts of a tally it holds) read the table for every route.
+class: :func:`first_values` (where its members begin, for the walks) and
+:func:`class_total` (how many hosts of a tally it holds, for every route) read
+the table.
 
 >>> is_king((2, 4, 1, 3))
 True

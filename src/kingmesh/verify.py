@@ -1,7 +1,7 @@
 """Mechanical cross-checks between the closed forms, the exhaustive oracle,
 and pinned reference expansions.
 
-Three kinds of evidence are compared:
+Four kinds of evidence are compared:
 
 * the closed-form series built by :mod:`kingmesh.gfs`;
 * the brute-force census of :mod:`kingmesh.oracle`, taken once per run for

@@ -326,7 +326,7 @@ class TestFactorialGuard:
         # recursion limit of 1000 however shallow the caller's stack
         "count --method enum --n 1500",
         "dist --pattern nr:16 --n-max 62",  # the table of singles holds 2 << 62 entries
-        "dist --pattern nr:X --n-max 62",  # so does the state table, times 64
+        "dist --pattern nr:X --n-max 62",  # the state table holds (1 << 62) * 63 slots
         "dist --pattern mesh(3;123;{}) --n-max 62",  # a set with no single builds it too
         "verify --n-max 62",
     ],

@@ -56,11 +56,30 @@ def test_a_negative_length_is_refused():
         type_counts(-1)
     with pytest.raises(ValueError, match="n_max must be nonnegative"):
         single_rows(frozenset(), -1)
+    with pytest.raises(ValueError, match="n_max must be nonnegative"):
+        class_sizes(-1)
 
 
 # every mesh pattern of length 1: the 16 sets of its four boxes
 SINGLES = [MeshPattern((1,), frozenset(box for bit, box in enumerate([(0, 0), (0, 1), (1, 0), (1, 1)])
                                        if mask >> bit & 1)) for mask in range(16)]
+
+
+def test_every_single_splits_the_kings_of_each_type():
+    # each single's rows by type sum to the kings of that type, through n = 11
+    for n in range(12):
+        tally = type_counts(n)
+        for p in SINGLES:
+            rows = transfer._type_rows(p.shaded, n)
+            assert {t: sum(row) for t, row in rows.items()} == tally, (n, p)
+
+
+def test_the_single_of_every_box_never_hits_a_king_past_one():
+    # type_counts reads its rows, so every king of n >= 2 must sit at hits 0
+    assert transfer._type_rows(SINGLES[15].shaded, 1) == {15: [0, 1]}
+    for n in range(2, 12):
+        for t, row in transfer._type_rows(SINGLES[15].shaded, n).items():
+            assert row[1:] == [0] * n, (n, t)
 
 
 @pytest.mark.parametrize("kc", list(KingClass))
@@ -94,7 +113,10 @@ def test_the_route_reads_only_the_class_rule_of_kings():
     tree = ast.parse(Path(transfer.__file__).read_text())
     imports = [node for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))]
     assert {(node.level, node.module) for node in imports} == {(0, "__future__"), (1, "kings")}
-    assert "far_rows" not in {alias.name for node in imports for alias in node.names}
+    # the class rule alone: the walk starts from every first value, so where a
+    # class's members begin (first_values) is not read here
+    names = {alias.name for node in imports if node.module == "kings" for alias in node.names}
+    assert names == {"CLASS_TYPES", "KingClass", "class_total", "endpoint_flags"}
 
 
 def test_only_the_counts_checks_load_the_route():
