@@ -95,8 +95,15 @@ def _cmd_series(args) -> int:
 
     series = series_by_name(args.name, args.order)
     if args.format == "json":
-        rows = [{"n": n, "coeff": str(c)} for n, c in enumerate(series.coeffs)]
-        _emit_json({"name": args.name, "order": args.order, "rows": rows})
+        # the bytes of _emit_json, written a row at a time so that the
+        # document is never held whole; the encoder orders the keys
+        encode = json.JSONEncoder(sort_keys=True).encode
+        head, tail = encode({"name": args.name, "order": args.order, "rows": []}).rsplit("[]", 1)
+        write = sys.stdout.write
+        write(head + "[")
+        for n, c in enumerate(series.coeffs):
+            write((", " if n else "") + encode({"n": n, "coeff": str(c)}))
+        write("]" + tail + "\n")
     else:
         print(f"{args.name} through order {args.order}")
         print(" n  coefficient")

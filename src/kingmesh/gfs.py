@@ -24,6 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from operator import add
 from typing import Callable
 
 from .kings import BASE_NAMES, KingClass
@@ -70,7 +71,9 @@ class Terms:
         self.opt = self.one + self.t
 
 
-terms = lru_cache(maxsize=None)(Terms)
+# One command reads at most four orders: `verify --all` its order, order + 1
+# for the star identities, and the class counts to n = 10 and n = 11.
+terms = lru_cache(maxsize=4)(Terms)
 
 # The series each class reads: its counting series is the field named here,
 # its strong-point distribution the same name followed by "tu".  S and L
@@ -179,16 +182,32 @@ def _distribution_16(r: Terms) -> Series:
     one, t, a, order = r.one, r.t, r.a, r.order
     running = (one + t) * a / r.q
     h = (a - one - t) / r.q
-    total = (one + t) * running
-    for i in range(1, order + 1):
-        # term i is t^i (1 + u^i t) running, so running is needed only
-        # through t^(order - i), and 1 + u^i t multiplies it as a shift
-        running = running.truncated(order - i) * h.truncated(order - i).subst_ut(i)
-        if running.is_zero():
-            break
-        term = (running + running.mul_t(1).scale_u(i)).scale_u(math.comb(i, 2))
-        total = total + Series(order, (UPoly(),) * i + term.coeffs)
-    return total
+    # the sum is added into one integer row per t-slot: term i puts each
+    # coefficient of running, at t^k, into slot i + k at u^C(i,2) and into
+    # slot i + k + 1 at u^(C(i,2) + i), the shift by 1 + u^i t
+    rows: list[list[int]] = [[] for _ in range(order + 1)]
+    for i in range(order + 1):
+        if i:
+            # term i needs running only through t^(order - i)
+            running = running.truncated(order - i) * h.truncated(order - i).subst_ut(i)
+            if running.is_zero():
+                break
+        low = math.comb(i, 2)
+        for k, c in enumerate(running.coeffs):
+            _add_at(rows[i + k], c.coeffs, low)
+            if i + k < order:
+                _add_at(rows[i + k + 1], c.coeffs, low + i)
+    return Series(order, map(UPoly, rows))
+
+
+def _add_at(row: list[int], coeffs: tuple[int, ...], power: int) -> None:
+    """Add the polynomial with the given coefficients, times u^power, into row."""
+    if not coeffs:
+        return
+    top = power + len(coeffs)
+    if len(row) < top:
+        row.extend([0] * (top - len(row)))
+    row[power:top] = map(add, row[power:top], coeffs)
 
 
 def _dist_16(r: Terms, p: Series, e: Series) -> Series:
@@ -396,9 +415,10 @@ def distribution_series(ident: str | int, order: int) -> Series:
     return _solved_series("distribution", str(ident), order)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4 * len(SOLVED))
 def _solved_series(kind: str, ident: str, order: int) -> Series:
-    # one build per kind, id and order in each process, whatever type the id came in
+    # one build per kind, id and order in each command, whatever type the id
+    # came in; a command reads both kinds of every pattern at two orders at most
     if ident not in SOLVED:
         raise ValueError(f"no closed {kind} form for pattern {ident!r}")
     return getattr(SOLVED[ident], kind)(terms(order))

@@ -167,6 +167,11 @@ def _nonzero(p: UPoly) -> list[tuple[int, int]]:
     return list(compress(enumerate(p._c), p._c))
 
 
+def _term_count(coeffs: tuple[UPoly, ...]) -> int:
+    """The number of nonzero coefficients in all the given UPolys."""
+    return sum(len(p._c) - p._c.count(0) for p in coeffs)
+
+
 def _add_product(row: list[int], xs, ys, sign: int = 1) -> None:
     """Add sign * x * y into the coefficient row, for x and y given by their
     nonzero (power, coefficient) pairs; the row first grows to the top power.
@@ -341,15 +346,19 @@ class Series:
             return NotImplemented
         self._check_order(other)
         n = self._order
-        xs = [(i, _nonzero(a)) for i, a in enumerate(self._c) if a._c]
-        ys = [(j, _nonzero(b)) for j, b in enumerate(other._c) if b._c]
+        # only the operand with fewer terms is held as pairs; the other is read
+        # slot by slot, so the pairs of a long series never exist all at once
+        short, long = sorted((self._c, other._c), key=_term_count)
+        xs = [(i, _nonzero(a)) for i, a in enumerate(short) if a._c]
         # one integer row per t-slot; a UPoly is made per slot, not per term
         rows: list[list[int]] = [[] for _ in range(n + 1)]
-        for i, x in xs:
-            for j, y in ys:
-                if i + j > n:
-                    break
-                _add_product(rows[i + j], x, y)
+        for j, b in enumerate(long):
+            if b._c:
+                y = _nonzero(b)
+                for i, x in xs:
+                    if i + j > n:
+                        break
+                    _add_product(rows[i + j], x, y)
         return Series._wrap(n, map(UPoly, rows))
 
     __rmul__ = __mul__

@@ -204,6 +204,19 @@ class TestSeries:
         data = json.loads(out)
         assert data["rows"][5] == {"n": 5, "coeff": "12"}
 
+    @pytest.mark.parametrize("order", [0, 1, 8, 30])
+    @pytest.mark.parametrize("name", ["A", "Atu", "P:X'", "E:X'", "E:16"])
+    def test_json_is_written_as_one_dumped_document(self, capsys, name, order):
+        # the rows are written one at a time; the bytes are those of the
+        # whole payload dumped at once
+        from kingmesh.gfs import series_by_name
+
+        rows = [{"n": n, "coeff": str(c)} for n, c in enumerate(series_by_name(name, order).coeffs)]
+        payload = {"name": name, "order": order, "rows": rows}
+        code, out, _ = run(capsys, "series", "--name", name, "--order", str(order), "--format", "json")
+        assert code == 0
+        assert out == json.dumps(payload, sort_keys=True) + "\n"
+
     def test_unknown_name(self, capsys):
         code, _, err = run(capsys, "series", "--name", "Z", "--order", "5")
         assert code == 2 and "unknown series" in err

@@ -8,6 +8,7 @@ from dataclasses import replace
 import pytest
 
 import kingmesh.gfs as gfs_mod
+from kingmesh.cli import main
 from kingmesh.kings import KingClass
 from kingmesh.mesh import catalog
 from kingmesh.gfs import (
@@ -274,6 +275,26 @@ def test_one_terms_per_order(terms_built):
     for eq_id in EQUATIONS:
         assert verify_equation(eq_id, 17).status == "PASS", eq_id
     assert terms_built == {17: 1, 18: 1}
+
+
+@pytest.mark.parametrize("argv, orders", [
+    ("verify --all --order 30 --n-max 8 --format json", {10: 1, 11: 1, 30: 1, 31: 1}),
+    (None, {100: 1, 101: 1}),  # every series and every equation at order 100
+])
+def test_the_bounded_caches_hold_what_one_command_reads(terms_built, capsys, argv, orders):
+    # nothing is built twice: each Terms and each of the 48 series is one miss
+    if argv is None:
+        names = [*gfs_mod.BASE_NAMES, *(f"{kind}:{i}" for kind in "PE" for i in SOLVED_IDS)]
+        commands = [f"series --name {name} --order 100 --format json" for name in names]
+        commands += [f"verify --equation {eq_id} --order 100 --format json" for eq_id in EQUATIONS]
+    else:
+        commands = [argv]
+    for command in commands:
+        assert main(command.split()) == 0, command
+    capsys.readouterr()
+    assert terms_built == orders
+    assert gfs_mod.terms.cache_info().misses == len(orders)
+    assert gfs_mod._solved_series.cache_info().misses == 48
 
 
 @pytest.mark.parametrize("eq_id", ["EQ_P16_STAR", "EQ_P63_STAR", "EQ_P64_STAR"])

@@ -1,10 +1,13 @@
 """Ring arithmetic for UPoly and truncated Series."""
 
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import kingmesh.series as series_mod
+from kingmesh.gfs import distribution_series, terms
 from kingmesh.series import (
     NonUnitConstantTermError,
     NotDivisibleError,
@@ -310,6 +313,22 @@ class TestSeries:
                 q = numerator / divisor
                 assert dict_series_mul(as_dicts(divisor), as_dicts(q)) == as_dicts(numerator)
         assert {(-1, True), (-1, False)} <= orders
+
+    def test_product_does_not_hold_the_longer_operand_as_pairs(self):
+        # E:16 is dense in u; a product reads it slot by slot, so what it
+        # holds besides its result stays well below E's (power, coefficient)
+        # pairs, about 64 B each
+        s, e = terms(60).s, distribution_series("16", 60)
+        pairs = sum(len(c.coeffs) - c.coeffs.count(0) for c in e.coeffs)
+        assert pairs == 7670
+        tracemalloc.start()
+        try:
+            product = s * e
+            size, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert product == e * s
+        assert peak - size < 64 * pairs / 2
 
     @given(series(order=8), series(order=8), unit_series(order=8),
            st.integers(min_value=0, max_value=11), st.integers(min_value=0, max_value=3),
