@@ -277,18 +277,20 @@ def test_one_terms_per_order(terms_built):
     assert terms_built == {17: 1, 18: 1}
 
 
-@pytest.mark.parametrize("argv, orders", [
-    ("verify --all --order 30 --n-max 8 --format json", {10: 1, 11: 1, 30: 1, 31: 1}),
-    (None, {100: 1, 101: 1}),  # every series and every equation at order 100
-])
-def test_the_bounded_caches_hold_what_one_command_reads(terms_built, capsys, argv, orders):
+# every series and every equation at order 100, as in the closed-forms workload
+_CLOSED_FORMS = [
+    *(f"series --name {name} --order 100 --format json"
+      for name in (*gfs_mod.BASE_NAMES, *(f"{kind}:{i}" for kind in "PE" for i in SOLVED_IDS))),
+    *(f"verify --equation {eq_id} --order 100 --format json" for eq_id in EQUATIONS),
+]
+
+
+@pytest.mark.parametrize("commands, orders", [
+    (["verify --all --order 30 --n-max 8 --format json"], {10: 1, 11: 1, 30: 1, 31: 1}),
+    (_CLOSED_FORMS, {100: 1, 101: 1}),
+], ids=["battery", "closed-forms"])
+def test_the_bounded_caches_hold_what_one_command_reads(terms_built, capsys, commands, orders):
     # nothing is built twice: each Terms and each of the 48 series is one miss
-    if argv is None:
-        names = [*gfs_mod.BASE_NAMES, *(f"{kind}:{i}" for kind in "PE" for i in SOLVED_IDS)]
-        commands = [f"series --name {name} --order 100 --format json" for name in names]
-        commands += [f"verify --equation {eq_id} --order 100 --format json" for eq_id in EQUATIONS]
-    else:
-        commands = [argv]
     for command in commands:
         assert main(command.split()) == 0, command
     capsys.readouterr()
