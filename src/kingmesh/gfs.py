@@ -28,7 +28,7 @@ from operator import add
 from typing import Callable
 
 from .kings import BASE_NAMES, KingClass
-from .series import NotDivisibleError, Series, UPoly
+from .series import Series, UPoly
 
 
 class Terms:
@@ -116,16 +116,6 @@ def strong_point_avoiders(order: int) -> Series:
     return terms(order).s
 
 
-def _halved_king_counts(r: Terms) -> list[int]:
-    halves = [0, 0]
-    for n in range(2, r.order + 1):
-        count = r.a.coeff(n).evaluate(0)
-        if count % 2:
-            raise NotDivisibleError(n, count, "2")
-        halves.append(count // 2)
-    return halves[: r.order + 1]
-
-
 # ---------------------------------------------------------------------------
 # The solved patterns.  Each record holds the pinned expansion of E, a builder
 # of the avoidance series P and one of the distribution E, both taking the
@@ -157,19 +147,6 @@ class SolvedPattern:
         """(kind, residual, margin) of each identity, in the order AV, DIST, STAR."""
         kinds = (("AV", self.av, 0), ("DIST", self.dist, 0), ("STAR", self.star, self.star_margin))
         return tuple(kind for kind in kinds if kind[1] is not None)
-
-
-def _avoidance_10(r: Terms) -> Series:
-    # Exactly half the class of each length n >= 2 avoids; the pattern
-    # needs the outer elements increasing and reversal flips that.
-    rows = [1, 1] + _halved_king_counts(r)[2:]
-    return Series(r.order, rows[: r.order + 1])
-
-
-def _distribution_10(r: Terms) -> Series:
-    halves = _halved_king_counts(r)[2:]
-    coeffs = [UPoly.one(), UPoly.one()] + [UPoly((h, h)) for h in halves]
-    return Series(r.order, coeffs[: r.order + 1])
 
 
 def _distribution_16(r: Terms) -> Series:
@@ -264,8 +241,11 @@ SOLVED: dict[str, SolvedPattern] = {
     "X'": SolvedPattern(_X_ROW, lambda r: r.s, lambda r: r.atu),
     "10": SolvedPattern(
         ("1", "1", "0", "0", "1+u", "7+7u", "45+45u", "323+323u", "2621+2621u", "23811+23811u"),
-        _avoidance_10,
-        _distribution_10,
+        # exactly half the kings of each length n >= 2 avoid 10, and the other
+        # half contain it once: it needs the outer entries increasing, and
+        # reversal flips that
+        lambda r: (r.a + r.opt).halved(),
+        lambda r: r.opt + (r.one + r.u) * (r.a - r.opt).halved(),
     ),
     # no king permutation contains 11, 14, 30, 34, 36 or 45
     "11": SolvedPattern(A_ROW, lambda r: r.a, lambda r: r.a),

@@ -447,9 +447,12 @@ class Series:
                 raise NotDivisibleError(n, c, "u")
         return Series._wrap(self._order, (c.shift(-1) for c in self._c))
 
-    def scale_u(self, power: int) -> "Series":
-        """Multiply every coefficient by u**power."""
-        return Series._wrap(self._order, (c.shift(power) for c in self._c))
+    def halved(self) -> "Series":
+        """Exact division of every coefficient by 2."""
+        for n, c in enumerate(self._c):
+            if any(k & 1 for k in c._c):
+                raise NotDivisibleError(n, c, "2")
+        return Series._wrap(self._order, (UPoly(k >> 1 for k in c._c) for c in self._c))
 
     def truncated(self, order: int) -> "Series":
         """Forget coefficients above the given (smaller or equal) order."""

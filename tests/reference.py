@@ -17,10 +17,12 @@ def occurrences_by_definition(pattern: MeshPattern, host) -> int:
         if tuple(ranked.index(v) + 1 for v in values) != pattern.tau:
             continue
         cols, rows = (0, *qs, n + 1), (0, *ranked, n + 1)
+        # box (i, j) holds the entries strictly between columns i and i + 1
+        # whose values lie strictly between rows j and j + 1
         if not any(
-            cols[i] < q < cols[i + 1] and rows[j] < host[q - 1] < rows[j + 1]
+            rows[j] < host[q - 1] < rows[j + 1]
             for i, j in pattern.shaded
-            for q in range(1, n + 1)
+            for q in range(cols[i] + 1, cols[i + 1])
         ):
             total += 1
     return total

@@ -456,6 +456,8 @@ CONTRACT = [
     ("verify --all --order 30 --n-max 8 --format json", 0, "67f37b8b5185c813c6ac256d153c472c3265be2c4623b5e4b4f2ebc7df5ee274"),
     # the benchmark's `sweep` run, with JSON output; same commit
     ("dist --all --n-max 9 --format json", 0, "b6d457cf7d99012860f81d7de5cce1a55999cc630b6073ed75b60eac8a7e22af"),
+    # the largest output, 2.45 MB, as CI's byte-identical step pins it
+    ("series --name E:16 --order 100 --format json", 0, "999f09860c36cb1fc0165b1b6b8a7efaa8948a515fe0392fabdab5c99c327a12"),
 ]
 
 

@@ -341,8 +341,8 @@ class TestSeries:
         results = [
             a + b, a - b, a - a, a + (-a), -a, a * b, a / unit, b / unit * unit,
             a + 3, 2 - a, a * UPoly((0, -1)),
-            a.mul_t(tpow), a.mul_t(shift).div_t(shift), a.scale_u(1).div_u(),
-            a.scale_u(upow), a.subst_ut(upow), a.truncated(order),
+            a.mul_t(tpow), a.mul_t(shift).div_t(shift), (a * Series.term(a.order, upow=1)).div_u(),
+            (2 * a).halved(), a.subst_ut(upow), a.truncated(order),
         ]
         for s in results:
             assert s == Series(s.order, s.coeffs)
@@ -405,9 +405,16 @@ class TestSeries:
             1, UPoly((7,)), "t^2",
         )
 
-    def test_scale_u(self):
-        s = Series(2, (1, 2))
-        assert s.scale_u(3).coeff(0) == UPoly((0, 0, 0, 1))
+    def test_an_odd_coefficient_is_not_halved(self):
+        s = Series(2, [UPoly((2, -4)), UPoly(), UPoly((0, 0, 6))])
+        assert s.halved() == Series(2, [UPoly((1, -2)), UPoly(), UPoly((0, 0, 3))])
+        # the first odd coefficient is named with its power, as the guard reports it
+        with pytest.raises(NotDivisibleError) as info:
+            Series(3, [UPoly((2,)), UPoly((4, 1)), UPoly((3,))]).halved()
+        assert (info.value.power, info.value.coefficient, info.value.divisor) == (
+            1, UPoly((4, 1)), "2",
+        )
+        assert str(info.value) == "t^1 coefficient 4+u is not divisible by 2"
 
     def test_coeff_bounds(self):
         s = Series.one(3)

@@ -206,10 +206,10 @@ def plant_in_halving(monkeypatch):
     """Make the halving of the king counts in pattern 10's closed forms raise
     the given error, on cold series caches."""
     def plant(error):
-        def raising(r):
+        def raising(s):
             raise error
 
-        monkeypatch.setattr(gfs_mod, "_halved_king_counts", raising)
+        monkeypatch.setattr(series_mod.Series, "halved", raising)
         gfs_mod._solved_series.cache_clear()
 
     yield plant
