@@ -22,10 +22,9 @@ have exhaustive data (see :mod:`kingmesh.oracle`) but no closed form.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from operator import add
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .kings import BASE_NAMES, KingClass
 from .series import Series, UPoly
@@ -130,8 +129,7 @@ def strong_point_avoiders(order: int) -> Series:
 Residual = Callable[[Terms, Series, Series], Series]
 
 
-@dataclass(frozen=True)
-class SolvedPattern:
+class SolvedPattern(NamedTuple):
     """Everything known in closed form about one solved catalog pattern."""
 
     expansion: tuple[str, ...]  # the pinned row of E, ascending powers of t

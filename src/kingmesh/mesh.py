@@ -19,10 +19,9 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import combinations
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .kings import Perm, is_permutation, perm_text
 
@@ -37,22 +36,29 @@ class PatternSyntaxError(ValueError):
         super().__init__(f"{message} (at position {position})")
 
 
-@dataclass(frozen=True)
-class MeshPattern:
+class _MeshFields(NamedTuple):
     tau: Perm
     shaded: frozenset[Box]
 
-    def __post_init__(self):
-        tau = tuple(self.tau)
-        boxes = frozenset((int(i), int(j)) for i, j in self.shaded)
+
+class MeshPattern(_MeshFields):
+    """A pattern (tau, shaded): tau normalised to a tuple of ints, shaded to a
+    frozenset of (i, j) boxes, both checked against the length k of tau."""
+
+    def __new__(cls, tau: Iterable[int], shaded: Iterable[Box]) -> MeshPattern:
+        tau = tuple(tau)
+        boxes = frozenset((int(i), int(j)) for i, j in shaded)
         if not is_permutation(tau):
             raise ValueError(f"tau is not a permutation of 1..{len(tau)}: {tau}")
         k = len(tau)
         for i, j in boxes:
             if not (0 <= i <= k and 0 <= j <= k):
                 raise ValueError(f"box {(i, j)} outside [0,{k}]x[0,{k}]")
-        object.__setattr__(self, "tau", tau)
-        object.__setattr__(self, "shaded", boxes)
+        return super().__new__(cls, tau, boxes)
+
+    @classmethod
+    def _make(cls, fields: Iterable) -> MeshPattern:
+        return cls(*fields)  # so that _replace checks its fields as the constructor does
 
     @property
     def length(self) -> int:
@@ -68,8 +74,7 @@ class MeshPattern:
         return render_pattern(self)
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
+class CatalogEntry(NamedTuple):
     ident: str
     pattern: MeshPattern
 

@@ -42,9 +42,8 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .kings import (
     CLASS_TYPES,
@@ -58,8 +57,7 @@ from .mesh import CompiledPatterns, MeshPattern, count_field, parse_pattern, ren
 from .series import UPoly
 
 
-@dataclass(frozen=True)
-class DistributionTable:
+class DistributionTable(NamedTuple):
     """Rows 0..n_max of occurrence-count polynomials for one pattern/class."""
 
     pattern: MeshPattern
@@ -203,8 +201,7 @@ def _walk(compiled: CompiledPatterns, n: int, first: int):
     return leaves
 
 
-@dataclass(frozen=True)
-class Census:
+class Census(NamedTuple):
     """The tallies of one pass over a king class, one per length.  A census
     of ALL answers for every class; one of a restricted class skips the first
     values the class forbids, so it answers for that class alone and refuses

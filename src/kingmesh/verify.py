@@ -30,10 +30,9 @@ on.  Any other exception propagates.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
 from functools import cached_property, partial
 from itertools import permutations, zip_longest
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .kings import KingClass, check_order, count_kings, is_king, perm_text
 from .mesh import (
@@ -59,15 +58,13 @@ CLASSES_N_MAX = 10
 KINGCHAR_N_MAX = 8
 
 
-@dataclass(frozen=True)
-class Witness:
+class Witness(NamedTuple):
     n: int
     expected: str
     actual: str
 
 
-@dataclass(frozen=True)
-class CheckReport:
+class CheckReport(NamedTuple):
     check_id: str
     subject: str
     status: str
@@ -142,8 +139,7 @@ def reference_rows(key: str) -> tuple[UPoly, ...]:
 # series; `margin` is how many truncation orders the construction consumes
 # (division by t).  The class identities are written here, the per-pattern
 # ones are read from the records of the solved patterns.
-@dataclass(frozen=True)
-class EquationSpec:
+class EquationSpec(NamedTuple):
     subject: str
     residual: Callable[[Terms], Series]
     margin: int = 0
@@ -421,15 +417,13 @@ def _check_open_mass(ident: str, rows: Sequence[UPoly], n_max: int) -> CheckRepo
     return _run(f"mass:{ident}", subject, lambda: next(negative, legs))  # the first negative row
 
 
-@dataclass
 class _Inputs:
     """The arguments of one run, and the class sizes and the census its checks
     share, each taken on first use.  A theorem run alone (not ``shared``)
     counts its own pattern."""
-    order: int
-    n_max: int
-    jobs: int
-    shared: bool
+
+    def __init__(self, order: int, n_max: int, jobs: int, shared: bool):
+        self.order, self.n_max, self.jobs, self.shared = order, n_max, jobs, shared
 
     @cached_property
     def sizes(self) -> Sizes:
@@ -494,5 +488,5 @@ def verify_all(
 def report_to_dict(report: CheckReport) -> dict:
     data = {"id": report.check_id, "subject": report.subject, "status": report.status}
     if report.witness is not None:
-        data["witness"] = asdict(report.witness)
+        data["witness"] = report.witness._asdict()
     return data

@@ -3,7 +3,6 @@
 import hashlib
 import math
 from collections import Counter
-from dataclasses import replace
 
 import pytest
 
@@ -237,7 +236,7 @@ def test_avoidance_and_distribution_routes_are_independent(monkeypatch, refused,
         raise AssertionError(f"the {refused} route was called")
 
     for ident, record in gfs_mod.SOLVED.items():
-        monkeypatch.setitem(gfs_mod.SOLVED, ident, replace(record, **{refused: refuse}))
+        monkeypatch.setitem(gfs_mod.SOLVED, ident, record._replace(**{refused: refuse}))
     gfs_mod._solved_series.cache_clear()
     try:
         for ident in SOLVED_IDS:

@@ -145,15 +145,34 @@ class TestCatalog:
 
 class TestPatternType:
     def test_validation(self):
-        with pytest.raises(ValueError):
-            MeshPattern((1, 3), frozenset())
-        with pytest.raises(ValueError):
-            MeshPattern((1, 2), frozenset({(3, 0)}))
+        for tau, shaded, message in [
+            ((1, 3), (), r"tau is not a permutation of 1\.\.2: \(1, 3\)"),
+            ((1, 1), (), r"tau is not a permutation of 1\.\.2: \(1, 1\)"),
+            ((0, 1), (), r"tau is not a permutation of 1\.\.2: \(0, 1\)"),
+            ((1, 2), [(3, 0)], r"box \(3, 0\) outside \[0,2\]x\[0,2\]"),
+            ((1, 2), [(0, 3)], r"box \(0, 3\) outside \[0,2\]x\[0,2\]"),
+            ((1,), [(-1, 0)], r"box \(-1, 0\) outside \[0,1\]x\[0,1\]"),
+        ]:
+            with pytest.raises(ValueError, match=message):
+                MeshPattern(tau, shaded)
+            with pytest.raises(ValueError, match=message):
+                MeshPattern(tau=list(tau), shaded=frozenset(shaded))
+            with pytest.raises(ValueError, match=message):
+                MeshPattern(range(1, len(tau) + 1), ())._replace(tau=tau, shaded=shaded)
         p = MeshPattern((1, 2), frozenset({(0, 0)}))
         assert p.length == 2
+        # any iterables are normalised to a tuple and a frozenset of int pairs
+        q = MeshPattern(tau=[1, 2], shaded=[[0, 0], (0, 0)])
+        assert (q.tau, q.shaded, q) == ((1, 2), frozenset({(0, 0)}), p)
 
     def test_hashable(self):
         assert len({catalog_pattern("16"), parse_pattern("nr:16")}) == 1
+        built = MeshPattern([1, 2], [[2, 0], (1, 0), (0, 2), (0, 1)])
+        parsed = parse_pattern("mesh(2;12;{(2,0),(1,0),(0,2),(0,1)})")
+        assert hash(built) == hash(parsed) == hash(catalog_pattern("16"))
+        by_pattern = {catalog_pattern("16"): "16"}
+        assert (by_pattern[built], by_pattern[parsed]) == ("16", "16")
+        assert MeshPattern((2, 1), built.shaded) not in by_pattern
 
 
 class TestParser:
@@ -204,6 +223,8 @@ class TestParser:
                 ("mesh(2;12;{(3,0)})", 12, "box (3,0) outside [0,2]x[0,2]"),
                 ("mesh(2;12;{(0,1),( 3,0)})", 19, "box (3,0) outside [0,2]x[0,2]"),
                 ("mesh(2;13;{})", 7, "tau (1, 3) is not a permutation of 1..2"),
+                ("mesh(2;11;{})", 7, "tau (1, 1) is not a permutation of 1..2"),
+                ("mesh(1;1;{(0,2)})", 11, "box (0,2) outside [0,1]x[0,1]"),
                 ("mesh( 2 ; 13 ; {})", 10, "tau (1, 3) is not a permutation of 1..2"),
                 ("mesh(2;12;{(0,0)", 16, "expected '}'"),  # unclosed braces
                 ("mesh(x;12;{})", 5, "expected an integer"),

@@ -18,7 +18,8 @@ MODULES = sorted((ROOT / "src" / "kingmesh").glob("*.py"))
 def test_every_import_is_the_standard_library_or_the_package():
     # the package declares no dependencies: an import of numpy, say, would
     # pass every test on a machine that has it, so read the imports, those
-    # inside functions too
+    # inside functions too; and none imports dataclasses, which costs every
+    # command that loads it about 7 ms of start-up (it pulls in inspect)
     outside = set()
     for path in MODULES:
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
@@ -30,7 +31,7 @@ def test_every_import_is_the_standard_library_or_the_package():
                 continue
             for name in names:
                 top = name.partition(".")[0]
-                if top != "kingmesh" and top not in sys.stdlib_module_names:
+                if top == "dataclasses" or (top != "kingmesh" and top not in sys.stdlib_module_names):
                     outside.add((path.name, name))
     assert len(MODULES) > 5 and not outside
 
@@ -64,16 +65,47 @@ LOADED = {
 }
 
 
+# standard-library modules no command needs, slow to import: dataclasses
+# imports inspect, and inspect imports ast, dis and tokenize
+UNUSED = ("dataclasses", "inspect")
+LOADED_UNUSED = f"sorted(name for name in {UNUSED!r} if name in sys.modules)"
+
+
+@pytest.fixture(scope="module")
+def unused_at_start() -> str:
+    """Those of UNUSED that a bare interpreter in this environment loads."""
+    return run_fresh(f"import sys\nprint({LOADED_UNUSED})\n")
+
+
 @pytest.mark.parametrize("argv", list(LOADED))
-def test_each_command_loads_only_the_modules_it_runs(argv):
+def test_each_command_loads_only_the_modules_it_runs(argv, unused_at_start):
     code = (
         "import contextlib, io, sys\nfrom kingmesh import cli\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         f"    code = cli.main({argv.split()!r})\n"
         "print(code, sorted(name for name in sys.modules if name.startswith('kingmesh.')))\n"
+        f"print({LOADED_UNUSED})\n"
     )
     expected = sorted(f"kingmesh.{name}" for name in LOADED[argv] | {"cli"})
-    assert run_fresh(code) == f"0 {expected}\n"
+    assert run_fresh(code) == f"0 {expected}\n{unused_at_start}"
+
+
+def test_no_field_of_a_record_can_be_assigned():
+    from kingmesh import gfs, mesh, oracle, verify
+
+    x = mesh.catalog_pattern("X")
+    table = oracle.distribution_table(x, 3)
+    witness = verify.Witness(2, "4", "5")
+    records = [
+        x, mesh.catalog()[0], table, oracle.census([x], 3), witness,
+        verify.CheckReport("demo", "squares", verify.FAIL, witness), verify.EQUATIONS["EQ_B"],
+        gfs.SOLVED["X"],
+    ]
+    assert len({type(record) for record in records}) == 8
+    for record in records:
+        for field in record._fields:
+            with pytest.raises(AttributeError):
+                setattr(record, field, None)
 
 
 def test_importing_the_package_loads_no_module():

@@ -5,7 +5,6 @@ import io
 import json
 import math
 from contextlib import redirect_stderr, redirect_stdout
-from dataclasses import replace
 from itertools import combinations, permutations
 
 import pytest
@@ -105,7 +104,7 @@ def test_undividable_residual_is_a_fail(monkeypatch):
     # div_u cannot divide: the check fails with that coefficient as witness,
     # and the battery reports every check the fault reaches instead of aborting
     record = gfs_mod.SOLVED["64"]
-    faulty = replace(record, distribution=lambda r: record.distribution(r) + Series.term(r.order, 5, tpow=6))
+    faulty = record._replace(distribution=lambda r: record.distribution(r) + Series.term(r.order, 5, tpow=6))
     monkeypatch.setitem(gfs_mod.SOLVED, "64", faulty)
     gfs_mod._solved_series.cache_clear()
     try:
@@ -134,7 +133,7 @@ def test_pattern_16_dist_reads_its_distribution(monkeypatch, fault, actual):
     # a wrong coefficient of E:16 must fail the DIST identity itself, not
     # only STAR and the theorem: E must not cancel from its residual
     record = gfs_mod.SOLVED["16"]
-    faulty = replace(record, distribution=lambda r: record.distribution(r) + fault(r.order))
+    faulty = record._replace(distribution=lambda r: record.distribution(r) + fault(r.order))
     monkeypatch.setitem(gfs_mod.SOLVED, "16", faulty)
     gfs_mod._solved_series.cache_clear()
     try:
@@ -375,7 +374,7 @@ def test_strong_point_checks_catch_an_off_by_one_avoider_count():
                 return table
             rows = list(table.rows)
             rows[6] = rows[6] + UPoly((1,))
-            return replace(table, rows=tuple(rows))
+            return table._replace(rows=tuple(rows))
 
     real = census([x, catalog_pattern("X'")], 7)
     faulty = OffByOne(real.patterns, real.tallies)
@@ -411,7 +410,7 @@ def test_strong_point_checks_reach_every_census_row_below_the_order():
                 return table
             rows = list(table.rows)
             rows[6] = rows[6] + UPoly((1,))
-            return replace(table, rows=tuple(rows))
+            return table._replace(rows=tuple(rows))
 
     real = census([x, catalog_pattern("X'")], 7)
     faulty = OffByOne(real.patterns, real.tallies)
@@ -587,7 +586,7 @@ def test_strong_point_oracle_leg_expects_the_closed_form():
                 return table
             rows = list(table.rows)
             rows[6] = rows[6] + UPoly((1,))
-            return replace(table, rows=tuple(rows))
+            return table._replace(rows=tuple(rows))
 
     real = census([x, catalog_pattern("X'")], 7)
     faulty = OffByOne(real.patterns, real.tallies)
@@ -801,7 +800,7 @@ def _planted_census(monkeypatch, kings, plant):
             return table
         rows = list(table.rows)
         rows[6] += UPoly.one()
-        return replace(table, rows=tuple(rows))
+        return table._replace(rows=tuple(rows))
 
     class Planted(Census):  # every table is decoded by ``tables``, ``table``'s too
         def tables(self, king_class, patterns=None):
