@@ -145,44 +145,42 @@ def _cmd_verify(args) -> int:
     return 1 if fails else 0
 
 
-def _parent(*flags, **kwargs) -> argparse.ArgumentParser:
-    """A parent parser, holding the one option given, if any."""
-    parent = argparse.ArgumentParser(add_help=False)
-    if flags:
-        parent.add_argument(*flags, **kwargs)
-    return parent
-
-
 @lru_cache(maxsize=1)
 def _build_parser() -> argparse.ArgumentParser:
-    # Every option reaches its subcommands through a parent parser, so that an
-    # option shared by several is declared once and each subcommand's parents
-    # list its options in usage-line order.  Built once per process: parsing
-    # leaves the parser as it was, and a process that calls main for many
-    # commands would otherwise build it again for each.
-    n = _parent("--n", type=int, required=True)
-    king_class = _parent(
-        "--class", dest="king_class", choices=[c.value for c in KingClass], default="all"
+    # An option shared by several subcommands is declared once, here; each
+    # subcommand adds its own options first, then the shared ones it takes,
+    # in usage-line order.  Built once per process: parsing leaves the parser
+    # as it was, and a process that calls main for many commands would
+    # otherwise build it again for each.
+    shared = {
+        "--n": {"type": int, "required": True},
+        "--class": {"dest": "king_class", "choices": [c.value for c in KingClass],
+                    "default": "all"},
+        "--method": {"choices": tuple(COUNT_METHODS), "default": None},
+        "--jobs": {"type": int, "default": 1},
+        "--allow-large": {
+            "action": "store_true",
+            "help": f"permit lengths above {PATTERN_N_LIMIT} ({WALK_N_LIMIT} for count and "
+            "list; enumeration grows factorially)",
+        },
+        "--format": {"choices": ("table", "json"), "default": "table",
+                     "help": "output mode (default: table)"},
+    }
+    parser = argparse.ArgumentParser(
+        prog="kingmesh",
+        description="Exact mesh-pattern statistics on king permutations.",
     )
-    method = _parent("--method", choices=tuple(COUNT_METHODS), default=None)
-    jobs = _parent("--jobs", type=int, default=1)
-    allow_large = _parent(
-        "--allow-large",
-        action="store_true",
-        help=f"permit lengths above {PATTERN_N_LIMIT} ({WALK_N_LIMIT} for count and list; "
-        "enumeration grows factorially)",
-    )
-    fmt = _parent(
-        "--format", choices=("table", "json"), default="table", help="output mode (default: table)"
-    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    count = sub.add_parser("count", help="count class members of one length")
+    listing = sub.add_parser("list", help="stream class members, one per line")
 
-    dist = _parent()
+    dist = sub.add_parser("dist", help="exhaustive occurrence distribution table")
     group = dist.add_mutually_exclusive_group(required=True)
     group.add_argument("--pattern", help="pattern text, e.g. 'mesh(2;12;{(0,0)})' or 'nr:16'")
     group.add_argument("--all", action="store_true", help="sweep every catalog pattern")
     dist.add_argument("--n-max", type=int, required=True)
 
-    series = _parent()
+    series = sub.add_parser("series", help="closed-form series expansion")
     series.add_argument(
         "--name",
         required=True,
@@ -190,7 +188,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     series.add_argument("--order", type=int, required=True)
 
-    verify = _parent()
+    verify = sub.add_parser("verify", help="run cross-checks")
     group = verify.add_mutually_exclusive_group()
     group.add_argument("--theorem", help="check one solved catalog pattern")
     group.add_argument("--equation", help="check one registered identity")
@@ -198,22 +196,16 @@ def _build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--order", type=int)
     verify.add_argument("--n-max", type=int)
 
-    parser = argparse.ArgumentParser(
-        prog="kingmesh",
-        description="Exact mesh-pattern statistics on king permutations.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, summary, handler, parents in (
-        ("count", "count class members of one length", _cmd_count,
-         [n, king_class, method, allow_large, fmt]),
-        ("list", "stream class members, one per line", _cmd_list,
-         [n, king_class, allow_large, fmt]),
-        ("dist", "exhaustive occurrence distribution table", _cmd_dist,
-         [dist, king_class, jobs, allow_large, fmt]),
-        ("series", "closed-form series expansion", _cmd_series, [series, fmt]),
-        ("verify", "run cross-checks", _cmd_verify, [verify, jobs, allow_large, fmt]),
+    for command, handler, options in (
+        (count, _cmd_count, ("--n", "--class", "--method", "--allow-large", "--format")),
+        (listing, _cmd_list, ("--n", "--class", "--allow-large", "--format")),
+        (dist, _cmd_dist, ("--class", "--jobs", "--allow-large", "--format")),
+        (series, _cmd_series, ("--format",)),
+        (verify, _cmd_verify, ("--jobs", "--allow-large", "--format")),
     ):
-        sub.add_parser(name, help=summary, parents=parents).set_defaults(run=handler)
+        for option in options:
+            command.add_argument(option, **shared[option])
+        command.set_defaults(run=handler)
     return parser
 
 

@@ -15,7 +15,7 @@ that class alone.  Below each first value of n >= 2 it walks the backtracking
 tree, building no host: each node takes the values that may come next from a
 table of the values of every subset, adds the hits of the candidates ending at
 its position to the counts it passes down, once for all the hosts below it,
-and the node before the last four entries places its own and the last three
+and recurses, or, at the fourth position from the end, places the last three
 inline, the last two from a list of the orders of each pair of values left,
 and records the leaves.  The hits of the length-1 candidates come from a
 table of the kernel's rule, and the pairs read their region masks from band
@@ -116,35 +116,34 @@ def _members(n: int) -> list[tuple[int, ...]]:
 def _walk(compiled: CompiledPatterns, n: int, first: int):
     """Tally, as ``_tally`` does, every king permutation of 1..n (n >= 2) that
     begins with ``first``, whatever its class.  The walk keeps only the prefix
-    bitsets ``pre``.  A node at position d takes the values not in pre[d]
-    that may stand next to the entry at d - 1 from ``_members``, at the
-    bitset ``apart[last] & ~pre[d]``, where ``apart[a]`` is the row of
-    ``far_rows`` for a read as a bitset; the walk starts at position 0 from
-    the row ``apart[0]``, which allows only ``first``, as ``tally_subtree``
-    does.  A node places each value, in any order, as the tallies are only
-    summed, sets pre[d + 1] and adds the hits of the candidates ending at d:
-    the single's from ``compiled.singles`` and the pairs' from one
-    ``compiled.pair_counter`` over ``pre``, which reads the band tables of
-    length n.  The node at n - 4 is the bottom: after each value v of its
-    own it places the last three entries inline, saving the calls for
-    position n - 3, which outnumber all others.  It takes each value w that
+    bitsets ``pre`` and has one body: the node at position d loops over the
+    values not in pre[d] that may follow the entry at d - 1, from ``_members``
+    at the bitset ``apart[last] & ~pre[d]``, where ``apart[a]`` is the row of
+    ``far_rows`` for a read as a bitset and ``apart[0]`` allows only
+    ``first``, as in ``tally_subtree``.  It places each value v, in any order,
+    as the tallies are only summed, sets pre[d + 1] and adds the hits of the
+    candidates ending at d: the single's from ``compiled.singles``, the pairs'
+    from one ``compiled.pair_counter`` over ``pre``.  Before n - 4 it then
+    recurses; at n - 4 it places the last three entries inline, saving the
+    calls for position n - 3, which outnumber all others: each value w that
     may follow v, then each order (y, z) of the two values left from
-    ``ends``, at the index of their bitset shifted right by one.  ``ends``
-    holds, for each order whose values ``far_rows`` lets stand side by
-    side, y and the order's part of the key: the singles of y and z, above
-    the endpoint type of a host that ends on z.  Each leaf tests w against
-    y, adds its own pairs and ``whole`` and updates the tally once.  The
-    first call is the bottom at n = 4 and calls it at n = 5; at n = 2 and 3
-    it is the bottom too, and fewer than two values are left after w, as no
-    king has 2 or 3 entries.  Like ``tally_subtree``, the walk reuses no
-    subtree and tests every adjacent pair of every host."""
+    ``ends``, at their bitset shifted right by one.  ``ends`` holds, for each
+    order that ``far_rows`` allows (it never lets a value stand beside
+    itself), y and the order's part of the key: the singles of y and z, above
+    the endpoint type of a host that ends on z.  Each leaf tests w against y
+    and adds only what its census counts, storing pre[n - 1] for each: the
+    pairs at y and z, and ``whole``; a census of singles stores nothing.  At
+    n = 4 the first call places the last three entries; at n = 2 and 3 fewer
+    than two values are left after w, as no king has 2 or 3 entries.  Like
+    ``tally_subtree``, the walk reuses no subtree and tests every adjacent
+    pair of every host."""
     type_by_last = [4 * endpoint_flags(first, n) | endpoint_flags(v, n) for v in range(n + 1)]
     full = (2 << n) - 2
     pre = [0] * n + [full]
     singles = compiled.singles
+    # tested "is not None": a jump on None, not a truth test at each leaf of a singles census
     pairs = compiled.pair_counter(pre) if compiled.pair_sides else None
     whole = compiled.whole if compiled.generic else None
-    counted = bool(pairs or whole)
     # after the single table, which is larger, so that a length too long for
     # either fails there, at once, and not while these grow
     members = _members(n)
@@ -153,7 +152,7 @@ def _walk(compiled: CompiledPatterns, n: int, first: int):
     ends: list[tuple[tuple[int, int], ...]] = [()] * (1 << n)
     for y in range(1, n + 1):
         for z in range(1, n + 1):
-            if z != y and far[y][z]:
+            if far[y][z]:
                 rest = full ^ 1 << z
                 part = (singles[y][rest ^ 1 << y] + singles[z][rest]) << 4 | type_by_last[z]
                 ends[(1 << y | 1 << z) >> 1] += ((y, part),)
@@ -162,39 +161,31 @@ def _walk(compiled: CompiledPatterns, n: int, first: int):
 
     def walk(d: int, last: int, packed: int) -> None:
         before = pre[d]
-        legal = members[(apart[last] & ~before) >> 1]
-        if d + 4 < n:
-            for v in legal:
-                pre[d + 1] = before | 1 << v
-                hits = packed + singles[v][before]
-                if pairs:
-                    hits += pairs(d, v)
-                walk(d + 1, v, hits)
-            return
-        for v in legal:  # d = n - 4 from n = 4 on: v, then w, y, z inline
+        for v in members[(apart[last] & ~before) >> 1]:
             pre[d + 1] = with_v = before | 1 << v
             hits = packed + singles[v][before]
-            if pairs:
+            if pairs is not None:
                 hits += pairs(d, v)
-            for w in members[(apart[v] & ~with_v) >> 1]:
+            if d + 4 < n:
+                walk(d + 1, v, hits)
+                continue
+            for w in members[(apart[v] & ~with_v) >> 1]:  # d = n - 4: w, y, z inline
                 pre[d + 2] = with_w = with_v | 1 << w
                 base = hits + singles[w][with_v]
-                if pairs:
+                if pairs is not None:
                     base += pairs(d + 1, w)
                 base <<= 4
                 to_w = apart[w]
                 for y, part in ends[(full ^ with_w) >> 1]:
                     if to_w >> y & 1:
                         key = base + part
-                        if counted:
+                        if pairs is not None:
                             pre[n - 1] = with_y = with_w | 1 << y
-                            more = 0
-                            if pairs:
-                                z = (full ^ with_y).bit_length() - 1
-                                more = pairs(n - 2, y) + pairs(n - 1, z)
-                            if whole:
-                                more += whole(pre)
-                            key += more << 4
+                            z = (full ^ with_y).bit_length() - 1
+                            key += (pairs(n - 2, y) + pairs(n - 1, z)) << 4
+                        if whole is not None:
+                            pre[n - 1] = with_w | 1 << y
+                            key += whole(pre) << 4
                         leaves[key] = get(key, 0) + 1
 
     walk(0, 0, 0)

@@ -247,12 +247,15 @@ def _assert_census_matches(counts, patterns, n_max, jobs):
 @example(patterns=[MeshPattern((1, 3, 2), frozenset({(0, 2), (1, 1)})),
                    MeshPattern((2, 1), frozenset({(0, 1), (2, 2)}))])
 @example(patterns=[MeshPattern((), frozenset()), MeshPattern((1, 2), frozenset({(1, 1), (2, 0)}))])
+@example(patterns=[MeshPattern((1, 3, 2), frozenset({(0, 2), (1, 1)}))])
+@example(patterns=[MeshPattern((), frozenset())])
 @settings(max_examples=6, deadline=None)
 def test_census_against_the_definition(jobs, patterns):
     # the walked census, of ALL and of each class, against every permutation
     # filtered by class membership and counted by the definition; the examples
     # put a length-3 pattern and the empty one, which the census counts on
     # the host it reads from the prefix bitsets at each leaf, next to a pair
+    # and alone, where a leaf stores the last prefix for them only
     _assert_census_matches(_kings_by_definition(patterns, 7), patterns, 7, jobs)
 
 
@@ -385,9 +388,9 @@ _SHORT_WALK_PATTERNS = [
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
 def test_the_walk_below_each_first_value_of_a_short_length(n):
     # n = 2 and 3 hold no king; n = 4 is the first length whose first call
-    # is the bottom, the node that places the last three entries inline, and
-    # n = 5 the first whose first call calls it.  With the patterns against
-    # the definition, without them against tally_subtree
+    # places the last three entries inline after each of its own values, and
+    # n = 5 the first whose first call recurses once first.  With the
+    # patterns against the definition, without them against tally_subtree
     field, kings = count_field(_SHORT_WALK_PATTERNS, n), 0
     for first in range(1, n + 1):
         hosts = [host for host in permutations(range(1, n + 1)) if host[0] == first and is_king(host)]
